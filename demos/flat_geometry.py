@@ -1,9 +1,9 @@
-"""Orientation transforms, flattening, and spatial queries.
+"""Orientation transforms, flattening, and neighbour queries.
 
 A placed cell's shapes move into die coordinates through one of four
-orientation transforms (R0, R180, MX, MY). The flattened layout indexes
-every shape in a uniform grid so window queries and parallel-run scans
-stay fast on large dies.
+orientation transforms (R0, R180, MX, MY). The flattened layout groups
+shapes by layer; a sort-and-sweep over x finds every same-layer pair
+within a reach, which the parallel-run scan and the checkers filter.
 """
 
 import pathlib
@@ -36,7 +36,7 @@ def main() -> None:
         Placement("U2", name, (width, 0), Orientation.MY),
     ]
     die = Rect(0, 0, 2 * width, library.row_height)
-    layout = flatten(cells, placements, die, library.site_width)
+    layout = flatten(cells, placements, die)
 
     print(f"\nflattened {name} | {name}(MY): {len(layout.shapes)} shapes "
           f"on layers {layout.layers()}")
@@ -48,24 +48,29 @@ def main() -> None:
     near = sorted(layout.query_window(window))
     print(f"\nshapes within 100 dbu of the seam: {near}")
 
-    runs = parallel_runs(layout, layout.layers()[0], max_spacing=200)
+    layer = layout.layers()[0]
+    pairs = layout.near_pairs(layer, 200)
+    print(f"\n{layer} pairs within 200 dbu on both axes: "
+          f"{[(a.shape_id, b.shape_id) for a, b in pairs]}")
+
+    runs = parallel_runs(layout, layer, max_spacing=200)
     print("\nparallel runs with spacing <= 200:")
     for run in runs:
         print(f"  #{run.shape_a} vs #{run.shape_b}: spacing "
               f"{run.spacing}, common run {run.run_length} ({run.axis})")
 
-    # The grid index and a linear scan agree on random windows.
+    # The sweep and an all-pairs scan agree at every reach.
     rng = random.Random(7)
-    for _ in range(1000):
-        x, y = rng.randrange(die.x2), rng.randrange(die.y2)
-        win = Rect(x, y, x + rng.randrange(1, 400), y + rng.randrange(1, 400))
-        got = layout.query_window(win)
-        want = {s.shape_id for s in layout.shapes
-                if s.rect.x1 <= win.x2 and win.x1 <= s.rect.x2
-                and s.rect.y1 <= win.y2 and win.y1 <= s.rect.y2}
+    shapes = layout.shapes_on(layer)
+    for _ in range(100):
+        reach = rng.randrange(0, 400)
+        got = {(a.shape_id, b.shape_id)
+               for a, b in layout.near_pairs(layer, reach)}
+        want = {(a.shape_id, b.shape_id)
+                for i, a in enumerate(shapes) for b in shapes[i + 1:]
+                if a.rect.inflated(reach).intersects(b.rect)}
         assert got == want
-    print("\n1000 random window queries match a linear scan")
-
+    print("\nthe sweep matches an all-pairs scan at 100 random reaches")
 
 if __name__ == "__main__":
     main()

@@ -24,12 +24,13 @@ from .geometry import (FlatLayout, FlatShape, Mask, Orientation, ParallelRun,
                        connected_components, flatten, parallel_runs,
                        rects_touch, run_between, transform_rect, union_all)
 from .library import (CellLibrary, CellProfile, ColoredRect, DBU_PER_MICRON,
-                      LibraryStats, PinDef, mask_layer_name, micron_to_dbu,
-                      parse_library, profile, split_mask_suffix)
+                      LibraryStats, PinDef, micron_to_dbu, parse_library,
+                      profile, split_mask_suffix)
 from .netlist import emit_verilog
 from .report import (GlobalSeam, SeamReport, SummaryRow, SummaryTable,
                      attribute_to_seams, global_seams, render_jsonl,
-                     render_svg, summarize, violation_record)
+                     render_svg, seams_per_violation, summarize,
+                     violation_record)
 from .rules import HotspotPattern, LayerRule, RuleDeck, parse_rules
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .abutment import enumerate_library
 from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_floorplan
 from .geometry import (FlatLayout, Mask, Rect, connected_components, flatten,
-                       parallel_runs, run_between)
+                       parallel_runs, run_between, union_all)
 from .library import CellLibrary
 from .rules import HotspotPattern, RuleDeck
 
@@ -142,13 +142,8 @@ def build_conflict_graph(layout: FlatLayout, rules: RuleDeck,
     members: dict[int, list[int]] = defaultdict(list)
     for sid, root in sorted(comp.items()):
         members[root].append(sid)
-    bbox: dict[int, Rect] = {}
-    for root, sids in members.items():
-        rects = [layout.shape(s).rect for s in sids]
-        acc = rects[0]
-        for r in rects[1:]:
-            acc = acc.union(r)
-        bbox[root] = acc
+    bbox = {root: union_all(layout.shape(s).rect for s in sids)
+            for root, sids in members.items()}
     edges = set()
     for run in parallel_runs(layout, layer, rule.min_spacing_same_mask - 1):
         u, v = comp[run.shape_a], comp[run.shape_b]
@@ -246,11 +241,9 @@ def apply_colors(layout: FlatLayout, assignment: Mapping[int, Mask],
     if missing:
         raise IncompleteAssignmentError(
             f"assignment misses shapes {missing[:8]} on layers {list(layers)}")
-    wanted = set()
-    for layer in layers:
-        wanted.update(s.shape_id for s in layout.shapes_on(layer))
-    return layout.with_masks({sid: m for sid, m in assignment.items()
-                              if sid in wanted})
+    shapes = [s._replace(mask=assignment[s.shape_id]) if s.layer in layers
+              else s for s in layout.shapes]
+    return FlatLayout(layout.die_area, shapes)
 
 
 def match_hotspots(layout: FlatLayout,
@@ -271,26 +264,24 @@ def _match_one_pattern(layout: FlatLayout,
     targets = {pattern.masks, tuple(reversed(pattern.masks))}
     prefixes = {t[:k] for t in targets for k in range(1, len(t) + 1)}
     shapes = layout.shapes_on(pattern.layer)
+    # Successors per axis: the right (vertical) or upper (horizontal)
+    # neighbour of a gap in (0, max_gap] with a positive common run.
+    successors = {"vertical": defaultdict(list),
+                  "horizontal": defaultdict(list)}
+    for a, b in layout.near_pairs(pattern.layer, pattern.max_gap):
+        hit = run_between(a.rect, b.rect)
+        if hit is None or not 0 < hit[0] <= pattern.max_gap:
+            continue
+        axis = hit[2]
+        a_first = (a.rect.x2 <= b.rect.x1 if axis == "vertical"
+                   else a.rect.y2 <= b.rect.y1)
+        first, second = (a, b) if a_first else (b, a)
+        successors[axis][first.shape_id].append(second.shape_id)
     found = []
     for axis in ("vertical", "horizontal"):
-        nxt: dict[int, list[int]] = {}
-        for s in shapes:
-            succ = []
-            for sid in layout.query_window(s.rect.inflated(pattern.max_gap)):
-                other = layout.shape(sid)
-                if other.layer != pattern.layer or sid == s.shape_id:
-                    continue
-                hit = run_between(s.rect, other.rect)
-                if hit is None or hit[2] != axis:
-                    continue
-                spacing = hit[0]
-                if not 0 < spacing <= pattern.max_gap:
-                    continue
-                if axis == "vertical" and other.rect.x1 >= s.rect.x2:
-                    succ.append(sid)
-                elif axis == "horizontal" and other.rect.y1 >= s.rect.y2:
-                    succ.append(sid)
-            nxt[s.shape_id] = sorted(succ)
+        nxt = successors[axis]
+        for succ in nxt.values():
+            succ.sort()
 
         def span(r: Rect) -> tuple[int, int]:
             return (r.y1, r.y2) if axis == "vertical" else (r.x1, r.x2)
@@ -312,7 +303,7 @@ def _match_one_pattern(layout: FlatLayout,
                                            pattern.layer, bbox, tuple(chain),
                                            pattern.name))
                 return
-            for sid in nxt[chain[-1]]:
+            for sid in nxt.get(chain[-1], ()):
                 m = masks + (layout.shape(sid).mask,)
                 if m not in prefixes:
                     continue
@@ -368,15 +359,14 @@ def case_layout(case_index: int, cases, library: CellLibrary,
 
 def _prepare_case(case_index, cases, library, floorplan, rules, option):
     case = cases[case_index]
+    module = case.module_name
     ox, oy = floorplan.origin_of(case_index)
     placements = [
-        p._replace(instance_name=f"{case.module_name}/{p.instance_name}",
+        p._replace(instance_name=f"{module}/{p.instance_name}",
                    origin=(p.origin[0] + ox, p.origin[1] + oy))
         for p in case.placements
     ]
-    cells = {c.name: c for c in library.cells}
-    layout = flatten(cells, placements, floorplan.die_area,
-                     bin_size=max(rules.interaction_distance, 64))
+    layout = flatten(library._by_name, placements, floorplan.die_area)
     odd: list[Violation] = []
     recolor: dict[str, int] = {}
     if option is DptOption.OPTION_II:

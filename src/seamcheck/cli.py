@@ -55,7 +55,12 @@ class _Options:
         self.args = args
         self.cfg = {}
         if getattr(args, "config", None):
-            doc = yaml.safe_load(_read(args.config))
+            text = _read(args.config)
+            try:
+                doc = yaml.safe_load(text)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"config file {args.config} is not valid "
+                                 f"YAML: {exc}") from None
             if doc is None:
                 doc = {}
             if not isinstance(doc, dict):
@@ -182,8 +187,9 @@ def cmd_verify(args) -> int:
             payload["libraries"].append(by_lib[name])
         reports, residual = report.attribute_to_seams(
             res.violations, res.cases, res.floorplan, window)
-        records = [report.violation_record(v, res.cases, reports)
-                   for v in res.violations]
+        seams = report.seams_per_violation(res.violations, reports)
+        records = [report.violation_record(v, res.cases, s)
+                   for v, s in zip(res.violations, seams)]
         by_lib[name]["runs"].append({
             "option": res.option.value,
             "counts": res.counts_by_kind(),

@@ -1,5 +1,5 @@
 """Integer rectangle geometry: orientation transforms, flattened layouts,
-window queries and parallel-run extraction.
+a sort-and-sweep neighbour search and parallel-run extraction.
 
 All coordinates are integer database units (DBU, 1000 per micron).
 Rectangles are axis-parallel with x1 < x2 and y1 < y2.
@@ -209,28 +209,15 @@ def rects_touch(a: Rect, b: Rect) -> bool:
 
 
 class FlatLayout:
-    """Immutable flattened view of placed cell geometry with a uniform-grid
-    spatial index. Queries are read-only and safe to share."""
+    """Immutable flattened view of placed cell geometry, grouped by layer.
+    Queries are read-only and safe to share."""
 
-    def __init__(self, die_area: Rect, shapes: list[FlatShape],
-                 bin_size: int = 1024):
-        if bin_size <= 0:
-            raise ValueError("bin_size must be positive")
+    def __init__(self, die_area: Rect, shapes: list[FlatShape]):
         self.die_area = die_area
         self.shapes = shapes
-        self.bin_size = bin_size
-        self._bins: dict[tuple[int, int], list[int]] = defaultdict(list)
         self._by_layer: dict[str, list[FlatShape]] = defaultdict(list)
         for s in shapes:
-            for key in self._bin_range(s.rect):
-                self._bins[key].append(s.shape_id)
             self._by_layer[s.layer].append(s)
-
-    def _bin_range(self, rect: Rect):
-        b = self.bin_size
-        for bx in range(rect.x1 // b, rect.x2 // b + 1):
-            for by in range(rect.y1 // b, rect.y2 // b + 1):
-                yield bx, by
 
     def shape(self, shape_id: int) -> FlatShape:
         return self.shapes[shape_id]
@@ -243,24 +230,29 @@ class FlatLayout:
 
     def query_window(self, window: Rect) -> set[int]:
         """Ids of all shapes whose rect intersects the window (closed)."""
-        found: set[int] = set()
-        for key in self._bin_range(window):
-            for sid in self._bins.get(key, ()):
-                if sid not in found and self.shapes[sid].rect.intersects(window):
-                    found.add(sid)
-        return found
+        return {s.shape_id for s in self.shapes if s.rect.intersects(window)}
 
-    def with_masks(self, new_masks: Mapping[int, Mask]) -> "FlatLayout":
-        """Copy of this layout with the given shape masks replaced."""
-        shapes = [
-            s._replace(mask=new_masks[s.shape_id]) if s.shape_id in new_masks else s
-            for s in self.shapes
-        ]
-        return FlatLayout(self.die_area, shapes, self.bin_size)
+    def near_pairs(self, layer: str,
+                   reach: int) -> list[tuple[FlatShape, FlatShape]]:
+        """Every pair of shapes on ``layer`` whose closed rects are at most
+        ``reach`` apart on both axes (``reach`` 0: they intersect), smaller
+        shape id first. A sort-and-sweep over x (Bentley & Wood, 1980):
+        shapes enter in x1 order and a shape leaves the active list once
+        its x2 + reach falls behind the sweep line."""
+        pairs = []
+        active: list[FlatShape] = []
+        for s in sorted(self.shapes_on(layer), key=lambda t: t.rect.x1):
+            x1, y1, _, y2 = s.rect
+            active = [a for a in active if a.rect.x2 + reach >= x1]
+            for a in active:
+                if a.rect.y1 - reach <= y2 and y1 - reach <= a.rect.y2:
+                    pairs.append((a, s) if a.shape_id < s.shape_id else (s, a))
+            active.append(s)
+        return pairs
 
 
-def flatten(cells: Mapping[str, "CellProfile"], placements, die_area: Rect,
-            bin_size: int = 1024) -> FlatLayout:
+def flatten(cells: Mapping[str, "CellProfile"], placements,
+            die_area: Rect) -> FlatLayout:
     """Instantiate the colored shapes of every placement into die
     coordinates. Shape ids run in placement order, then cell shape order,
     so flattening is deterministic regardless of execution strategy."""
@@ -278,7 +270,7 @@ def flatten(cells: Mapping[str, "CellProfile"], placements, die_area: Rect,
                     f"shape of {p.instance_name} at {rect} leaves die {die_area}")
             flat.append(FlatShape(len(flat), shape.layer, shape.mask, rect,
                                   p.instance_name))
-    return FlatLayout(die_area, flat, bin_size)
+    return FlatLayout(die_area, flat)
 
 
 def parallel_runs(layout: FlatLayout, layer: str,
@@ -287,20 +279,10 @@ def parallel_runs(layout: FlatLayout, layer: str,
     ``max_spacing`` and positive projected overlap. Each unordered pair is
     reported once, with shape_a < shape_b; output is sorted."""
     runs: list[ParallelRun] = []
-    for s in layout.shapes_on(layer):
-        window = s.rect.inflated(max_spacing)
-        for sid in layout.query_window(window):
-            if sid <= s.shape_id:
-                continue
-            other = layout.shape(sid)
-            if other.layer != layer:
-                continue
-            hit = run_between(s.rect, other.rect)
-            if hit is None:
-                continue
-            spacing, run_length, axis = hit
-            if spacing <= max_spacing:
-                runs.append(ParallelRun(s.shape_id, sid, spacing, run_length, axis))
+    for a, b in layout.near_pairs(layer, max_spacing):
+        hit = run_between(a.rect, b.rect)
+        if hit is not None and hit[0] <= max_spacing:
+            runs.append(ParallelRun(a.shape_id, b.shape_id, *hit))
     runs.sort()
     return runs
 
@@ -316,21 +298,12 @@ def connected_components(layout: FlatLayout, layer: str) -> dict[int, int]:
             x = parent[x]
         return x
 
-    for s in layout.shapes_on(layer):
-        for sid in layout.query_window(s.rect):
-            if sid <= s.shape_id:
-                continue
-            other = layout.shape(sid)
-            if other.layer != layer or not rects_touch(s.rect, other.rect):
-                continue
-            ra, rb = find(s.shape_id), find(sid)
-            if ra != rb:
-                if ra > rb:
-                    ra, rb = rb, ra
-                parent[rb] = ra
+    for a, b in layout.near_pairs(layer, 0):
+        if not rects_touch(a.rect, b.rect):
+            continue
+        ra, rb = find(a.shape_id), find(b.shape_id)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
 
     # Path-compress to the canonical (minimum-id) root.
-    roots: dict[int, int] = {}
-    for sid in parent:
-        roots[sid] = find(sid)
-    return roots
+    return {sid: find(sid) for sid in parent}

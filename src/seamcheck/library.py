@@ -100,10 +100,6 @@ def split_mask_suffix(layer_name: str) -> tuple[str, Mask]:
     return layer_name, Mask.NONE
 
 
-def mask_layer_name(layer: str, mask: Mask) -> str:
-    return layer if mask is Mask.NONE else f"{layer}_{mask.value}"
-
-
 class _Tok:
     __slots__ = ("text", "line", "col")
 

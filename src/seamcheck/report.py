@@ -145,23 +145,30 @@ def summarize(results: list[VerificationResult]) -> SummaryTable:
                               for name in order))
 
 
-def violation_record(v: Violation, cases, seam_reports) -> dict:
-    """JSON-able record for one violation, including the seams it was
-    attributed to."""
-    seams = []
+def seams_per_violation(violations, seam_reports) -> list[list[GlobalSeam]]:
+    """The seams each violation was attributed to, in report order: the
+    inverse of ``attribute_to_seams``' reports, parallel to
+    ``violations``."""
+    index = {id(v): i for i, v in enumerate(violations)}
+    seams: list[list[GlobalSeam]] = [[] for _ in violations]
     for rep in seam_reports:
-        if any(x is v for x in rep.violations):
-            s = rep.seam
-            seams.append({"x": s.x,
-                          "left": f"{s.left[0]}:{s.left[1]}",
-                          "right": f"{s.right[0]}:{s.right[1]}"})
+        for v in rep.violations:
+            seams[index[id(v)]].append(rep.seam)
+    return seams
+
+
+def violation_record(v: Violation, cases, seams) -> dict:
+    """JSON-able record for one violation, including ``seams``, the seams
+    it was attributed to (its entry of ``seams_per_violation``)."""
     case = cases[v.case_index].module_name if v.case_index is not None else None
     return {
         "kind": v.kind.value,
         "layer": v.layer,
         "bbox": list(v.bbox),
         "case": case,
-        "seams": seams,
+        "seams": [{"x": s.x,
+                   "left": f"{s.left[0]}:{s.left[1]}",
+                   "right": f"{s.right[0]}:{s.right[1]}"} for s in seams],
         "shape_ids": list(v.shape_ids),
         "pattern": v.pattern_name,
     }
@@ -172,9 +179,9 @@ def render_jsonl(result: VerificationResult, window: int) -> str:
     shape ids, pattern."""
     reports, _ = attribute_to_seams(result.violations, result.cases,
                                     result.floorplan, window)
-    lines = [json.dumps(violation_record(v, result.cases, reports),
-                        sort_keys=True)
-             for v in result.violations]
+    seams = seams_per_violation(result.violations, reports)
+    lines = [json.dumps(violation_record(v, result.cases, s), sort_keys=True)
+             for v, s in zip(result.violations, seams)]
     return "".join(line + "\n" for line in lines)
 
 

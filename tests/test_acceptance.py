@@ -162,8 +162,7 @@ def test_acceptance_4_geometry_invariants():
             FlatShape(i, "M1", Mask.E1, rnd_rect(8000, 400), "U1")
             for i in range(2500)
         )
-        layout = FlatLayout(Rect(0, 0, 8600, 8600), shapes,
-                            bin_size=rng.choice((256, 1024)))
+        layout = FlatLayout(Rect(0, 0, 8600, 8600), shapes)
         for _ in range(1000):
             win = rnd_rect(8000, 900)
             expect = {s.shape_id for s in shapes

@@ -161,6 +161,14 @@ class TestVerify:
         assert flag_out.exists()
         assert not (tmp_path / "cfg_out").exists()
 
+    def test_malformed_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("jobs: [1,\n")
+        assert run(["verify", "--config", str(cfg), "--libs", SEAM,
+                    "--rules", RULES, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfg) in err
+
 
 class TestReport:
     def prepared(self, tmp_path):

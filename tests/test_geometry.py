@@ -1,4 +1,5 @@
-"""Geometry-layer tests: transforms, spatial index, parallel runs.
+"""Geometry-layer tests: transforms, window queries, neighbour pairs,
+parallel runs.
 
 Randomized cases are checked against independent brute-force oracles
 written in this file, not against the library's own machinery.
@@ -174,7 +175,7 @@ def make_layout(rng, n, span=8000):
         mask = rng.choice((Mask.NONE, Mask.E1, Mask.E2))
         shapes.append(FlatShape(i, layer, mask, rand_rect(rng, span=span), "U1"))
     die = Rect(0, 0, span + 600, span + 600)
-    return FlatLayout(die, tuple(shapes), bin_size=rng.choice((256, 1024, 4096)))
+    return FlatLayout(die, tuple(shapes))
 
 
 class TestSpatialIndex:
@@ -201,6 +202,62 @@ class TestSpatialIndex:
         layout = FlatLayout(Rect(0, 0, 100, 100), shapes)
         assert [s.shape_id for s in layout.shapes_on("M1")] == [0]
         assert list(layout.layers()) == ["M1", "M2"]
+
+
+class TestNearPairs:
+    @staticmethod
+    def touchy_layout(rng, n, span=1200):
+        """Random two-layer layout that also holds exact duplicates and
+        rects sharing an edge or only a corner with an earlier one."""
+        rects = []
+        for _ in range(n):
+            r = rand_rect(rng, span=span, max_side=200)
+            if rects and rng.random() < 0.4:
+                q = rng.choice(rects)
+                r = rng.choice((
+                    q,
+                    Rect(q.x2, q.y1, q.x2 + r.width, q.y1 + r.height),
+                    Rect(q.x1, q.y2, q.x1 + r.width, q.y2 + r.height),
+                    Rect(q.x2, q.y2, q.x2 + r.width, q.y2 + r.height),
+                    Rect(q.x1 - r.width, q.y1 - r.height, q.x1, q.y1),
+                ))
+            rects.append(r)
+        shapes = tuple(FlatShape(i, rng.choice(("M1", "M2")), Mask.E1, r, "U1")
+                       for i, r in enumerate(rects))
+        return FlatLayout(Rect(-300, -300, span + 600, span + 600), shapes)
+
+    def test_matches_all_pairs_oracle(self):
+        rng = random.Random(51)
+        for _ in range(15):
+            layout = self.touchy_layout(rng, 80)
+            for layer in ("M1", "M2"):
+                shapes = [s for s in layout.shapes if s.layer == layer]
+                for reach in (0, 1, 64, 200):
+                    pairs = layout.near_pairs(layer, reach)
+                    got = [(a.shape_id, b.shape_id) for a, b in pairs]
+                    expect = {
+                        (a.shape_id, b.shape_id)
+                        for i, a in enumerate(shapes) for b in shapes[i + 1:]
+                        if a.rect.inflated(reach).intersects(b.rect)
+                    }
+                    assert len(got) == len(set(got))
+                    assert set(got) == expect
+                    assert all(a < b for a, b in got)
+
+    def test_touching_rects_pair_at_reach_zero(self):
+        shapes = (FlatShape(0, "M1", Mask.E1, Rect(0, 0, 10, 10), "U1"),
+                  FlatShape(1, "M1", Mask.E1, Rect(10, 10, 20, 20), "U1"),
+                  FlatShape(2, "M1", Mask.E1, Rect(0, 0, 10, 10), "U1"),
+                  FlatShape(3, "M1", Mask.E1, Rect(21, 0, 30, 10), "U1"))
+        layout = FlatLayout(Rect(0, 0, 100, 100), shapes)
+        got = {(a.shape_id, b.shape_id) for a, b in layout.near_pairs("M1", 0)}
+        assert got == {(0, 1), (0, 2), (1, 2)}
+        got = {(a.shape_id, b.shape_id) for a, b in layout.near_pairs("M1", 1)}
+        assert got == {(0, 1), (0, 2), (1, 2), (1, 3)}
+
+    def test_unknown_layer_has_no_pairs(self):
+        layout = FlatLayout(Rect(0, 0, 10, 10), ())
+        assert layout.near_pairs("M1", 100) == []
 
 
 def oracle_run(a: Rect, b: Rect):

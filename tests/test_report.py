@@ -18,6 +18,7 @@ from seamcheck import (
     render_jsonl,
     render_svg,
     run_all,
+    seams_per_violation,
     summarize,
     violation_record,
 )
@@ -195,7 +196,8 @@ class TestJsonl:
         res = run_all(seam_library, demo_rules, OPT_I)
         reports, _ = attribute_to_seams(res.violations, res.cases,
                                         res.floorplan, 200)
-        rec = violation_record(res.violations[0], res.cases, reports)
+        seams = seams_per_violation(res.violations, reports)
+        rec = violation_record(res.violations[0], res.cases, seams[0])
         side = rec["seams"][0]["left"]
         cell, orient = side.split(":")
         assert cell in {"SEAMA", "SEAMB"}
