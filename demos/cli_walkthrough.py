@@ -35,7 +35,7 @@ def main() -> None:
              "--out", str(work)])
         # Exit 1 is expected here: seamdemo is dirty under option I.
         run(["verify", "--libs", LIB, "--rules", RULES,
-             "--out", str(work), "--jobs", "4"])
+             "--out", str(work)])
         run(["report", "--out", str(work)])
 
         print("files produced:")

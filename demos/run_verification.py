@@ -19,7 +19,7 @@ def report(path: pathlib.Path, rules) -> None:
     library = parse_library(path.read_text())
     print(f"=== {library.name} ===")
     for option in (DptOption.OPTION_I, DptOption.OPTION_II):
-        result = run_all(library, rules, option, jobs=4)
+        result = run_all(library, rules, option)
         counts = {k: n for k, n in result.counts_by_kind().items() if n}
         print(f"option {option.value}: "
               f"{len(result.cases)} cases, "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -386,24 +385,11 @@ def _prepare_case(case_index, cases, library, floorplan, rules, option):
     return layout, (odd, recolor)
 
 
-def _verify_case(case_index, cases, library, floorplan, rules, option):
-    layout, (odd, recolor) = _prepare_case(case_index, cases, library,
-                                           floorplan, rules, option)
-    violations = list(odd)
-    violations.extend(check_width(layout, rules))
-    violations.extend(check_spacing(layout, rules, option))
-    violations.extend(match_hotspots(layout, rules.hotspot_patterns))
-    violations.sort(key=Violation.sort_key)
-    return ([replace(v, case_index=case_index) for v in violations], recolor)
-
-
 def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
-            max_row_width: int = DEFAULT_MAX_ROW_WIDTH,
-            jobs: int = 1) -> VerificationResult:
+            max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> VerificationResult:
     """Full pipeline: enumerate cases, pack them, then verify each case in
     isolation (the floorplan gap guarantees cases cannot interact).
-    Results are merged in case order, so the output is independent of the
-    worker count."""
+    Violations are listed in case order."""
     if library.row_height != rules.row_height:
         raise ValueError(
             f"library row height {library.row_height} != rule deck row "
@@ -414,20 +400,17 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
             f"width {rules.site_width}")
     cases = enumerate_library(library)
     floorplan = plan_floorplan(cases, rules, max_row_width)
-
-    def one(idx: int):
-        return _verify_case(idx, cases, library, floorplan, rules, option)
-
-    if jobs <= 1:
-        partials = [one(i) for i in range(len(cases))]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(one, range(len(cases))))
-
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
-    for case_violations, case_recolor in partials:
-        violations.extend(case_violations)
+    for idx in range(len(cases)):
+        layout, (odd, case_recolor) = _prepare_case(
+            idx, cases, library, floorplan, rules, option)
+        found = list(odd)
+        found.extend(check_width(layout, rules))
+        found.extend(check_spacing(layout, rules, option))
+        found.extend(match_hotspots(layout, rules.hotspot_patterns))
+        found.sort(key=Violation.sort_key)
+        violations.extend(replace(v, case_index=idx) for v in found)
         recolor.update(case_recolor)
     return VerificationResult(library, rules, option, cases, floorplan,
                               tuple(violations), recolor)

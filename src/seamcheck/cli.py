@@ -76,6 +76,29 @@ class _Options:
             raise ValueError(f"missing required option {flag}")
         return value
 
+    def integer(self, key: str, default: int) -> int:
+        value = self.get(key, default)
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"option {key} must be an integer, "
+                             f"not {value!r}") from None
+
+    def path(self, key: str, default=None, required: bool = False):
+        value = self.get(key, default, required)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"option {key} must be a path, not {value!r}")
+        return value
+
+    def libs(self, required: bool = True):
+        value = self.get("libs", required=required)
+        if value is not None and not (
+                isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            raise ValueError(f"option libs must be a list of paths, "
+                             f"not {value!r}")
+        return value
+
 
 def _dpt_options(opt: _Options) -> list[DptOption]:
     token = str(opt.get("dpt_option", "both"))
@@ -86,9 +109,9 @@ def _dpt_options(opt: _Options) -> list[DptOption]:
 
 def cmd_profile(args) -> int:
     opt = _Options(args)
-    out_dir = str(opt.get("out", "out"))
+    out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    for path, lib in _load_libraries(opt.get("libs", required=True)):
+    for path, lib in _load_libraries(opt.libs()):
         stats = profile(lib)
         lines = [f"Library {lib.name}: {len(lib.cells)} cells "
                  f"({stats.n_single} single, {stats.n_multi} multi)",
@@ -114,12 +137,12 @@ def cmd_profile(args) -> int:
 
 def cmd_generate(args) -> int:
     opt = _Options(args)
-    out_dir = str(opt.get("out", "out"))
+    out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    rules = parse_rules(_read(opt.get("rules", required=True)))
-    max_row_width = int(opt.get("max_row_width", DEFAULT_MAX_ROW_WIDTH))
+    rules = parse_rules(_read(opt.path("rules", required=True)))
+    max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     status = 0
-    for path, lib in _load_libraries(opt.get("libs", required=True)):
+    for path, lib in _load_libraries(opt.libs()):
         cases = enumerate_library(lib)
         fp = plan_floorplan(cases, rules, max_row_width)
         _write(os.path.join(out_dir, f"testcases_{lib.name}.v"),
@@ -159,25 +182,24 @@ def cmd_generate(args) -> int:
 
 
 def _verify_results(opt: _Options):
-    rules = parse_rules(_read(opt.get("rules", required=True)))
-    max_row_width = int(opt.get("max_row_width", DEFAULT_MAX_ROW_WIDTH))
-    jobs = int(opt.get("jobs", 1))
+    rules = parse_rules(_read(opt.path("rules", required=True)))
+    max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     results = []
-    for path, lib in _load_libraries(opt.get("libs", required=True)):
+    for path, lib in _load_libraries(opt.libs()):
         for option in _dpt_options(opt):
-            res = run_all(lib, rules, option, max_row_width, jobs)
+            res = run_all(lib, rules, option, max_row_width)
             results.append((path, res))
     return rules, max_row_width, results
 
 
 def cmd_verify(args) -> int:
     opt = _Options(args)
-    out_dir = str(opt.get("out", "out"))
+    out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     rules, max_row_width, results = _verify_results(opt)
     window = rules.interaction_distance
 
-    payload = {"rules": opt.get("rules"), "max_row_width": max_row_width,
+    payload = {"rules": opt.path("rules"), "max_row_width": max_row_width,
                "window": window, "libraries": []}
     by_lib: dict[str, dict] = {}
     for path, res in results:
@@ -217,18 +239,18 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     opt = _Options(args)
-    out_dir = str(opt.get("out", "out"))
+    out_dir = opt.path("out", "out")
     results_path = os.path.join(out_dir, "results.json")
     if not os.path.exists(results_path):
         raise ValueError(f"no results.json under {out_dir}; run verify first")
     payload = json.loads(_read(results_path))
-    svg_cap = int(opt.get("svg_cap", 50))
+    svg_cap = opt.integer("svg_cap", 50)
     margin = 200
 
-    rules = parse_rules(_read(opt.get("rules", payload.get("rules"),
-                                      required=True)))
-    lib_paths = opt.get("libs") or [entry["path"]
-                                    for entry in payload["libraries"]]
+    rules = parse_rules(_read(opt.path("rules", payload.get("rules"),
+                                       required=True)))
+    lib_paths = opt.libs(required=False) or [
+        entry["path"] for entry in payload["libraries"]]
     libs = {lib.name: lib for _, lib in _load_libraries(lib_paths)}
     max_row_width = int(payload.get("max_row_width", DEFAULT_MAX_ROW_WIDTH))
     window = int(payload.get("window", rules.interaction_distance))
@@ -238,15 +260,16 @@ def cmd_report(args) -> int:
     for entry in payload["libraries"]:
         counts = {}
         lib = libs.get(entry["name"])
+        if lib is not None:
+            cases = enumerate_library(lib)
+            fp = plan_floorplan(cases, rules, max_row_width)
+            seams = report.global_seams(cases, fp)
+            module_index = {c.module_name: i for i, c in enumerate(cases)}
         for run in entry["runs"]:
             counts[f"drc_{run['option']}"] = run["drc"]
             counts[f"drcplus_{run['option']}"] = run["drcplus"]
             if lib is None:
                 continue
-            cases = enumerate_library(lib)
-            fp = plan_floorplan(cases, rules, max_row_width)
-            seams = report.global_seams(cases, fp)
-            module_index = {c.module_name: i for i, c in enumerate(cases)}
             option = DptOption(run["option"])
             rendered = 0
             for vi, rec in enumerate(run["violations"]):
@@ -308,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dpt-option", choices=["I", "II", "both"],
                    dest="dpt_option")
     p.add_argument("--max-row-width", type=int, dest="max_row_width")
-    p.add_argument("--jobs", type=int, help="parallel case workers")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="render summary and SVGs from a verify run")

@@ -23,7 +23,7 @@ from .abutment import AbutmentCase, Placement
 from .errors import ParseError
 from .floorplan import Floorplan
 from .geometry import Orientation, Rect, UnknownCellRefError
-from .library import CellLibrary, _tokenize
+from .library import CellLibrary, _Parser, _tokenize
 from .netlist import module_names
 
 
@@ -64,31 +64,7 @@ def emit_def(cases: list[AbutmentCase], library: CellLibrary,
     return render_def(placements, floorplan.die_area)
 
 
-class _DefParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, what: str = "token"):
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else None
-            raise ParseError(f"unexpected end of file, expected {what}",
-                             last.line if last else 1,
-                             last.col if last else 1)
-        self.pos += 1
-        return tok
-
-    def expect(self, *literals: str):
-        for lit in literals:
-            tok = self.take(repr(lit))
-            if tok.text != lit:
-                raise ParseError(f"expected {lit!r}, found {tok.text!r}",
-                                 tok.line, tok.col)
-
+class _DefParser(_Parser):
     def integer(self) -> int:
         tok = self.take("integer")
         try:
@@ -100,7 +76,7 @@ class _DefParser:
 
 def parse_def(text: str) -> DefDesign:
     """Parse the DEF subset back into placements and die area."""
-    p = _DefParser(text)
+    p = _DefParser(_tokenize(text))
     p.expect("VERSION", "5.6", ";")
     p.expect("DESIGN")
     design = p.take("design name").text

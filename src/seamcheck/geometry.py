@@ -210,7 +210,7 @@ def rects_touch(a: Rect, b: Rect) -> bool:
 
 class FlatLayout:
     """Immutable flattened view of placed cell geometry, grouped by layer.
-    Queries are read-only and safe to share."""
+    Queries are read-only."""
 
     def __init__(self, die_area: Rect, shapes: list[FlatShape]):
         self.die_area = die_area

@@ -152,11 +152,13 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, literal: str) -> _Tok:
-        tok = self.take(repr(literal))
-        if tok.text != literal:
-            raise ParseError(f"expected {literal!r}, found {tok.text!r}",
-                             tok.line, tok.col)
+    def expect(self, *literals: str) -> _Tok:
+        """Take one token per literal in turn; return the last one."""
+        for literal in literals:
+            tok = self.take(repr(literal))
+            if tok.text != literal:
+                raise ParseError(f"expected {literal!r}, found {tok.text!r}",
+                                 tok.line, tok.col)
         return tok
 
     def number(self) -> int:

@@ -134,16 +134,6 @@ class TestVerify:
                     "--out", str(tmp_path / "o")]) == 2
         assert "--rules" in capsys.readouterr().err
 
-    def test_jobs_do_not_change_outputs(self, tmp_path):
-        outs = []
-        for jobs, sub in (("1", "a"), ("8", "b")):
-            out = tmp_path / sub
-            run(["verify", "--libs", SEAM, "--rules", RULES,
-                 "--jobs", jobs, "--out", str(out)])
-            outs.append({p.name: p.read_bytes()
-                         for p in sorted(out.iterdir()) if p.is_file()})
-        assert outs[0] == outs[1]
-
     def test_config_file_supplies_options(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"libs: ['{SEAM}']\nrules: '{RULES}'\n"
@@ -168,6 +158,50 @@ class TestVerify:
                     "--rules", RULES, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cfg) in err
+
+    def test_unread_config_key_changes_nothing(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("jobs: 2\n")
+        outs = []
+        for sub, extra in (("plain", []), ("cfg", ["--config", str(cfg)])):
+            out = tmp_path / sub
+            code = run(["verify", "--libs", SEAM, "--rules", RULES,
+                        "--out", str(out)] + extra)
+            outs.append((code, {p.name: p.read_bytes()
+                                for p in sorted(out.iterdir())
+                                if p.is_file()}))
+        assert outs[0] == outs[1]
+
+    def test_non_integer_option_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("max_row_width: [1]\n")
+        out = tmp_path / "o"
+        assert run(["verify", "--config", str(cfg), "--libs", SEAM,
+                    "--rules", RULES, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "max_row_width" in err
+        run(["verify", "--libs", SEAM, "--rules", RULES, "--out", str(out)])
+        cfg.write_text("svg_cap: [1]\n")
+        capsys.readouterr()
+        assert run(["report", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "svg_cap" in err
+
+    def test_libs_not_a_list_of_paths_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("libs: 5\n")
+        assert run(["verify", "--config", str(cfg), "--rules", RULES,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "libs" in err
+
+    def test_path_option_not_a_string_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("rules: [a]\n")
+        assert run(["verify", "--config", str(cfg), "--libs", SEAM,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rules" in err
 
 
 class TestReport:
