@@ -53,7 +53,7 @@ def main() -> None:
     print(f"\n{layer} pairs within 200 dbu on both axes: "
           f"{[(a.shape_id, b.shape_id) for a, b in pairs]}")
 
-    runs = parallel_runs(layout, layer, max_spacing=200)
+    runs = parallel_runs(pairs, max_spacing=200)
     print("\nparallel runs with spacing <= 200:")
     for run in runs:
         print(f"  #{run.shape_a} vs #{run.shape_b}: spacing "

@@ -8,10 +8,11 @@ from .abutment import (AbutmentCase, CaseKind, CoverageReport, Placement,
                        gen_type_aa, gen_type_ab, legal_orientations,
                        mirror_topology)
 from .checks import (ConflictGraph, DecomposeResult, DptOption,
-                     VerificationResult, Violation, ViolationKind,
-                     apply_colors, build_conflict_graph, case_layout,
-                     check_spacing, check_width, color_decompose,
-                     match_hotspots, run_all)
+                     LayerNeighbours, VerificationResult, Violation,
+                     ViolationKind, apply_colors, build_conflict_graph,
+                     case_layout, check_spacing, check_width,
+                     color_decompose, match_hotspots, run_all,
+                     sweep_neighbours)
 from .defio import DefDesign, emit_def, parse_def, render_def
 from .errors import (CaseTooWideError, DuplicateCellError,
                      HeightMismatchError, IncompleteAssignmentError,
@@ -28,9 +29,9 @@ from .library import (CellLibrary, CellProfile, ColoredRect, DBU_PER_MICRON,
                       profile, split_mask_suffix)
 from .netlist import emit_verilog
 from .report import (GlobalSeam, SeamReport, SummaryRow, SummaryTable,
-                     attribute_to_seams, global_seams, render_jsonl,
-                     render_svg, seams_per_violation, summarize,
-                     violation_record)
+                     attribute_to_seams, case_seams, global_seams,
+                     render_jsonl, render_svg, seams_per_violation,
+                     summarize, violation_record)
 from .rules import HotspotPattern, LayerRule, RuleDeck, parse_rules
 
 __version__ = "0.1.0"

@@ -18,8 +18,9 @@ from typing import Mapping
 from .abutment import enumerate_library
 from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_floorplan
-from .geometry import (FlatLayout, Mask, Rect, connected_components, flatten,
-                       parallel_runs, run_between, union_all)
+from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
+                       connected_components, flatten, parallel_runs,
+                       union_all)
 from .library import CellLibrary
 from .rules import HotspotPattern, RuleDeck
 
@@ -58,6 +59,48 @@ class Violation:
                 self.pattern_name or "")
 
 
+@dataclass(frozen=True)
+class LayerNeighbours:
+    """What one sweep of one layer yields at ``_sweep_reach``: the parallel
+    runs within that reach and the touch components (shape id -> root).
+    Every checker filters these. Recolouring moves no rect, so they stay
+    valid for the recoloured layout; checkers read masks from the layout
+    they check."""
+
+    runs: list[ParallelRun]
+    components: dict[int, int]
+
+
+def _sweep_reach(rules: RuleDeck, layer: str) -> int | None:
+    """The largest distance any checker looks across on ``layer``: its
+    spacing minimums (the same-mask one also bounds the conflict graph)
+    and the ``max_gap`` of its hotspot patterns. None when no checker
+    reads the layer's neighbours."""
+    reaches = [p.max_gap for p in rules.hotspot_patterns if p.layer == layer]
+    rule = rules.layer_rule(layer)
+    if rule is not None:
+        reaches.append(rule.min_spacing_any_mask)
+        if rule.min_spacing_same_mask is not None:
+            reaches.append(rule.min_spacing_same_mask)
+    return max(reaches, default=None)
+
+
+def sweep_neighbours(layout: FlatLayout,
+                     rules: RuleDeck) -> dict[str, LayerNeighbours]:
+    """One ``near_pairs`` sweep per layer that some checker reads, at the
+    layer's ``_sweep_reach``."""
+    out = {}
+    for layer in layout.layers():
+        reach = _sweep_reach(rules, layer)
+        if reach is None:
+            continue
+        pairs = layout.near_pairs(layer, reach)
+        out[layer] = LayerNeighbours(
+            parallel_runs(pairs, reach),
+            connected_components(layout.shapes_on(layer), pairs))
+    return out
+
+
 def check_width(layout: FlatLayout, rules: RuleDeck) -> list[Violation]:
     """One Width violation per shape whose short side is below the layer
     minimum. Exactly minimum passes."""
@@ -74,24 +117,28 @@ def check_width(layout: FlatLayout, rules: RuleDeck) -> list[Violation]:
     return out
 
 
-def check_spacing(layout: FlatLayout, rules: RuleDeck,
-                  option: DptOption) -> list[Violation]:
+def check_spacing(layout: FlatLayout, rules: RuleDeck, option: DptOption,
+                  neighbours: Mapping[str, LayerNeighbours]
+                  ) -> list[Violation]:
     """Spacing checks between unconnected shapes (touching shapes form one
     net and are exempt). Every pair closer than the any-mask minimum is a
     SpacingAnyMask violation. Under Option I, DPT layers additionally get
     SpacingSameMask for same-colored pairs below the same-mask minimum and
-    ColorMissing for uncolored shapes."""
+    ColorMissing for uncolored shapes. ``neighbours`` is
+    ``sweep_neighbours`` of this layout, or of one that differs only in
+    masks."""
     out = []
     for layer in layout.layers():
         rule = rules.layer_rule(layer)
         if rule is None:
             continue
         dpt_fixed = rule.dpt and option is DptOption.OPTION_I
-        reach = (rule.min_spacing_same_mask if dpt_fixed
+        limit = (rule.min_spacing_same_mask if dpt_fixed
                  else rule.min_spacing_any_mask)
-        comp = connected_components(layout, layer)
-        for run in parallel_runs(layout, layer, reach):
-            if comp[run.shape_a] == comp[run.shape_b]:
+        comp = neighbours[layer].components
+        for run in neighbours[layer].runs:
+            if (run.spacing >= limit
+                    or comp[run.shape_a] == comp[run.shape_b]):
                 continue
             a = layout.shape(run.shape_a)
             b = layout.shape(run.shape_b)
@@ -132,21 +179,22 @@ class ConflictGraph:
         return adj
 
 
-def build_conflict_graph(layout: FlatLayout, rules: RuleDeck,
-                         layer: str) -> ConflictGraph:
+def build_conflict_graph(layout: FlatLayout, rules: RuleDeck, layer: str,
+                         neighbours: Mapping[str, LayerNeighbours]
+                         ) -> ConflictGraph:
     rule = rules.layer_rule(layer)
     if rule is None or not rule.dpt:
         raise ValueError(f"layer {layer} is not a DPT layer")
-    comp = connected_components(layout, layer)
+    comp = neighbours[layer].components
     members: dict[int, list[int]] = defaultdict(list)
     for sid, root in sorted(comp.items()):
         members[root].append(sid)
     bbox = {root: union_all(layout.shape(s).rect for s in sids)
             for root, sids in members.items()}
     edges = set()
-    for run in parallel_runs(layout, layer, rule.min_spacing_same_mask - 1):
+    for run in neighbours[layer].runs:
         u, v = comp[run.shape_a], comp[run.shape_b]
-        if u != v:
+        if run.spacing < rule.min_spacing_same_mask and u != v:
             edges.add((min(u, v), max(u, v)))
     return ConflictGraph(layer, {r: tuple(m) for r, m in members.items()},
                          frozenset(edges), bbox)
@@ -245,37 +293,38 @@ def apply_colors(layout: FlatLayout, assignment: Mapping[int, Mask],
     return FlatLayout(layout.die_area, shapes)
 
 
-def match_hotspots(layout: FlatLayout,
-                   patterns) -> list[Violation]:
+def match_hotspots(layout: FlatLayout, rules: RuleDeck,
+                   neighbours: Mapping[str, LayerNeighbours]
+                   ) -> list[Violation]:
     """Find every group of track_count parallel shapes whose ordered masks
-    equal a pattern's sequence (or its mirror), with every adjacent gap in
-    (0, max_gap] and a common parallel run of at least min_run_length.
-    Both track directions are searched."""
+    equal a deck pattern's sequence (or its mirror), with every adjacent
+    gap in (0, max_gap] and a common parallel run of at least
+    min_run_length. Both track directions are searched."""
     out = []
-    for pattern in patterns:
-        out.extend(_match_one_pattern(layout, pattern))
+    for pattern in rules.hotspot_patterns:
+        if pattern.layer in neighbours:
+            out.extend(_match_one_pattern(layout, pattern,
+                                          neighbours[pattern.layer]))
     out.sort(key=Violation.sort_key)
     return out
 
 
-def _match_one_pattern(layout: FlatLayout,
-                       pattern: HotspotPattern) -> list[Violation]:
-    targets = {pattern.masks, tuple(reversed(pattern.masks))}
-    prefixes = {t[:k] for t in targets for k in range(1, len(t) + 1)}
+def _match_one_pattern(layout: FlatLayout, pattern: HotspotPattern,
+                       neighbours: LayerNeighbours) -> list[Violation]:
+    targets, prefixes = pattern.targets, pattern.prefixes
     shapes = layout.shapes_on(pattern.layer)
     # Successors per axis: the right (vertical) or upper (horizontal)
     # neighbour of a gap in (0, max_gap] with a positive common run.
     successors = {"vertical": defaultdict(list),
                   "horizontal": defaultdict(list)}
-    for a, b in layout.near_pairs(pattern.layer, pattern.max_gap):
-        hit = run_between(a.rect, b.rect)
-        if hit is None or not 0 < hit[0] <= pattern.max_gap:
+    for run in neighbours.runs:
+        if not 0 < run.spacing <= pattern.max_gap:
             continue
-        axis = hit[2]
-        a_first = (a.rect.x2 <= b.rect.x1 if axis == "vertical"
-                   else a.rect.y2 <= b.rect.y1)
-        first, second = (a, b) if a_first else (b, a)
-        successors[axis][first.shape_id].append(second.shape_id)
+        a, b = layout.shape(run.shape_a).rect, layout.shape(run.shape_b).rect
+        a_first = a.x2 <= b.x1 if run.axis == "vertical" else a.y2 <= b.y1
+        first, second = ((run.shape_a, run.shape_b) if a_first
+                         else (run.shape_b, run.shape_a))
+        successors[run.axis][first].append(second)
     found = []
     for axis in ("vertical", "horizontal"):
         nxt = successors[axis]
@@ -351,12 +400,16 @@ def case_layout(case_index: int, cases, library: CellLibrary,
                 option: DptOption) -> FlatLayout:
     """Flatten one case at its floorplan position, recolored when running
     Option II. Shape ids are case-local and reproducible."""
-    layout, _ = _prepare_case(case_index, cases, library, floorplan, rules,
-                              option)
+    layout = _flatten_case(case_index, cases, library, floorplan)
+    if option is DptOption.OPTION_II:
+        layout, _, _ = _recolour(layout, rules,
+                                 sweep_neighbours(layout, rules))
     return layout
 
 
-def _prepare_case(case_index, cases, library, floorplan, rules, option):
+def _flatten_case(case_index, cases, library, floorplan) -> FlatLayout:
+    """One case's shapes at its floorplan position, from instances named
+    <module>/<instance>."""
     case = cases[case_index]
     module = case.module_name
     ox, oy = floorplan.origin_of(case_index)
@@ -365,24 +418,29 @@ def _prepare_case(case_index, cases, library, floorplan, rules, option):
                    origin=(p.origin[0] + ox, p.origin[1] + oy))
         for p in case.placements
     ]
-    layout = flatten(library._by_name, placements, floorplan.die_area)
+    return flatten(library._by_name, placements, floorplan.die_area)
+
+
+def _recolour(layout, rules, neighbours):
+    """Option II: two-colour the conflict graph of each DPT layer and apply
+    the colouring. Returns the recoloured layout, the odd-cycle violations
+    and the recoloured shape count per instance."""
     odd: list[Violation] = []
     recolor: dict[str, int] = {}
-    if option is DptOption.OPTION_II:
-        for layer in rules.dpt_layers:
-            if not layout.shapes_on(layer):
-                continue
-            graph = build_conflict_graph(layout, rules, layer)
-            result = color_decompose(graph)
-            odd.extend(result.odd_cycles)
-            if result.assignment is not None:
-                before = {s.shape_id: s.mask for s in layout.shapes_on(layer)}
-                layout = apply_colors(layout, result.assignment, [layer])
-                for s in layout.shapes_on(layer):
-                    if s.mask is not before[s.shape_id]:
-                        key = s.source_instance
-                        recolor[key] = recolor.get(key, 0) + 1
-    return layout, (odd, recolor)
+    for layer in rules.dpt_layers:
+        if not layout.shapes_on(layer):
+            continue
+        graph = build_conflict_graph(layout, rules, layer, neighbours)
+        result = color_decompose(graph)
+        odd.extend(result.odd_cycles)
+        if result.assignment is not None:
+            before = {s.shape_id: s.mask for s in layout.shapes_on(layer)}
+            layout = apply_colors(layout, result.assignment, [layer])
+            for s in layout.shapes_on(layer):
+                if s.mask is not before[s.shape_id]:
+                    key = s.source_instance
+                    recolor[key] = recolor.get(key, 0) + 1
+    return layout, odd, recolor
 
 
 def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
@@ -403,14 +461,18 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
     for idx in range(len(cases)):
-        layout, (odd, case_recolor) = _prepare_case(
-            idx, cases, library, floorplan, rules, option)
-        found = list(odd)
+        layout = _flatten_case(idx, cases, library, floorplan)
+        # One sweep per layer serves the recolouring and every checker.
+        neighbours = sweep_neighbours(layout, rules)
+        found: list[Violation] = []
+        if option is DptOption.OPTION_II:
+            layout, found, case_recolor = _recolour(layout, rules,
+                                                    neighbours)
+            recolor.update(case_recolor)
         found.extend(check_width(layout, rules))
-        found.extend(check_spacing(layout, rules, option))
-        found.extend(match_hotspots(layout, rules.hotspot_patterns))
+        found.extend(check_spacing(layout, rules, option, neighbours))
+        found.extend(match_hotspots(layout, rules, neighbours))
         found.sort(key=Violation.sort_key)
         violations.extend(replace(v, case_index=idx) for v in found)
-        recolor.update(case_recolor)
     return VerificationResult(library, rules, option, cases, floorplan,
                               tuple(violations), recolor)

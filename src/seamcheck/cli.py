@@ -48,6 +48,19 @@ def _load_libraries(paths):
     return libs
 
 
+def _integer(value, what: str) -> int:
+    """The exact integer value of ``value``: an int, an integral float or
+    an integer string. Anything else, a fractional float included, is an
+    input error naming ``what``."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return number
+
+
 class _Options:
     """Merged view of config-file values and command-line flags."""
 
@@ -77,12 +90,7 @@ class _Options:
         return value
 
     def integer(self, key: str, default: int) -> int:
-        value = self.get(key, default)
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"option {key} must be an integer, "
-                             f"not {value!r}") from None
+        return _integer(self.get(key, default), f"option {key}")
 
     def path(self, key: str, default=None, required: bool = False):
         value = self.get(key, default, required)
@@ -252,8 +260,11 @@ def cmd_report(args) -> int:
     lib_paths = opt.libs(required=False) or [
         entry["path"] for entry in payload["libraries"]]
     libs = {lib.name: lib for _, lib in _load_libraries(lib_paths)}
-    max_row_width = int(payload.get("max_row_width", DEFAULT_MAX_ROW_WIDTH))
-    window = int(payload.get("window", rules.interaction_distance))
+    max_row_width = _integer(
+        payload.get("max_row_width", DEFAULT_MAX_ROW_WIDTH),
+        f"{results_path} key max_row_width")
+    window = _integer(payload.get("window", rules.interaction_distance),
+                      f"{results_path} key window")
 
     rows = []
     svg_count = 0
@@ -263,7 +274,6 @@ def cmd_report(args) -> int:
         if lib is not None:
             cases = enumerate_library(lib)
             fp = plan_floorplan(cases, rules, max_row_width)
-            seams = report.global_seams(cases, fp)
             module_index = {c.module_name: i for i, c in enumerate(cases)}
         for run in entry["runs"]:
             counts[f"drc_{run['option']}"] = run["drc"]
@@ -272,6 +282,7 @@ def cmd_report(args) -> int:
                 continue
             option = DptOption(run["option"])
             rendered = 0
+            layout_idx = None  # the case ``layout`` and ``seams`` belong to
             for vi, rec in enumerate(run["violations"]):
                 if rendered >= svg_cap:
                     break
@@ -282,9 +293,12 @@ def cmd_report(args) -> int:
                     ViolationKind(rec["kind"]), rec["layer"],
                     Rect(*rec["bbox"]), tuple(rec["shape_ids"]),
                     rec["pattern"], idx)
-                layout = case_layout(idx, cases, lib, fp, rules, option)
-                near = tuple(s for s in seams if s.case_index == idx
-                             and s.band(window).intersects(violation.bbox))
+                if idx != layout_idx:
+                    layout = case_layout(idx, cases, lib, fp, rules, option)
+                    seams = report.case_seams(idx, cases[idx], fp)
+                    layout_idx = idx
+                near = tuple(s for s in seams
+                             if s.band(window).intersects(violation.bbox))
                 svg = report.render_svg(layout, violation, margin, near)
                 svg_dir = os.path.join(out_dir, "svg")
                 os.makedirs(svg_dir, exist_ok=True)

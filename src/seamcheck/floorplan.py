@@ -37,9 +37,10 @@ class Floorplan:
         out = []
         for idx, case in enumerate(cases):
             ox, oy = self.origin_of(idx)
+            module = case.module_name
             for p in case.placements:
                 out.append((idx, Placement(
-                    f"{case.module_name}/{p.instance_name}", p.cell_ref,
+                    f"{module}/{p.instance_name}", p.cell_ref,
                     (p.origin[0] + ox, p.origin[1] + oy), p.orientation)))
         return out
 

@@ -273,13 +273,15 @@ def flatten(cells: Mapping[str, "CellProfile"], placements,
     return FlatLayout(die_area, flat)
 
 
-def parallel_runs(layout: FlatLayout, layer: str,
+def parallel_runs(pairs: Iterable[tuple[FlatShape, FlatShape]],
                   max_spacing: int) -> list[ParallelRun]:
-    """All same-layer shape pairs with facing parallel edges, gap at most
-    ``max_spacing`` and positive projected overlap. Each unordered pair is
-    reported once, with shape_a < shape_b; output is sorted."""
+    """The pairs with facing parallel edges, gap at most ``max_spacing``
+    and positive projected overlap. ``pairs`` come from
+    ``FlatLayout.near_pairs`` at a reach of at least ``max_spacing``.
+    Each unordered pair is reported once, with shape_a < shape_b; output
+    is sorted."""
     runs: list[ParallelRun] = []
-    for a, b in layout.near_pairs(layer, max_spacing):
+    for a, b in pairs:
         hit = run_between(a.rect, b.rect)
         if hit is not None and hit[0] <= max_spacing:
             runs.append(ParallelRun(a.shape_id, b.shape_id, *hit))
@@ -287,10 +289,14 @@ def parallel_runs(layout: FlatLayout, layer: str,
     return runs
 
 
-def connected_components(layout: FlatLayout, layer: str) -> dict[int, int]:
+def connected_components(shapes: Iterable[FlatShape],
+                         pairs: Iterable[tuple[FlatShape, FlatShape]]
+                         ) -> dict[int, int]:
     """Union shapes that touch (share area or an edge segment) into
-    components. Returns shape_id -> component root (smallest member id)."""
-    parent: dict[int, int] = {s.shape_id: s.shape_id for s in layout.shapes_on(layer)}
+    components. ``pairs`` come from ``FlatLayout.near_pairs`` on the
+    shapes' layer at any reach >= 0. Returns shape_id -> component root
+    (smallest member id)."""
+    parent: dict[int, int] = {s.shape_id: s.shape_id for s in shapes}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -298,7 +304,7 @@ def connected_components(layout: FlatLayout, layer: str) -> dict[int, int]:
             x = parent[x]
         return x
 
-    for a, b in layout.near_pairs(layer, 0):
+    for a, b in pairs:
         if not rects_touch(a.rect, b.rect):
             continue
         ra, rb = find(a.shape_id), find(b.shape_id)

@@ -45,46 +45,59 @@ class SeamReport:
     violations: tuple[Violation, ...]
 
 
+def case_seams(case_index: int, case: AbutmentCase,
+               floorplan: Floorplan) -> list[GlobalSeam]:
+    """The seams of one case in die coordinates, in seam order."""
+    ox, oy = floorplan.origin_of(case_index)
+    rh = floorplan.row_height
+    module = case.module_name
+    return [GlobalSeam(case_index, j, module, seam.x + ox,
+                       oy + seam.row_lo * rh, oy + (seam.row_hi + 1) * rh,
+                       (seam.left[0], seam.left[1].value),
+                       (seam.right[0], seam.right[1].value))
+            for j, seam in enumerate(case.seams)]
+
+
 def global_seams(cases: list[AbutmentCase],
                  floorplan: Floorplan) -> list[GlobalSeam]:
-    out = []
-    rh = floorplan.row_height
-    for idx, case in enumerate(cases):
-        ox, oy = floorplan.origin_of(idx)
-        for j, seam in enumerate(case.seams):
-            out.append(GlobalSeam(
-                idx, j, case.module_name, seam.x + ox,
-                oy + seam.row_lo * rh, oy + (seam.row_hi + 1) * rh,
-                (seam.left[0], seam.left[1].value),
-                (seam.right[0], seam.right[1].value)))
-    return out
+    """Every seam of every case, in (case, seam) order."""
+    return [s for idx, case in enumerate(cases)
+            for s in case_seams(idx, case, floorplan)]
 
 
 def attribute_to_seams(violations, cases, floorplan: Floorplan,
                        window: int) -> tuple[list[SeamReport], list[Violation]]:
     """Assign each violation to every seam of its case whose widened band
-    intersects the violation box. Returns per-seam reports (seams with at
-    least one hit) and the residual list. Every violation appears either
-    in >= 1 seam report or in the residual, never both."""
-    seams = global_seams(cases, floorplan)
+    intersects the violation box (every seam of the library when the
+    violation has no case). Returns per-seam reports (seams with at least
+    one hit) in (case, seam) order and the residual list. Every violation
+    appears either in >= 1 seam report or in the residual, never both.
+    Seams are built only for the cases that violations name."""
     by_case: dict[int, list[GlobalSeam]] = {}
-    for s in seams:
-        by_case.setdefault(s.case_index, []).append(s)
-    hits: dict[tuple[int, int], list[Violation]] = {}
+    every_seam: list[GlobalSeam] | None = None
+    hits: dict[tuple[int, int], tuple[GlobalSeam, list[Violation]]] = {}
     residual: list[Violation] = []
     for v in violations:
-        candidates = (seams if v.case_index is None
-                      else by_case.get(v.case_index, []))
+        idx = v.case_index
+        if idx is None:
+            if every_seam is None:
+                every_seam = global_seams(cases, floorplan)
+            candidates = every_seam
+        else:
+            if idx not in by_case:
+                by_case[idx] = (case_seams(idx, cases[idx], floorplan)
+                                if 0 <= idx < len(cases) else [])
+            candidates = by_case[idx]
         attributed = False
         for s in candidates:
             if s.band(window).intersects(v.bbox):
-                hits.setdefault((s.case_index, s.seam_index), []).append(v)
+                hits.setdefault((s.case_index, s.seam_index),
+                                (s, []))[1].append(v)
                 attributed = True
         if not attributed:
             residual.append(v)
-    reports = [SeamReport(s, tuple(hits[key]))
-               for s in seams
-               if (key := (s.case_index, s.seam_index)) in hits]
+    reports = [SeamReport(seam, tuple(hit))
+               for _, (seam, hit) in sorted(hits.items())]
     return reports, residual
 
 

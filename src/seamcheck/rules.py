@@ -17,6 +17,7 @@ spacing rules (DBU), the DPT layer set, and hotspot pattern definitions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import yaml
 
@@ -50,6 +51,19 @@ class HotspotPattern:
     @property
     def track_count(self) -> int:
         return len(self.masks)
+
+    @cached_property
+    def targets(self) -> frozenset[tuple[Mask, ...]]:
+        """The mask sequences a match may show: the pattern and its
+        mirror."""
+        return frozenset({self.masks, tuple(reversed(self.masks))})
+
+    @cached_property
+    def prefixes(self) -> frozenset[tuple[Mask, ...]]:
+        """Every non-empty prefix of a target, for pruning partial
+        chains."""
+        return frozenset(t[:k] for t in self.targets
+                         for k in range(1, len(t) + 1))
 
 
 @dataclass(frozen=True)

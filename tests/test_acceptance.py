@@ -10,6 +10,7 @@ import json
 import pathlib
 import random
 import time
+from dataclasses import replace
 
 from seamcheck import (
     ConflictGraph,
@@ -37,6 +38,7 @@ from seamcheck import (
     plan_floorplan,
     render_def,
     run_all,
+    sweep_neighbours,
     transform_rect,
 )
 from seamcheck.checks import COLOR_RELATED
@@ -176,7 +178,7 @@ def test_acceptance_4_geometry_invariants():
         )
         slayout = FlatLayout(Rect(0, 0, 3400, 3400), small)
         got = {(r.shape_a, r.shape_b, r.spacing, r.run_length, r.axis)
-               for r in parallel_runs(slayout, "M1", 120)}
+               for r in parallel_runs(slayout.near_pairs("M1", 120), 120)}
         expect = set()
         for i, a in enumerate(small):
             for b in small[i + 1:]:
@@ -232,7 +234,8 @@ def test_acceptance_5_color_decomposition():
                 specs.append(FlatShape(len(specs), "M1", Mask.E1,
                                        Rect(x, 0, x + 32, 400), "U1"))
             layout = FlatLayout(Rect(0, 0, x + 500, 500), tuple(specs))
-            graph = build_conflict_graph(layout, rules, "M1")
+            neighbours = sweep_neighbours(layout, rules)
+            graph = build_conflict_graph(layout, rules, "M1", neighbours)
             result = color_decompose(graph)
             assert result.feasible
             feasible_seen += 1
@@ -242,7 +245,8 @@ def test_acceptance_5_color_decomposition():
                     assignment[sid] = result.assignment[root]
             recolored = apply_colors(layout, assignment, ["M1"])
             kinds = {v.kind.value for v in
-                     check_spacing(recolored, rules, DptOption.OPTION_I)}
+                     check_spacing(recolored, rules, DptOption.OPTION_I,
+                                   neighbours)}
             assert "SpacingSameMask" not in kinds
             assert "ColorMissing" not in kinds
         assert feasible_seen >= 50
@@ -270,6 +274,8 @@ def test_acceptance_6_hotspot_detection():
         pattern = HotspotPattern(name="quad", layer="M1",
                                  masks=(Mask.E1, Mask.E2, Mask.E1, Mask.E2),
                                  max_gap=80, min_run_length=100)
+        deck = replace(parse_rules(read_testdata("rules.yaml")),
+                       hotspot_patterns=(pattern,))
         rng = random.Random(606)
 
         def quad(x0, gaps, y_last=None):
@@ -306,7 +312,7 @@ def test_acceptance_6_hotspot_detection():
                 FlatShape(i, "M1", m, Rect(sx, lo, sx + 32, hi), "U1")
                 for i, (sx, lo, hi, m) in enumerate(specs))
             layout = FlatLayout(Rect(0, 0, x + 2000, 2000), shapes)
-            vios = match_hotspots(layout, [pattern])
+            vios = match_hotspots(layout, deck, sweep_neighbours(layout, deck))
             assert len(vios) == planted, (planted, len(vios))
             assert all(v.pattern_name == "quad" for v in vios)
 

@@ -7,6 +7,7 @@ oracle; hotspot layouts are constructed with known match counts.
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -17,8 +18,11 @@ from seamcheck import (
     FlatShape,
     HotspotPattern,
     IncompleteAssignmentError,
+    LayerRule,
     Mask,
     Rect,
+    RuleDeck,
+    Violation,
     ViolationKind,
     apply_colors,
     build_conflict_graph,
@@ -28,12 +32,29 @@ from seamcheck import (
     match_hotspots,
     parse_rules,
     run_all,
+    sweep_neighbours,
 )
 
 from conftest import read_testdata
 
 OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
 RULES = parse_rules(read_testdata("rules.yaml"))
+
+
+def spacing(layout, rules, option):
+    return check_spacing(layout, rules, option,
+                         sweep_neighbours(layout, rules))
+
+
+def conflict_graph(layout, rules, layer):
+    return build_conflict_graph(layout, rules, layer,
+                                sweep_neighbours(layout, rules))
+
+
+def hotspots(layout, *patterns):
+    """Matches of the given patterns, swept and checked as one deck."""
+    rules = replace(RULES, hotspot_patterns=patterns)
+    return match_hotspots(layout, rules, sweep_neighbours(layout, rules))
 
 
 def layout_of(*shapes, die=Rect(0, 0, 4000, 4000)):
@@ -68,7 +89,7 @@ class TestSpacing:
     def test_any_mask_violation(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E2, Rect(64, 0, 104, 400)))
-        vios = check_spacing(layout, RULES, OPT_I)
+        vios = spacing(layout, RULES, OPT_I)
         assert [v.kind for v in vios] == [ViolationKind.SPACING_ANY_MASK]
         assert vios[0].bbox == Rect(0, 0, 104, 400)
         assert vios[0].shape_ids == (0, 1)
@@ -76,41 +97,41 @@ class TestSpacing:
     def test_any_mask_minimum_is_inclusive(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E2, Rect(72, 0, 112, 400)))
-        assert check_spacing(layout, RULES, OPT_I) == []
+        assert spacing(layout, RULES, OPT_I) == []
 
     def test_same_mask_violation_option_i(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E1, Rect(80, 0, 120, 400)))
-        vios = check_spacing(layout, RULES, OPT_I)
+        vios = spacing(layout, RULES, OPT_I)
         assert [v.kind for v in vios] == [ViolationKind.SPACING_SAME_MASK]
 
     def test_different_masks_pass_at_same_gap(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E2, Rect(80, 0, 120, 400)))
-        assert check_spacing(layout, RULES, OPT_I) == []
+        assert spacing(layout, RULES, OPT_I) == []
 
     def test_close_same_mask_pair_reports_both_kinds(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E1, Rect(64, 0, 104, 400)))
-        kinds = Counter(v.kind for v in check_spacing(layout, RULES, OPT_I))
+        kinds = Counter(v.kind for v in spacing(layout, RULES, OPT_I))
         assert kinds == {ViolationKind.SPACING_ANY_MASK: 1,
                          ViolationKind.SPACING_SAME_MASK: 1}
 
     def test_option_ii_skips_same_mask_check(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E1, Rect(80, 0, 120, 400)))
-        assert check_spacing(layout, RULES, OPT_II) == []
+        assert spacing(layout, RULES, OPT_II) == []
 
     def test_touching_shapes_are_connected_and_exempt(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E1, Rect(40, 360, 400, 400)))
-        assert check_spacing(layout, RULES, OPT_I) == []
+        assert spacing(layout, RULES, OPT_I) == []
 
     def test_color_missing_option_i_only(self):
         layout = layout_of(("M1", Mask.NONE, Rect(0, 0, 40, 400)))
-        vios = check_spacing(layout, RULES, OPT_I)
+        vios = spacing(layout, RULES, OPT_I)
         assert [v.kind for v in vios] == [ViolationKind.COLOR_MISSING]
-        assert check_spacing(layout, RULES, OPT_II) == []
+        assert spacing(layout, RULES, OPT_II) == []
 
     def test_non_dpt_layer_has_no_mask_rules(self):
         rules = parse_rules("""
@@ -125,7 +146,7 @@ layers:
 """)
         layout = layout_of(("M2", Mask.NONE, Rect(0, 0, 40, 400)),
                            ("M2", Mask.NONE, Rect(90, 0, 130, 400)))
-        assert check_spacing(layout, rules, OPT_I) == []
+        assert spacing(layout, rules, OPT_I) == []
 
 
 def triangle_layout():
@@ -138,7 +159,7 @@ def triangle_layout():
 
 class TestConflictGraph:
     def test_triangle(self):
-        graph = build_conflict_graph(triangle_layout(), RULES, "M1")
+        graph = conflict_graph(triangle_layout(), RULES, "M1")
         assert sorted(graph.nodes) == [0, 1, 2]
         assert graph.edges == frozenset({(0, 1), (0, 2), (1, 2)})
 
@@ -146,14 +167,14 @@ class TestConflictGraph:
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E1, Rect(40, 0, 80, 400)),
                            ("M1", Mask.E1, Rect(120, 0, 160, 400)))
-        graph = build_conflict_graph(layout, RULES, "M1")
+        graph = conflict_graph(layout, RULES, "M1")
         assert sorted(graph.nodes) == [0, 2]
         assert graph.nodes[0] == (0, 1)
         assert graph.edges == frozenset({(0, 2)})
 
     def test_isolated_shape(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)))
-        graph = build_conflict_graph(layout, RULES, "M1")
+        graph = conflict_graph(layout, RULES, "M1")
         assert sorted(graph.nodes) == [0]
         assert graph.edges == frozenset()
 
@@ -161,13 +182,13 @@ class TestConflictGraph:
         # Gap 64 is exactly the same-mask minimum: legal, so no edge.
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E1, Rect(104, 0, 144, 400)))
-        graph = build_conflict_graph(layout, RULES, "M1")
+        graph = conflict_graph(layout, RULES, "M1")
         assert graph.edges == frozenset()
 
     def test_non_dpt_layer_rejected(self):
         layout = layout_of(("M9", Mask.NONE, Rect(0, 0, 40, 400)))
         with pytest.raises(ValueError):
-            build_conflict_graph(layout, RULES, "M9")
+            conflict_graph(layout, RULES, "M9")
 
 
 def synthetic_graph(nodes, edges):
@@ -203,7 +224,7 @@ class TestColorDecompose:
         assert result.assignment[5] is Mask.E1
 
     def test_triangle_is_infeasible(self):
-        graph = build_conflict_graph(triangle_layout(), RULES, "M1")
+        graph = conflict_graph(triangle_layout(), RULES, "M1")
         result = color_decompose(graph)
         assert not result.feasible
         assert result.assignment is None
@@ -245,8 +266,8 @@ class TestApplyColors:
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
                            ("M1", Mask.E1, Rect(80, 0, 120, 400)),
                            ("M1", Mask.E1, Rect(160, 0, 200, 400)))
-        assert len(check_spacing(layout, RULES, OPT_I)) == 2
-        graph = build_conflict_graph(layout, RULES, "M1")
+        assert len(spacing(layout, RULES, OPT_I)) == 2
+        graph = conflict_graph(layout, RULES, "M1")
         result = color_decompose(graph)
         assert result.feasible
         assignment = {}
@@ -254,7 +275,7 @@ class TestApplyColors:
             for sid in members:
                 assignment[sid] = result.assignment[root]
         recolored = apply_colors(layout, assignment, ["M1"])
-        assert check_spacing(recolored, RULES, OPT_I) == []
+        assert spacing(recolored, RULES, OPT_I) == []
 
     def test_other_layers_untouched(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
@@ -294,7 +315,7 @@ def alternating(start_x, gaps, first=Mask.E1, **kw):
 class TestHotspots:
     def test_planted_quad_matches(self):
         layout = layout_of(*alternating(0, [48, 48, 48]))
-        vios = match_hotspots(layout, [QUAD])
+        vios = hotspots(layout, QUAD)
         assert [v.kind for v in vios] == [ViolationKind.HOTSPOT]
         assert vios[0].pattern_name == "quad"
         assert vios[0].shape_ids == (0, 1, 2, 3)
@@ -302,11 +323,11 @@ class TestHotspots:
 
     def test_gap_beyond_maximum_breaks_chain(self):
         layout = layout_of(*alternating(0, [48, 51, 48]))
-        assert match_hotspots(layout, [QUAD]) == []
+        assert hotspots(layout, QUAD) == []
 
     def test_gap_at_maximum_matches(self):
         layout = layout_of(*alternating(0, [50, 50, 50]))
-        assert len(match_hotspots(layout, [QUAD])) == 1
+        assert len(hotspots(layout, QUAD)) == 1
 
     def test_short_common_run_rejected(self):
         spec = alternating(0, [48, 48, 48])
@@ -314,46 +335,46 @@ class TestHotspots:
         layer, mask, r = spec[3]
         spec[3] = (layer, mask, Rect(r.x1, 51, r.x2, 201))
         layout = layout_of(*spec)
-        assert match_hotspots(layout, [QUAD]) == []
+        assert hotspots(layout, QUAD) == []
 
     def test_common_run_at_minimum_matches(self):
         spec = alternating(0, [48, 48, 48])
         layer, mask, r = spec[3]
         spec[3] = (layer, mask, Rect(r.x1, 50, r.x2, 200))
         layout = layout_of(*spec)
-        assert len(match_hotspots(layout, [QUAD])) == 1
+        assert len(hotspots(layout, QUAD)) == 1
 
     def test_wrong_mask_order_rejected(self):
         layout = layout_of(*bars([0, 80, 160, 240],
                                  [Mask.E1, Mask.E2, Mask.E2, Mask.E1]))
-        assert match_hotspots(layout, [QUAD]) == []
+        assert hotspots(layout, QUAD) == []
 
     def test_mirrored_sequence_matches(self):
         layout = layout_of(*alternating(0, [48, 48, 48], first=Mask.E2))
-        assert len(match_hotspots(layout, [QUAD])) == 1
+        assert len(hotspots(layout, QUAD)) == 1
 
     def test_horizontal_tracks_match_too(self):
         spec = alternating(0, [48, 48, 48])
         flipped = [(layer, m, Rect(r.y1, r.x1, r.y2, r.x2))
                    for layer, m, r in spec]
         layout = layout_of(*flipped)
-        assert len(match_hotspots(layout, [QUAD])) == 1
+        assert len(hotspots(layout, QUAD)) == 1
 
     def test_five_bars_give_two_windows(self):
         layout = layout_of(*alternating(0, [48, 48, 48, 48]))
-        vios = match_hotspots(layout, [QUAD])
+        vios = hotspots(layout, QUAD)
         assert [v.shape_ids for v in vios] == [(0, 1, 2, 3), (1, 2, 3, 4)]
 
     def test_touching_bars_do_not_chain(self):
         layout = layout_of(*alternating(0, [0, 48, 48]))
-        assert match_hotspots(layout, [QUAD]) == []
+        assert hotspots(layout, QUAD) == []
 
     def test_uncolored_shape_never_matches(self):
         spec = alternating(0, [48, 48, 48])
         layer, _, r = spec[1]
         spec[1] = (layer, Mask.NONE, r)
         layout = layout_of(*spec)
-        assert match_hotspots(layout, [QUAD]) == []
+        assert hotspots(layout, QUAD) == []
 
     def test_planted_counts(self):
         rng = random.Random(23)
@@ -367,7 +388,218 @@ class TestHotspots:
                 spec.extend(alternating(x, [48, rng.choice((51, 60)), 48]))
                 x += 1000
             layout = layout_of(*spec, die=Rect(0, 0, x + 1000, 4000))
-            assert len(match_hotspots(layout, [QUAD])) == k
+            assert len(hotspots(layout, QUAD)) == k
+
+
+# Oracle deck: a DPT layer, a single-mask layer and a rule-less layer
+# that only a hotspot pattern reads, so every sweep consumer is exercised.
+ORACLE_DECK = RuleDeck(
+    row_height=576, site_width=8, interaction_distance=200,
+    layers={"M1": LayerRule("M1", 32, 32, 64, True),
+            "M2": LayerRule("M2", 32, 48)},
+    hotspot_patterns=(
+        HotspotPattern("quad", "M1", (Mask.E1, Mask.E2, Mask.E1, Mask.E2),
+                       50, 100),
+        HotspotPattern("twin", "M2", (Mask.E1, Mask.E1), 80, 60),
+        HotspotPattern("tri", "M3", (Mask.E2, Mask.E1, Mask.E2), 64, 40)))
+
+
+def random_bar_layout(rng, groups=8):
+    """Rows of parallel bars (either direction) with gaps around every
+    limit of ORACLE_DECK, ragged ends and mostly two-mask colouring, plus
+    touching and overlapping neighbours."""
+    specs = []
+    for _ in range(groups):
+        layer = rng.choice(("M1", "M1", "M2", "M3"))
+        x, y = rng.randrange(100, 1500), rng.randrange(100, 1500)
+        transpose = rng.random() < 0.5
+        alternate = rng.random() < 0.5
+        gaps = rng.choice(((20, 31, 32, 33, 47, 48, 50),
+                           (50, 51, 63, 64, 65, 80, 81),
+                           (-10, 0, 20, 48, 64, 120)))
+        mask = rng.choice((Mask.E1, Mask.E2))
+        for _ in range(rng.randrange(1, 7)):
+            w = rng.choice((24, 32, 40))
+            y1 = y + rng.randrange(-60, 61)
+            r = Rect(x, y1, x + w, y1 + rng.randrange(80, 300))
+            if transpose:
+                r = Rect(r.y1, r.x1, r.y2, r.x2)
+            if not alternate or rng.random() < 0.1:
+                mask = rng.choice((Mask.E1, Mask.E2) * 5 + (Mask.NONE,))
+            specs.append((layer, mask, r))
+            mask = Mask.E2 if mask is Mask.E1 else Mask.E1
+            x += w + rng.choice(gaps)
+    return layout_of(*specs, die=Rect(0, 0, 2500, 2500))
+
+
+def brute_run(a: Rect, b: Rect):
+    """(spacing, axis) of two rects facing each other across a gap >= 0
+    with positive overlap along the gap, else None."""
+    gap_x = max(a.x1, b.x1) - min(a.x2, b.x2)
+    gap_y = max(a.y1, b.y1) - min(a.y2, b.y2)
+    if gap_x >= 0 and gap_y < 0:
+        return gap_x, "vertical"
+    if gap_y >= 0 and gap_x < 0:
+        return gap_y, "horizontal"
+    return None
+
+
+def brute_components(shapes):
+    """shape id -> smallest id of its touch component, by flood fill over
+    all pairs (a contact of positive length or area connects)."""
+    def touch(a, b):
+        gx = max(a.x1, b.x1) - min(a.x2, b.x2)
+        gy = max(a.y1, b.y1) - min(a.y2, b.y2)
+        return gx <= 0 and gy <= 0 and (gx < 0 or gy < 0)
+
+    root = {}
+    for s in shapes:
+        if s.shape_id in root:
+            continue
+        group, todo = {s.shape_id}, [s]
+        while todo:
+            t = todo.pop()
+            for u in shapes:
+                if u.shape_id not in group and touch(t.rect, u.rect):
+                    group.add(u.shape_id)
+                    todo.append(u)
+        for sid in group:
+            root[sid] = min(group)
+    return root
+
+
+def brute_spacing(layout, rules, option):
+    out = []
+    for layer in {s.layer for s in layout.shapes}:
+        rule = rules.layer_rule(layer)
+        if rule is None:
+            continue
+        shapes = [s for s in layout.shapes if s.layer == layer]
+        comp = brute_components(shapes)
+        fixed = rule.dpt and option is OPT_I
+        for i, a in enumerate(shapes):
+            for b in shapes[i + 1:]:
+                run = brute_run(a.rect, b.rect)
+                if run is None or comp[a.shape_id] == comp[b.shape_id]:
+                    continue
+                bbox = a.rect.union(b.rect)
+                ids = (a.shape_id, b.shape_id)
+                if run[0] < rule.min_spacing_any_mask:
+                    out.append(Violation(ViolationKind.SPACING_ANY_MASK,
+                                         layer, bbox, ids))
+                if (fixed and a.mask is b.mask is not Mask.NONE
+                        and run[0] < rule.min_spacing_same_mask):
+                    out.append(Violation(ViolationKind.SPACING_SAME_MASK,
+                                         layer, bbox, ids))
+        if fixed:
+            out.extend(Violation(ViolationKind.COLOR_MISSING, layer, s.rect,
+                                 (s.shape_id,))
+                       for s in shapes if s.mask is Mask.NONE)
+    return sorted(out, key=Violation.sort_key)
+
+
+def brute_conflict_edges(layout, rules, layer):
+    shapes = [s for s in layout.shapes if s.layer == layer]
+    comp = brute_components(shapes)
+    edges = set()
+    for i, a in enumerate(shapes):
+        for b in shapes[i + 1:]:
+            run = brute_run(a.rect, b.rect)
+            u, v = sorted((comp[a.shape_id], comp[b.shape_id]))
+            if run and run[0] < rules.layer_rule(layer).min_spacing_same_mask \
+                    and u != v:
+                edges.add((u, v))
+    return comp, edges
+
+
+def brute_hotspots(layout, rules):
+    """Every chain of distinct shapes, each one strictly before the next
+    along the axis at a gap in (0, max_gap], whose masks read as the
+    pattern either way and whose common span is long enough."""
+    out = []
+    for p in rules.hotspot_patterns:
+        shapes = [s for s in layout.shapes if s.layer == p.layer]
+        for axis in ("vertical", "horizontal"):
+            def span(r):
+                return (r.y1, r.y2) if axis == "vertical" else (r.x1, r.x2)
+
+            def follows(a, b):
+                run = brute_run(a, b)
+                before = a.x2 <= b.x1 if axis == "vertical" else a.y2 <= b.y1
+                return (run is not None and run[1] == axis and before
+                        and 0 < run[0] <= p.max_gap)
+
+            def extend(chain):
+                if len(chain) == p.track_count:
+                    masks = tuple(s.mask for s in chain)
+                    lo = max(span(s.rect)[0] for s in chain)
+                    hi = min(span(s.rect)[1] for s in chain)
+                    if (masks in (p.masks, p.masks[::-1])
+                            and hi - lo >= p.min_run_length):
+                        rects = [s.rect for s in chain]
+                        bbox = (Rect(min(r.x1 for r in rects), lo,
+                                     max(r.x2 for r in rects), hi)
+                                if axis == "vertical" else
+                                Rect(lo, min(r.y1 for r in rects),
+                                     hi, max(r.y2 for r in rects)))
+                        out.append(Violation(
+                            ViolationKind.HOTSPOT, p.layer, bbox,
+                            tuple(s.shape_id for s in chain), p.name))
+                    return
+                for s in shapes:
+                    if follows(chain[-1].rect, s.rect):
+                        extend(chain + [s])
+
+            for s in shapes:
+                extend([s])
+    return sorted(out, key=Violation.sort_key)
+
+
+class TestSharedSweepOracle:
+    """Every consumer of the one sweep per layer against an all-pairs
+    brute force that uses no sweep."""
+
+    def test_checkers_match_brute_force(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        for _ in range(60):
+            layout = random_bar_layout(rng)
+            neighbours = sweep_neighbours(layout, ORACLE_DECK)
+            for option in (OPT_I, OPT_II):
+                got = check_spacing(layout, ORACLE_DECK, option, neighbours)
+                assert got == brute_spacing(layout, ORACLE_DECK, option)
+                seen.update(v.kind for v in got)
+            if layout.shapes_on("M1"):
+                graph = build_conflict_graph(layout, ORACLE_DECK, "M1",
+                                             neighbours)
+                comp, edges = brute_conflict_edges(layout, ORACLE_DECK, "M1")
+                assert graph.edges == edges
+                assert {sid: root for root, sids in graph.nodes.items()
+                        for sid in sids} == comp
+                seen["edges"] += len(edges)
+            got = match_hotspots(layout, ORACLE_DECK, neighbours)
+            assert got == brute_hotspots(layout, ORACLE_DECK)
+            seen.update(v.pattern_name for v in got)
+        # The random layouts reach every branch the oracle compares.
+        for key in (ViolationKind.SPACING_ANY_MASK,
+                    ViolationKind.SPACING_SAME_MASK,
+                    ViolationKind.COLOR_MISSING,
+                    "edges", "quad", "twin", "tri"):
+            assert seen[key] > 0, key
+
+    def test_neighbours_stay_valid_after_recolouring(self):
+        rng = random.Random(2025)
+        for _ in range(30):
+            layout = random_bar_layout(rng)
+            neighbours = sweep_neighbours(layout, ORACLE_DECK)
+            assignment = {s.shape_id: rng.choice((Mask.E1, Mask.E2))
+                          for s in layout.shapes_on("M1")}
+            recoloured = apply_colors(layout, assignment, ["M1"])
+            assert check_spacing(recoloured, ORACLE_DECK, OPT_I,
+                                 neighbours) == \
+                brute_spacing(recoloured, ORACLE_DECK, OPT_I)
+            assert match_hotspots(recoloured, ORACLE_DECK, neighbours) == \
+                brute_hotspots(recoloured, ORACLE_DECK)
 
 
 class TestRunAll:

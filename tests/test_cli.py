@@ -187,6 +187,36 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "svg_cap" in err
 
+    def test_fractional_integer_option_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("max_row_width: 2.7\n")
+        out = tmp_path / "o"
+        assert run(["verify", "--config", str(cfg), "--libs", SEAM,
+                    "--rules", RULES, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "max_row_width" in err and "2.7" in err
+        run(["verify", "--libs", SEAM, "--rules", RULES, "--out", str(out)])
+        cfg.write_text("svg_cap: 2.5\n")
+        assert run(["report", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "svg_cap" in err
+
+    def test_exact_integer_option_values_still_work(self, tmp_path):
+        """An integral float, an integer string and a plain int all give
+        the outputs of the default row width."""
+        def outputs(sub, extra):
+            out = tmp_path / sub
+            code = run(["verify", "--libs", SEAM, "--rules", RULES,
+                        "--out", str(out)] + extra)
+            return code, (out / "results.json").read_text()
+
+        expect = outputs("default", [])
+        cfg = tmp_path / "cfg.yaml"
+        for value in ("200000", "200000.0", "'200000'", "2.0e+5"):
+            cfg.write_text(f"max_row_width: {value}\n")
+            assert outputs(value, ["--config", str(cfg)]) == expect, value
+
     def test_libs_not_a_list_of_paths_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("libs: 5\n")
@@ -230,6 +260,18 @@ class TestReport:
         code = run(["report", "--out", str(tmp_path / "empty")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_malformed_results_value_exits_two(self, tmp_path, capsys):
+        out = self.prepared(tmp_path)
+        results = out / "results.json"
+        good = json.loads(results.read_text())
+        for key, value in (("max_row_width", [1]), ("window", "wide"),
+                           ("max_row_width", 2.5), ("window", None)):
+            results.write_text(json.dumps({**good, key: value}))
+            capsys.readouterr()
+            assert run(["report", "--out", str(out)]) == 2, (key, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err, (key, value)
 
     def test_clean_run_renders_no_svgs(self, tmp_path):
         out = tmp_path / "out"

@@ -294,7 +294,8 @@ class TestParallelRuns:
         for layer in ("M1", "M2"):
             for max_spacing in (64, 200):
                 got = {(r.shape_a, r.shape_b, r.spacing, r.run_length, r.axis)
-                       for r in parallel_runs(layout, layer, max_spacing)}
+                       for r in parallel_runs(
+                           layout.near_pairs(layer, max_spacing), max_spacing)}
                 expect = set()
                 shapes = [s for s in layout.shapes if s.layer == layer]
                 for i, a in enumerate(shapes):
@@ -308,7 +309,7 @@ class TestParallelRuns:
     def test_results_are_sorted_and_deduplicated(self):
         rng = random.Random(32)
         layout = make_layout(rng, 200, span=2000)
-        runs = parallel_runs(layout, "M1", 150)
+        runs = parallel_runs(layout.near_pairs("M1", 150), 150)
         keys = [(r.shape_a, r.shape_b) for r in runs]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
@@ -330,14 +331,14 @@ class TestConnectivity:
             for i in range(5)
         )
         layout = FlatLayout(Rect(0, 0, 100, 100), shapes)
-        roots = connected_components(layout, "M1")
+        roots = connected_components(layout.shapes_on("M1"),
+                                     layout.near_pairs("M1", 0))
         assert set(roots.values()) == {0}
 
     def test_matches_bruteforce_components(self):
         rng = random.Random(41)
         for _ in range(20):
             layout = make_layout(rng, 60, span=900)
-            roots = connected_components(layout, "M1")
             shapes = [s for s in layout.shapes if s.layer == "M1"]
             parent = {s.shape_id: s.shape_id for s in shapes}
 
@@ -360,8 +361,12 @@ class TestConnectivity:
             groups_expect = {}
             for sid, root in expect.items():
                 groups_expect.setdefault(root, set()).add(sid)
-            groups_got = {}
-            for sid, root in roots.items():
-                groups_got.setdefault(root, set()).add(sid)
-            assert sorted(groups_got.values(), key=min) == \
-                sorted(groups_expect.values(), key=min)
+            # Any sweep reach >= 0 yields the same components.
+            for reach in (0, 80):
+                roots = connected_components(
+                    layout.shapes_on("M1"), layout.near_pairs("M1", reach))
+                groups_got = {}
+                for sid, root in roots.items():
+                    groups_got.setdefault(root, set()).add(sid)
+                assert sorted(groups_got.values(), key=min) == \
+                    sorted(groups_expect.values(), key=min)

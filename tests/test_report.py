@@ -1,6 +1,7 @@
 """Seam attribution, summary rendering, and SVG output tests."""
 
 import json
+import random
 import xml.dom.minidom
 from collections import Counter
 
@@ -22,6 +23,8 @@ from seamcheck import (
     summarize,
     violation_record,
 )
+
+from conftest import synth_library
 
 OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
 
@@ -122,6 +125,50 @@ class TestAttribution:
                                          res.floorplan,
                                          demo_rules.interaction_distance)
         assert residual == []
+
+
+class TestAttributionOracle:
+    """attribute_to_seams, which builds only the seams of the cases its
+    violations name, against a scan of every seam of the library."""
+
+    @staticmethod
+    def scan(violations, seams, window):
+        hits, residual = {}, []
+        for v in violations:
+            found = [s for s in seams
+                     if v.case_index in (None, s.case_index)
+                     and s.band(window).intersects(v.bbox)]
+            for s in found:
+                hits.setdefault(s, []).append(v)
+            if not found:
+                residual.append(v)
+        return ([(s, tuple(hits[s])) for s in seams if s in hits],
+                residual)
+
+    def test_matches_scan_of_global_seams(self, demo_rules):
+        library = synth_library(6)
+        cases, plan, seams = seam_setup(library, demo_rules)
+        die = plan.die_area
+        rng = random.Random(77)
+        choices = list(range(len(cases))) + [None, -1, len(cases)]
+        attributed = residual_total = 0
+        for _ in range(40):
+            violations = []
+            for _ in range(rng.randrange(0, 12)):
+                x, y = rng.randrange(die.x2), rng.randrange(die.y2)
+                bbox = Rect(x, y, x + rng.randrange(1, 400),
+                            y + rng.randrange(1, 400))
+                violations.append(vio(ViolationKind.WIDTH, bbox,
+                                      rng.choice(choices)))
+            window = rng.choice((10, 200))
+            reports, residual = attribute_to_seams(violations, cases, plan,
+                                                   window)
+            expect, expect_residual = self.scan(violations, seams, window)
+            assert [(r.seam, r.violations) for r in reports] == expect
+            assert residual == expect_residual
+            attributed += len(reports)
+            residual_total += len(residual)
+        assert attributed > 0 and residual_total > 0
 
 
 class TestSummary:
