@@ -105,22 +105,47 @@ _AB_ORIENTS = (Orientation.R0, Orientation.R0, Orientation.MY,
                Orientation.MY, Orientation.R0)
 
 
+def _chain(kind: CaseKind, cell_a: CellProfile,
+           cell_b: CellProfile | None) -> AbutmentCase:
+    """Abut one column per (cell, orientation), left to right: the A-A
+    pattern when ``cell_b`` is None, the A-B pattern otherwise. The case
+    is as tall as A (k rows); a column whose cell is shorter stacks k
+    instances, flipped vertically on odd rows. Seams span rows 0..k-1 and
+    instances are numbered U1.. in placement order."""
+    if cell_b is None:
+        columns = tuple(zip((cell_a,) * 4, _AA_ORIENTS))
+    else:
+        columns = tuple(zip((cell_b, cell_a, cell_b, cell_a, cell_b),
+                            _AB_ORIENTS))
+    k = cell_a.height_rows
+    row_h = cell_a.height // k
+    placements: list[Placement] = []
+    seams: list[Seam] = []
+    x = 0
+    for i, (c, o) in enumerate(columns):
+        if i:
+            left, left_o = columns[i - 1]
+            seams.append(Seam(x, 0, k - 1, (left.name, left_o), (c.name, o)))
+        if c.height_rows == k:
+            placements.append(
+                Placement(f"U{len(placements) + 1}", c.name, (x, 0), o))
+        else:
+            for row in range(k):
+                placements.append(Placement(
+                    f"U{len(placements) + 1}", c.name, (x, row * row_h),
+                    o.flipped_ud if row % 2 else o))
+        x += c.width
+    return AbutmentCase(kind, cell_a.name,
+                        None if cell_b is None else cell_b.name,
+                        tuple(placements), tuple(seams), x, k)
+
+
 def gen_type_aa(cell: CellProfile) -> AbutmentCase:
     """Four abutted instances of one cell, [MY, R0, R0, MY]. The three
     seams realize all three same-cell mirror classes. Multi-height cells
     use the same single-row pattern."""
-    w = cell.width
-    placements = tuple(
-        Placement(f"U{i + 1}", cell.name, (i * w, 0), o)
-        for i, o in enumerate(_AA_ORIENTS))
-    top = cell.height_rows - 1
-    seams = tuple(
-        Seam((i + 1) * w, 0, top,
-             (cell.name, _AA_ORIENTS[i]), (cell.name, _AA_ORIENTS[i + 1]))
-        for i in range(3))
     kind = CaseKind.AA_MULTI if cell.is_multi else CaseKind.AA_SINGLE
-    return AbutmentCase(kind, cell.name, None, placements, seams,
-                        4 * w, cell.height_rows)
+    return _chain(kind, cell, None)
 
 
 def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
@@ -131,18 +156,7 @@ def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
         raise ValueError("type A-B needs two distinct cells")
     if cell_a.height_rows != 1 or cell_b.height_rows != 1:
         raise HeightMismatchError("type A-B cells must be single-height")
-    cells = (cell_b, cell_a, cell_b, cell_a, cell_b)
-    placements = []
-    seams = []
-    x = 0
-    for i, (c, o) in enumerate(zip(cells, _AB_ORIENTS)):
-        placements.append(Placement(f"U{i + 1}", c.name, (x, 0), o))
-        x += c.width
-        if i < 4:
-            seams.append(Seam(x, 0, 0, (c.name, o),
-                              (cells[i + 1].name, _AB_ORIENTS[i + 1])))
-    return AbutmentCase(CaseKind.AB_SINGLE, cell_a.name, cell_b.name,
-                        tuple(placements), tuple(seams), x, 1)
+    return _chain(CaseKind.AB_SINGLE, cell_a, cell_b)
 
 
 def gen_single_multi(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
@@ -156,29 +170,7 @@ def gen_single_multi(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
     if cell_b.height_rows != 1:
         raise HeightMismatchError(
             f"filler cell {cell_b.name} must be single-height")
-    k = cell_a.height_rows
-    row_h = cell_a.height // k
-    cells = (cell_b, cell_a, cell_b, cell_a, cell_b)
-    placements = []
-    seams = []
-    x = 0
-    n = 0
-    for i, (c, o) in enumerate(zip(cells, _AB_ORIENTS)):
-        if c is cell_a:
-            n += 1
-            placements.append(Placement(f"U{n}", c.name, (x, 0), o))
-        else:
-            for row in range(k):
-                n += 1
-                placements.append(Placement(
-                    f"U{n}", c.name, (x, row * row_h),
-                    o if row % 2 == 0 else o.flipped_ud))
-        x += c.width
-        if i < 4:
-            seams.append(Seam(x, 0, k - 1, (c.name, o),
-                              (cells[i + 1].name, _AB_ORIENTS[i + 1])))
-    return AbutmentCase(CaseKind.AB_SINGLE_MULTI, cell_a.name, cell_b.name,
-                        tuple(placements), tuple(seams), x, k)
+    return _chain(CaseKind.AB_SINGLE_MULTI, cell_a, cell_b)
 
 
 def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
@@ -219,13 +211,11 @@ def expected_count(n: int, mode: str = "proposed") -> int:
 
 Topology = tuple[tuple[str, Orientation], tuple[str, Orientation]]
 
-_MIRROR = {Orientation.R0: Orientation.MY, Orientation.MY: Orientation.R0}
-
 
 def mirror_topology(t: Topology) -> Topology:
     """Left-right mirror: order reverses and R0 <-> MY on both sides."""
     (xc, xo), (yc, yo) = t
-    return ((yc, _MIRROR[yo]), (xc, _MIRROR[xo]))
+    return ((yc, yo.mirrored_lr), (xc, xo.mirrored_lr))
 
 
 def canonical_class(t: Topology, order: dict[str, int]) -> Topology:

@@ -61,7 +61,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class LayerNeighbours:
-    """What one sweep of one layer yields at ``_sweep_reach``: the parallel
+    """What one sweep of one layer yields at ``RuleDeck.reach``: the parallel
     runs within that reach and the touch components (shape id -> root).
     Every checker filters these. Recolouring moves no rect, so they stay
     valid for the recoloured layout; checkers read masks from the layout
@@ -71,27 +71,13 @@ class LayerNeighbours:
     components: dict[int, int]
 
 
-def _sweep_reach(rules: RuleDeck, layer: str) -> int | None:
-    """The largest distance any checker looks across on ``layer``: its
-    spacing minimums (the same-mask one also bounds the conflict graph)
-    and the ``max_gap`` of its hotspot patterns. None when no checker
-    reads the layer's neighbours."""
-    reaches = [p.max_gap for p in rules.hotspot_patterns if p.layer == layer]
-    rule = rules.layer_rule(layer)
-    if rule is not None:
-        reaches.append(rule.min_spacing_any_mask)
-        if rule.min_spacing_same_mask is not None:
-            reaches.append(rule.min_spacing_same_mask)
-    return max(reaches, default=None)
-
-
 def sweep_neighbours(layout: FlatLayout,
                      rules: RuleDeck) -> dict[str, LayerNeighbours]:
     """One ``near_pairs`` sweep per layer that some checker reads, at the
-    layer's ``_sweep_reach``."""
+    layer's ``RuleDeck.reach``."""
     out = {}
     for layer in layout.layers():
-        reach = _sweep_reach(rules, layer)
+        reach = rules.reach(layer)
         if reach is None:
             continue
         pairs = layout.near_pairs(layer, reach)
@@ -408,17 +394,10 @@ def case_layout(case_index: int, cases, library: CellLibrary,
 
 
 def _flatten_case(case_index, cases, library, floorplan) -> FlatLayout:
-    """One case's shapes at its floorplan position, from instances named
-    <module>/<instance>."""
-    case = cases[case_index]
-    module = case.module_name
-    ox, oy = floorplan.origin_of(case_index)
-    placements = [
-        p._replace(instance_name=f"{module}/{p.instance_name}",
-                   origin=(p.origin[0] + ox, p.origin[1] + oy))
-        for p in case.placements
-    ]
-    return flatten(library._by_name, placements, floorplan.die_area)
+    """One case's shapes at its floorplan position."""
+    return flatten(library._by_name,
+                   floorplan.case_placements(case_index, cases[case_index]),
+                   floorplan.die_area)
 
 
 def _recolour(layout, rules, neighbours):

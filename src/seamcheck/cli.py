@@ -41,9 +41,16 @@ def _write(path: str, text: str):
 
 
 def _load_libraries(paths):
+    """(path, library) per path. Output files are named after the LIBRARY
+    name, so two libraries with one name are an input error."""
     libs = []
+    seen: dict[str, str] = {}
     for path in paths:
         lib = parse_library(_read(path))
+        if lib.name in seen:
+            raise ValueError(f"libraries {seen[lib.name]} and {path} are "
+                             f"both named {lib.name}")
+        seen[lib.name] = path
         libs.append((path, lib))
     return libs
 
@@ -215,9 +222,8 @@ def cmd_verify(args) -> int:
         if name not in by_lib:
             by_lib[name] = {"name": name, "path": path, "runs": []}
             payload["libraries"].append(by_lib[name])
-        reports, residual = report.attribute_to_seams(
-            res.violations, res.cases, res.floorplan, window)
-        seams = report.seams_per_violation(res.violations, reports)
+        seams = report.seams_per_violation(res.violations, res.cases,
+                                           res.floorplan, window)
         records = [report.violation_record(v, res.cases, s)
                    for v, s in zip(res.violations, seams)]
         by_lib[name]["runs"].append({
@@ -225,8 +231,8 @@ def cmd_verify(args) -> int:
             "counts": res.counts_by_kind(),
             "drc": res.drc_count,
             "drcplus": res.drcplus_count,
-            "seam_attributed": sum(len(r.violations) for r in reports),
-            "residual": len(residual),
+            "seam_attributed": sum(map(len, seams)),
+            "residual": seams.count([]),
             "recolor_diff": dict(sorted(res.recolor_diff.items())),
             "violations": records,
         })
@@ -245,13 +251,76 @@ def cmd_verify(args) -> int:
     return 0 if total == 0 else 1
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+_STRING_OR_NULL = ("a string or null",
+                   lambda v: v is None or isinstance(v, str))
+_LIST = ("a list", lambda v: isinstance(v, list))
+_INTEGER = ("an integer", _is_int)
+_KIND_NAMES = frozenset(k.value for k in ViolationKind)
+# What report reads of results.json, per level: key -> (expected, test).
+_LIBRARY_KEYS = {"name": _STRING, "path": _STRING, "runs": _LIST}
+_RUN_KEYS = {"option": ("I or II", lambda v: v in ("I", "II")),
+             "drc": _INTEGER, "drcplus": _INTEGER, "violations": _LIST}
+_RECORD_KEYS = {
+    "case": _STRING_OR_NULL,
+    "kind": ("a violation kind",
+             lambda v: isinstance(v, str) and v in _KIND_NAMES),
+    "layer": _STRING,
+    "bbox": ("a list of 4 integers", lambda v: isinstance(v, list)
+             and len(v) == 4 and all(map(_is_int, v))),
+    "shape_ids": ("a list of integers",
+                  lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "pattern": _STRING_OR_NULL,
+}
+
+
+def _check_keys(path: str, mapping, where: str, keys: dict):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path} key {where or '(top level)'} must be an "
+                         f"object, not {mapping!r}")
+    prefix = f"{where}." if where else ""
+    for key, (expected, ok) in keys.items():
+        if key not in mapping:
+            raise ValueError(f"{path} lacks key {prefix}{key}")
+        if not ok(mapping[key]):
+            raise ValueError(f"{path} key {prefix}{key} must be {expected}, "
+                             f"not {mapping[key]!r}")
+
+
+def _read_results(path: str) -> dict:
+    """The payload a verify run wrote to ``path``, with every value that
+    report reads checked: a malformed one is an input error naming the
+    file and the key."""
+    try:
+        payload = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    _check_keys(path, payload, "", {"libraries": _LIST})
+    if "rules" in payload:
+        _check_keys(path, payload, "", {"rules": _STRING_OR_NULL})
+    for i, entry in enumerate(payload["libraries"]):
+        where = f"libraries[{i}]"
+        _check_keys(path, entry, where, _LIBRARY_KEYS)
+        for j, run in enumerate(entry["runs"]):
+            run_where = f"{where}.runs[{j}]"
+            _check_keys(path, run, run_where, _RUN_KEYS)
+            for k, rec in enumerate(run["violations"]):
+                _check_keys(path, rec, f"{run_where}.violations[{k}]",
+                            _RECORD_KEYS)
+    return payload
+
+
 def cmd_report(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
     results_path = os.path.join(out_dir, "results.json")
     if not os.path.exists(results_path):
         raise ValueError(f"no results.json under {out_dir}; run verify first")
-    payload = json.loads(_read(results_path))
+    payload = _read_results(results_path)
     svg_cap = opt.integer("svg_cap", 50)
     margin = 200
 
@@ -281,33 +350,33 @@ def cmd_report(args) -> int:
             if lib is None:
                 continue
             option = DptOption(run["option"])
-            rendered = 0
-            layout_idx = None  # the case ``layout`` and ``seams`` belong to
+            picked = []  # (record index, violation), one per SVG
             for vi, rec in enumerate(run["violations"]):
-                if rendered >= svg_cap:
+                if len(picked) >= svg_cap:
                     break
                 idx = module_index.get(rec["case"])
-                if idx is None:
-                    continue
-                violation = Violation(
-                    ViolationKind(rec["kind"]), rec["layer"],
-                    Rect(*rec["bbox"]), tuple(rec["shape_ids"]),
-                    rec["pattern"], idx)
-                if idx != layout_idx:
-                    layout = case_layout(idx, cases, lib, fp, rules, option)
-                    seams = report.case_seams(idx, cases[idx], fp)
-                    layout_idx = idx
-                near = tuple(s for s in seams
-                             if s.band(window).intersects(violation.bbox))
-                svg = report.render_svg(layout, violation, margin, near)
+                if idx is not None:
+                    picked.append((vi, Violation(
+                        ViolationKind(rec["kind"]), rec["layer"],
+                        Rect(*rec["bbox"]), tuple(rec["shape_ids"]),
+                        rec["pattern"], idx)))
+            seams = report.seams_per_violation(
+                [v for _, v in picked], cases, fp, window)
+            layout_idx = None  # the case ``layout`` belongs to
+            for (vi, violation), near in zip(picked, seams):
+                if violation.case_index != layout_idx:
+                    layout_idx = violation.case_index
+                    layout = case_layout(layout_idx, cases, lib, fp, rules,
+                                         option)
+                svg = report.render_svg(layout, violation, margin,
+                                        tuple(near))
                 svg_dir = os.path.join(out_dir, "svg")
                 os.makedirs(svg_dir, exist_ok=True)
                 _write(os.path.join(
                     svg_dir,
                     f"{entry['name']}_opt{run['option']}_{vi:04d}_"
-                    f"{rec['kind']}.svg"), svg)
-                rendered += 1
-            svg_count += rendered
+                    f"{violation.kind.value}.svg"), svg)
+            svg_count += len(picked)
         rows.append(report.SummaryRow(entry["name"], counts))
 
     table = report.SummaryTable(tuple(rows))

@@ -60,7 +60,8 @@ def emit_def(cases: list[AbutmentCase], library: CellLibrary,
         for p in case.placements:
             if p.cell_ref not in library:
                 raise UnknownCellRefError(p.cell_ref)
-    placements = [p for _, p in floorplan.global_placements(cases)]
+    placements = [p for idx, case in enumerate(cases)
+                  for p in floorplan.case_placements(idx, case)]
     return render_def(placements, floorplan.die_area)
 
 

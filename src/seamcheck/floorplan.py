@@ -30,19 +30,15 @@ class Floorplan:
         row, x = self.positions[case_index]
         return x, row * self.row_height
 
-    def global_placements(self, cases) -> list[tuple[int, Placement]]:
-        """Every instance of every case shifted to die coordinates and
-        renamed hierarchically (<module>/<instance>). Returns
-        (case_index, placement) pairs in deterministic case order."""
-        out = []
-        for idx, case in enumerate(cases):
-            ox, oy = self.origin_of(idx)
-            module = case.module_name
-            for p in case.placements:
-                out.append((idx, Placement(
-                    f"{module}/{p.instance_name}", p.cell_ref,
-                    (p.origin[0] + ox, p.origin[1] + oy), p.orientation)))
-        return out
+    def case_placements(self, case_index: int,
+                        case: AbutmentCase) -> list[Placement]:
+        """One case's instances shifted to its die position and renamed
+        hierarchically (<module>/<instance>), in placement order."""
+        ox, oy = self.origin_of(case_index)
+        module = case.module_name
+        return [Placement(f"{module}/{p.instance_name}", p.cell_ref,
+                          (p.origin[0] + ox, p.origin[1] + oy), p.orientation)
+                for p in case.placements]
 
 
 def _round_up(value: int, grid: int) -> int:

@@ -30,9 +30,6 @@ class Rect(NamedTuple):
     def area(self) -> int:
         return self.width * self.height
 
-    def translated(self, dx: int, dy: int) -> "Rect":
-        return Rect(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
     def intersects(self, other: "Rect") -> bool:
         """Closed-rectangle intersection: shared edges/corners count."""
         return (self.x1 <= other.x2 and other.x1 <= self.x2

@@ -228,7 +228,8 @@ def _check_bounds(cell_name: str, kind: str, shape: ColoredRect,
             f"outline 0 0 {width} {height}")
 
 
-def _parse_macro(p: _Parser, row_height: int) -> CellProfile:
+def _parse_macro(p: _Parser, row_height: int,
+                 site_width: int) -> CellProfile:
     p.expect("MACRO")
     name_tok = p.take("macro name")
     name = name_tok.text
@@ -263,6 +264,10 @@ def _parse_macro(p: _Parser, row_height: int) -> CellProfile:
                          name_tok.line, name_tok.col)
     if width <= 0 or height <= 0:
         raise ParseError(f"MACRO {name} has non-positive SIZE",
+                         name_tok.line, name_tok.col)
+    if width % site_width != 0:
+        raise ParseError(f"MACRO {name} width {width} DBU is not a multiple "
+                         f"of the site width {site_width} DBU",
                          name_tok.line, name_tok.col)
     if height % row_height != 0:
         raise NonIntegerHeightError(
@@ -313,7 +318,7 @@ def parse_library(text: str) -> CellLibrary:
             if row_height is None:
                 raise ParseError("MACRO before SITE statement (row height "
                                  "unknown)", tok.line, tok.col)
-            cell = _parse_macro(p, row_height)
+            cell = _parse_macro(p, row_height, site_width)
             if any(c.name == cell.name for c in cells):
                 raise DuplicateCellError(f"duplicate MACRO {cell.name}")
             cells.append(cell)

@@ -65,18 +65,17 @@ def global_seams(cases: list[AbutmentCase],
             for s in case_seams(idx, case, floorplan)]
 
 
-def attribute_to_seams(violations, cases, floorplan: Floorplan,
-                       window: int) -> tuple[list[SeamReport], list[Violation]]:
-    """Assign each violation to every seam of its case whose widened band
-    intersects the violation box (every seam of the library when the
-    violation has no case). Returns per-seam reports (seams with at least
-    one hit) in (case, seam) order and the residual list. Every violation
-    appears either in >= 1 seam report or in the residual, never both.
-    Seams are built only for the cases that violations name."""
+def seams_per_violation(violations, cases, floorplan: Floorplan,
+                        window: int) -> list[list[GlobalSeam]]:
+    """The seams each violation is charged to, parallel to
+    ``violations``: every seam of its case whose band (widened by
+    ``window``) intersects the violation box, in (case, seam) order. A
+    violation with no case is tested against every seam of the library,
+    one whose case index is out of range against none. Seams are built
+    only for the cases that violations name."""
     by_case: dict[int, list[GlobalSeam]] = {}
     every_seam: list[GlobalSeam] | None = None
-    hits: dict[tuple[int, int], tuple[GlobalSeam, list[Violation]]] = {}
-    residual: list[Violation] = []
+    out = []
     for v in violations:
         idx = v.case_index
         if idx is None:
@@ -88,16 +87,27 @@ def attribute_to_seams(violations, cases, floorplan: Floorplan,
                 by_case[idx] = (case_seams(idx, cases[idx], floorplan)
                                 if 0 <= idx < len(cases) else [])
             candidates = by_case[idx]
-        attributed = False
-        for s in candidates:
-            if s.band(window).intersects(v.bbox):
-                hits.setdefault((s.case_index, s.seam_index),
-                                (s, []))[1].append(v)
-                attributed = True
-        if not attributed:
-            residual.append(v)
-    reports = [SeamReport(seam, tuple(hit))
-               for _, (seam, hit) in sorted(hits.items())]
+        out.append([s for s in candidates
+                     if s.band(window).intersects(v.bbox)])
+    return out
+
+
+def attribute_to_seams(violations, cases, floorplan: Floorplan,
+                       window: int) -> tuple[list[SeamReport], list[Violation]]:
+    """``seams_per_violation`` grouped by seam: per-seam reports (seams
+    with at least one hit) in (case, seam) order and the residual list of
+    violations charged to no seam. Every violation appears either in >= 1
+    seam report or in the residual, never both."""
+    per_violation = seams_per_violation(violations, cases, floorplan,
+                                        window)
+    hits: dict[GlobalSeam, list[Violation]] = {}
+    for v, seams in zip(violations, per_violation):
+        for s in seams:
+            hits.setdefault(s, []).append(v)
+    reports = [SeamReport(s, tuple(hits[s])) for s in
+               sorted(hits, key=lambda s: (s.case_index, s.seam_index))]
+    residual = [v for v, seams in zip(violations, per_violation)
+                if not seams]
     return reports, residual
 
 
@@ -158,18 +168,6 @@ def summarize(results: list[VerificationResult]) -> SummaryTable:
                               for name in order))
 
 
-def seams_per_violation(violations, seam_reports) -> list[list[GlobalSeam]]:
-    """The seams each violation was attributed to, in report order: the
-    inverse of ``attribute_to_seams``' reports, parallel to
-    ``violations``."""
-    index = {id(v): i for i, v in enumerate(violations)}
-    seams: list[list[GlobalSeam]] = [[] for _ in violations]
-    for rep in seam_reports:
-        for v in rep.violations:
-            seams[index[id(v)]].append(rep.seam)
-    return seams
-
-
 def violation_record(v: Violation, cases, seams) -> dict:
     """JSON-able record for one violation, including ``seams``, the seams
     it was attributed to (its entry of ``seams_per_violation``)."""
@@ -190,9 +188,8 @@ def violation_record(v: Violation, cases, seams) -> dict:
 def render_jsonl(result: VerificationResult, window: int) -> str:
     """One line per violation: kind, layer, bbox, case, attributed seams,
     shape ids, pattern."""
-    reports, _ = attribute_to_seams(result.violations, result.cases,
-                                    result.floorplan, window)
-    seams = seams_per_violation(result.violations, reports)
+    seams = seams_per_violation(result.violations, result.cases,
+                                result.floorplan, window)
     lines = [json.dumps(violation_record(v, result.cases, s), sort_keys=True)
              for v, s in zip(result.violations, seams)]
     return "".join(line + "\n" for line in lines)

@@ -78,6 +78,20 @@ class RuleDeck:
     def layer_rule(self, layer: str) -> LayerRule | None:
         return self.layers.get(layer)
 
+    def reach(self, layer: str) -> int | None:
+        """The largest distance any check looks across on ``layer``: its
+        spacing minimums (the same-mask one also bounds the conflict
+        graph) and the ``max_gap`` of its hotspot patterns. None when no
+        check reads the layer's neighbours."""
+        reaches = [p.max_gap for p in self.hotspot_patterns
+                   if p.layer == layer]
+        rule = self.layers.get(layer)
+        if rule is not None:
+            reaches.append(rule.min_spacing_any_mask)
+            if rule.min_spacing_same_mask is not None:
+                reaches.append(rule.min_spacing_same_mask)
+        return max(reaches, default=None)
+
     @property
     def dpt_layers(self) -> list[str]:
         return [name for name, r in sorted(self.layers.items()) if r.dpt]
@@ -175,16 +189,13 @@ def parse_rules(text: str) -> RuleDeck:
                 _require(raw, "min_run_length", where),
                 "min_run_length", where)))
 
-    reach = max([r.min_spacing_same_mask for r in layers.values()
-                 if r.min_spacing_same_mask is not None]
-                + [r.min_spacing_any_mask for r in layers.values()]
-                + [p.max_gap for p in patterns])
+    deck = RuleDeck(row_height=row_height, site_width=site_width,
+                    interaction_distance=interaction, layers=layers,
+                    hotspot_patterns=tuple(patterns),
+                    name=str(doc.get("name", "rules")))
+    reach = max(deck.reach(layer) for layer in layers)
     if interaction < reach:
         raise InconsistentSpacingError(
             f"interaction_distance {interaction} is below the largest rule "
             f"reach {reach}")
-
-    return RuleDeck(row_height=row_height, site_width=site_width,
-                    interaction_distance=interaction, layers=layers,
-                    hotspot_patterns=tuple(patterns),
-                    name=str(doc.get("name", "rules")))
+    return deck

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from seamcheck.cli import main
 
 from conftest import TESTDATA, synth_lef
@@ -84,6 +86,46 @@ class TestGenerate:
         m = json.loads((out / "manifest_mix.json").read_text())
         assert m["expected_placements"] is None
         assert m["coverage_complete"] is True
+
+
+    def test_off_grid_cell_width_exits_two(self, tmp_path, capsys):
+        lef = tmp_path / "offgrid.lef"
+        lef.write_text((TESTDATA / "seamdemo.lef").read_text()
+                       .replace("SIZE 0.2 BY", "SIZE 0.201 BY", 1))
+        out = tmp_path / "out"
+        assert run(["generate", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "site width" in err
+        assert not (out / "testcases_seamdemo.def").exists()
+
+
+class TestLibraryNames:
+    """Output files are named after the LIBRARY name, so two libraries
+    that share one must not overwrite each other's results."""
+
+    @pytest.mark.parametrize("command", ["profile", "generate", "verify"])
+    def test_repeated_library_name_exits_two(self, tmp_path, capsys,
+                                             command):
+        twin = tmp_path / "twin.lef"
+        twin.write_text((TESTDATA / "clean.lef").read_text()
+                        .replace("LIBRARY cleandemo", "LIBRARY seamdemo"))
+        out = tmp_path / "out"
+        argv = [command, "--libs", SEAM, str(twin), "--out", str(out)]
+        if command != "profile":
+            argv += ["--rules", RULES]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert SEAM in err and str(twin) in err and "seamdemo" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_distinct_names_still_run_together(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", SEAM, CLEAN, "--rules", RULES,
+                    "--out", str(out)]) == 1
+        summary = (out / "summary.txt").read_text()
+        assert "seamdemo" in summary and "cleandemo" in summary
 
 
 class TestVerify:
@@ -272,6 +314,46 @@ class TestReport:
             assert run(["report", "--out", str(out)]) == 2, (key, value)
             err = capsys.readouterr().err
             assert err.startswith("error:") and key in err, (key, value)
+
+    def test_malformed_results_structure_exits_two(self, tmp_path, capsys):
+        out = self.prepared(tmp_path)
+        results = out / "results.json"
+        good = json.loads(results.read_text())
+
+        def edited(change):
+            doc = json.loads(json.dumps(good))
+            change(doc)
+            return json.dumps(doc)
+
+        def record(doc):
+            return doc["libraries"][0]["runs"][0]["violations"][0]
+
+        cases = [
+            ("libraries", json.dumps({**good, "libraries": 5})),
+            ("libraries[0].runs",
+             edited(lambda d: d["libraries"][0].pop("runs"))),
+            ("libraries[0].runs[0].drc",
+             edited(lambda d: d["libraries"][0]["runs"][0]
+                    .update(drc="3"))),
+            ("libraries[0].runs[0].violations[0].bbox",
+             edited(lambda d: record(d).update(bbox=[1, 2]))),
+            ("libraries[0].runs[0].violations[0].kind",
+             edited(lambda d: record(d).update(kind="Nope"))),
+            ("libraries[0].runs[0].violations[0].kind",
+             edited(lambda d: record(d).update(kind=["Width"]))),
+            ("libraries[0].runs[0].violations[0].shape_ids",
+             edited(lambda d: record(d).update(shape_ids="7"))),
+            ("rules", json.dumps({**good, "rules": 7})),
+            ("top level", json.dumps([good])),
+            ("is not valid JSON", "{not json"),
+        ]
+        for key, text in cases:
+            results.write_text(text)
+            capsys.readouterr()
+            assert run(["report", "--out", str(out)]) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith("error:"), key
+            assert str(results) in err and key in err, (key, err)
 
     def test_clean_run_renders_no_svgs(self, tmp_path):
         out = tmp_path / "out"

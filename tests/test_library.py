@@ -120,6 +120,14 @@ class TestParseLibrary:
         with pytest.raises(NonIntegerHeightError):
             parse_library(text)
 
+    def test_off_grid_width_rejected(self):
+        text = MINIMAL.replace("SIZE 0.2 BY 0.576", "SIZE 0.201 BY 0.576")
+        with pytest.raises(ParseError) as info:
+            parse_library(text)
+        assert (info.value.line, info.value.col) == (3, 7)
+        assert "width 201 DBU" in str(info.value)
+        assert "site width 8 DBU" in str(info.value)
+
     def test_duplicate_macro_rejected(self):
         text = MINIMAL.replace("MACRO DFF2", "MACRO INV").replace("END DFF2", "END INV")
         with pytest.raises(DuplicateCellError):

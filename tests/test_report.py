@@ -241,9 +241,8 @@ class TestJsonl:
 
     def test_record_seam_sides_are_labeled(self, seam_library, demo_rules):
         res = run_all(seam_library, demo_rules, OPT_I)
-        reports, _ = attribute_to_seams(res.violations, res.cases,
-                                        res.floorplan, 200)
-        seams = seams_per_violation(res.violations, reports)
+        seams = seams_per_violation(res.violations, res.cases,
+                                    res.floorplan, 200)
         rec = violation_record(res.violations[0], res.cases, seams[0])
         side = rec["seams"][0]["left"]
         cell, orient = side.split(":")
