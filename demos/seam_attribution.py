@@ -33,7 +33,9 @@ def main() -> None:
           f"{len(seamy.violations)} violations, "
           f"{len(residual)} residual (not near any seam)")
     for rep in reports:
-        print(f"  {rep.seam.label()}")
+        s = rep.seam
+        print(f"  {s.module} seam@{s.x} "
+              f"{s.left[0]}:{s.left[1]}|{s.right[0]}:{s.right[1]}")
         for v in rep.violations:
             print(f"    {v.kind.value} on {v.layer} at {tuple(v.bbox)}")
 

@@ -3,10 +3,9 @@ enumeration, Verilog/DEF emission, and seam-level DRC / double-patterning
 / hotspot checking."""
 
 from .abutment import (AbutmentCase, CaseKind, CoverageReport, Placement,
-                       Seam, canonical_class, class_universe, coverage_check,
-                       enumerate_library, expected_count, gen_single_multi,
-                       gen_type_aa, gen_type_ab, legal_orientations,
-                       mirror_topology)
+                       Seam, coverage_check, enumerate_library,
+                       expected_count, gen_single_multi, gen_type_aa,
+                       gen_type_ab)
 from .checks import (ConflictGraph, DecomposeResult, DptOption,
                      LayerNeighbours, VerificationResult, Violation,
                      ViolationKind, apply_colors, build_conflict_graph,
@@ -19,7 +18,7 @@ from .errors import (CaseTooWideError, DuplicateCellError,
                      InconsistentSpacingError, MissingLayerRuleError,
                      NameCollisionError, NonIntegerHeightError, ParseError,
                      ShapeOutOfBoundsError)
-from .floorplan import Floorplan, plan_floorplan
+from .floorplan import Floorplan, plan_floorplan, plan_library
 from .geometry import (FlatLayout, FlatShape, Mask, Orientation, ParallelRun,
                        Rect, UnknownCellRefError, UnknownOrientationCodeError,
                        connected_components, flatten, parallel_runs,

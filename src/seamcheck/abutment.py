@@ -23,7 +23,7 @@ universe by brute force and reports anything the cases fail to realize.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .errors import HeightMismatchError
@@ -69,13 +69,7 @@ class AbutmentCase:
     seams: tuple[Seam, ...]
     width: int
     height_rows: int
-
-    @property
-    def module_name(self) -> str:
-        if self.cell_b is None:
-            return f"scell_{_sanitize(self.cell_a)}"
-        prefix = "mcell" if self.kind is CaseKind.AB_SINGLE_MULTI else "scell"
-        return f"{prefix}_{_sanitize(self.cell_a)}_{_sanitize(self.cell_b)}"
+    module_name: str
 
 
 def _sanitize(name: str) -> str:
@@ -83,21 +77,6 @@ def _sanitize(name: str) -> str:
     if not out or out[0].isdigit():
         out = "c" + out
     return out
-
-
-def legal_orientations(row: int) -> frozenset[Orientation]:
-    """Orientations placeable on a row: even rows {R0, MY}, odd rows (rails
-    swapped) {MX, R180}."""
-    if row % 2 == 0:
-        return frozenset((Orientation.R0, Orientation.MY))
-    return frozenset((Orientation.MX, Orientation.R180))
-
-
-def base_row_orientation(o: Orientation) -> Orientation:
-    """Collapse an odd-row orientation onto its even-row equivalent."""
-    if o in (Orientation.R0, Orientation.MY):
-        return o
-    return o.flipped_ud
 
 
 _AA_ORIENTS = (Orientation.MY, Orientation.R0, Orientation.R0, Orientation.MY)
@@ -114,9 +93,12 @@ def _chain(kind: CaseKind, cell_a: CellProfile,
     instances are numbered U1.. in placement order."""
     if cell_b is None:
         columns = tuple(zip((cell_a,) * 4, _AA_ORIENTS))
+        module = f"scell_{_sanitize(cell_a.name)}"
     else:
         columns = tuple(zip((cell_b, cell_a, cell_b, cell_a, cell_b),
                             _AB_ORIENTS))
+        prefix = "mcell" if kind is CaseKind.AB_SINGLE_MULTI else "scell"
+        module = f"{prefix}_{_sanitize(cell_a.name)}_{_sanitize(cell_b.name)}"
     k = cell_a.height_rows
     row_h = cell_a.height // k
     placements: list[Placement] = []
@@ -137,7 +119,7 @@ def _chain(kind: CaseKind, cell_a: CellProfile,
         x += c.width
     return AbutmentCase(kind, cell_a.name,
                         None if cell_b is None else cell_b.name,
-                        tuple(placements), tuple(seams), x, k)
+                        tuple(placements), tuple(seams), x, k, module)
 
 
 def gen_type_aa(cell: CellProfile) -> AbutmentCase:
@@ -177,7 +159,8 @@ def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
     """All testcases for a library in canonical order: one A-A case per
     cell in library order, then one case per unordered cell pair (i < j)
     in index order. Pairs of two multi-height cells are out of scope and
-    skipped."""
+    skipped. Module names are unique: a case whose sanitized name is
+    taken by an earlier case gets the first free suffix _2, _3, ..."""
     cases = [gen_type_aa(c) for c in library.cells]
     cells = library.cells
     for i in range(len(cells)):
@@ -191,6 +174,15 @@ def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
                 cases.append(gen_single_multi(a, b))
             else:
                 cases.append(gen_single_multi(b, a))
+    taken: set[str] = set()
+    for k, case in enumerate(cases):
+        name, n = case.module_name, 1
+        while name in taken:
+            n += 1
+            name = f"{case.module_name}_{n}"
+        if n > 1:
+            cases[k] = replace(case, module_name=name)
+        taken.add(name)
     return cases
 
 
@@ -212,23 +204,6 @@ def expected_count(n: int, mode: str = "proposed") -> int:
 Topology = tuple[tuple[str, Orientation], tuple[str, Orientation]]
 
 
-def mirror_topology(t: Topology) -> Topology:
-    """Left-right mirror: order reverses and R0 <-> MY on both sides."""
-    (xc, xo), (yc, yo) = t
-    return ((yc, yo.mirrored_lr), (xc, xo.mirrored_lr))
-
-
-def canonical_class(t: Topology, order: dict[str, int]) -> Topology:
-    """Representative of t's mirror class: the lexicographically smaller
-    of t and mirror(t) under library index order."""
-    def key(tt: Topology):
-        (xc, xo), (yc, yo) = tt
-        return (order[xc], xo.value, order[yc], yo.value)
-
-    m = mirror_topology(t)
-    return t if key(t) <= key(m) else m
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     universe: int
@@ -240,48 +215,38 @@ class CoverageReport:
         return not self.missing
 
 
-def class_universe(library: CellLibrary) -> set[Topology]:
-    """Brute-force enumeration of every in-scope abutment class: all
-    ordered (cell, orient) pairs over {R0, MY}, mirror-reduced. Pairs of
-    two distinct multi-height cells are out of scope."""
-    order = {c.name: i for i, c in enumerate(library.cells)}
-    classes: set[Topology] = set()
-    orients = (Orientation.R0, Orientation.MY)
-    for a in library.cells:
-        for b in library.cells:
-            if a.name != b.name and a.is_multi and b.is_multi:
-                continue
-            for o1 in orients:
-                for o2 in orients:
-                    classes.add(canonical_class(
-                        ((a.name, o1), (b.name, o2)), order))
-    return classes
-
-
-def covered_classes(cases: Iterable[AbutmentCase],
-                    library: CellLibrary) -> set[Topology]:
-    order = {c.name: i for i, c in enumerate(library.cells)}
-    out: set[Topology] = set()
-    for case in cases:
-        for seam in case.seams:
-            t = ((seam.left[0], base_row_orientation(seam.left[1])),
-                 (seam.right[0], base_row_orientation(seam.right[1])))
-            out.add(canonical_class(t, order))
-    return out
+# Side of a base-row orientation; odd-row orientations fold onto the base
+# row. Left-right mirroring maps side s to 1 - s (R0 <-> MY).
+_SIDE = {Orientation.MY: 0, Orientation.R180: 0,
+         Orientation.R0: 1, Orientation.MX: 1}
+_SIDE_ORIENT = (Orientation.MY, Orientation.R0)
 
 
 def coverage_check(cases: Iterable[AbutmentCase],
                    library: CellLibrary) -> CoverageReport:
     """Compare realized seam topologies against the brute-force class
-    universe. Complete iff nothing is missing."""
-    universe = class_universe(library)
-    covered = covered_classes(cases, library)
-    order = {c.name: i for i, c in enumerate(library.cells)}
+    universe: every ordered (cell, orientation) pair over {R0, MY},
+    except pairs of two distinct multi-height cells. A topology is
+    (left index, left side, right index, right side) over library order;
+    its class is the smaller of it and its left-right mirror. Complete
+    iff nothing is missing; ``missing`` is sorted by (left cell, right
+    cell, left orientation, right orientation)."""
+    cells = library.cells
+    index = {c.name: i for i, c in enumerate(cells)}
 
-    def key(t: Topology):
-        (xc, xo), (yc, yo) = t
-        return (order[xc], order[yc], xo.value, yo.value)
+    def cls(x, ox, y, oy):
+        return min((x, ox, y, oy), (y, 1 - oy, x, 1 - ox))
 
-    missing = tuple(sorted(universe - covered, key=key))
-    return CoverageReport(len(universe), len(universe - set(missing)),
-                          missing)
+    universe = {cls(x, ox, y, oy)
+                for x, a in enumerate(cells) for y, b in enumerate(cells)
+                if x == y or not (a.is_multi and b.is_multi)
+                for ox in (0, 1) for oy in (0, 1)}
+    covered = {cls(index[s.left[0]], _SIDE[s.left[1]],
+                   index[s.right[0]], _SIDE[s.right[1]])
+               for case in cases for s in case.seams}
+    missing = sorted(universe - covered,
+                     key=lambda t: (t[0], t[2], t[1], t[3]))
+    return CoverageReport(
+        len(universe), len(universe) - len(missing),
+        tuple(((cells[x].name, _SIDE_ORIENT[ox]),
+               (cells[y].name, _SIDE_ORIENT[oy])) for x, ox, y, oy in missing))

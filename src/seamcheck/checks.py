@@ -15,9 +15,8 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .abutment import enumerate_library
 from .errors import IncompleteAssignmentError
-from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_floorplan
+from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
 from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
                        connected_components, flatten, parallel_runs,
                        union_all)
@@ -427,16 +426,7 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     """Full pipeline: enumerate cases, pack them, then verify each case in
     isolation (the floorplan gap guarantees cases cannot interact).
     Violations are listed in case order."""
-    if library.row_height != rules.row_height:
-        raise ValueError(
-            f"library row height {library.row_height} != rule deck row "
-            f"height {rules.row_height}")
-    if library.site_width != rules.site_width:
-        raise ValueError(
-            f"library site width {library.site_width} != rule deck site "
-            f"width {rules.site_width}")
-    cases = enumerate_library(library)
-    floorplan = plan_floorplan(cases, rules, max_row_width)
+    cases, floorplan = plan_library(library, rules, max_row_width)
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
     for idx in range(len(cases)):

@@ -21,10 +21,10 @@ import sys
 import yaml
 
 from . import defio, netlist, report
-from .abutment import coverage_check, enumerate_library, expected_count
+from .abutment import coverage_check, expected_count
 from .checks import (DptOption, Violation, ViolationKind, case_layout,
                      run_all)
-from .floorplan import DEFAULT_MAX_ROW_WIDTH, plan_floorplan
+from .floorplan import DEFAULT_MAX_ROW_WIDTH, plan_library
 from .geometry import Rect
 from .library import parse_library, profile
 from .rules import parse_rules
@@ -158,8 +158,7 @@ def cmd_generate(args) -> int:
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     status = 0
     for path, lib in _load_libraries(opt.libs()):
-        cases = enumerate_library(lib)
-        fp = plan_floorplan(cases, rules, max_row_width)
+        cases, fp = plan_library(lib, rules, max_row_width)
         _write(os.path.join(out_dir, f"testcases_{lib.name}.v"),
                netlist.emit_verilog(cases))
         _write(os.path.join(out_dir, f"testcases_{lib.name}.def"),
@@ -340,15 +339,17 @@ def cmd_report(args) -> int:
     for entry in payload["libraries"]:
         counts = {}
         lib = libs.get(entry["name"])
-        if lib is not None:
-            cases = enumerate_library(lib)
-            fp = plan_floorplan(cases, rules, max_row_width)
-            module_index = {c.module_name: i for i, c in enumerate(cases)}
+        cases = None  # laid out only when an SVG may be drawn
         for run in entry["runs"]:
             counts[f"drc_{run['option']}"] = run["drc"]
             counts[f"drcplus_{run['option']}"] = run["drcplus"]
-            if lib is None:
+            if lib is None or svg_cap <= 0 or all(
+                    rec["case"] is None for rec in run["violations"]):
                 continue
+            if cases is None:
+                cases, fp = plan_library(lib, rules, max_row_width)
+                module_index = {c.module_name: i
+                                for i, c in enumerate(cases)}
             option = DptOption(run["option"])
             picked = []  # (record index, violation), one per SVG
             for vi, rec in enumerate(run["violations"]):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abutment import AbutmentCase, Placement
+from .abutment import AbutmentCase, Placement, enumerate_library
 from .errors import CaseTooWideError
 from .geometry import Rect
+from .library import CellLibrary
 from .rules import RuleDeck
 
 DEFAULT_MAX_ROW_WIDTH = 200_000
@@ -20,7 +21,6 @@ DEFAULT_MAX_ROW_WIDTH = 200_000
 
 @dataclass(frozen=True)
 class Floorplan:
-    max_row_width: int
     case_gap: int
     row_height: int
     positions: tuple[tuple[int, int], ...]  # per case: (row index, x offset)
@@ -75,5 +75,22 @@ def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
     die_w = max((pos[1] + case.width
                  for pos, case in zip(positions, cases)), default=0)
     die_h = total_rows * rules.row_height
-    return Floorplan(max_row_width, gap, rules.row_height, tuple(positions),
+    return Floorplan(gap, rules.row_height, tuple(positions),
                      Rect(0, 0, max(die_w, 1), max(die_h, 1)))
+
+
+def plan_library(library: CellLibrary, rules: RuleDeck,
+                 max_row_width: int) -> tuple[list[AbutmentCase], Floorplan]:
+    """The library's cases and their floorplan. The library's row height
+    and site width must be the rule deck's, because cases are packed on
+    the deck's rows and site grid."""
+    if library.row_height != rules.row_height:
+        raise ValueError(
+            f"library row height {library.row_height} != rule deck row "
+            f"height {rules.row_height}")
+    if library.site_width != rules.site_width:
+        raise ValueError(
+            f"library site width {library.site_width} != rule deck site "
+            f"width {rules.site_width}")
+    cases = enumerate_library(library)
+    return cases, plan_floorplan(cases, rules, max_row_width)

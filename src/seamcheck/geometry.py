@@ -96,12 +96,6 @@ class Orientation(enum.Enum):
                 f"unsupported DEF orientation code {code!r}") from None
 
     @property
-    def mirrored_lr(self) -> "Orientation":
-        """Orientation this cell shows after mirroring the whole layout
-        about a vertical axis (R0 <-> MY, R180 <-> MX)."""
-        return _MIRROR_LR[self]
-
-    @property
     def flipped_ud(self) -> "Orientation":
         """Orientation of the same cell placed on the alternate row
         (rails swapped): R0 <-> MX, MY <-> R180."""
@@ -118,12 +112,6 @@ _DEF_CODE = {
     Orientation.MY: "FN",
 }
 _FROM_DEF_CODE = {code: o for o, code in _DEF_CODE.items()}
-_MIRROR_LR = {
-    Orientation.R0: Orientation.MY,
-    Orientation.MY: Orientation.R0,
-    Orientation.R180: Orientation.MX,
-    Orientation.MX: Orientation.R180,
-}
 _FLIP_UD = {
     Orientation.R0: Orientation.MX,
     Orientation.MX: Orientation.R0,

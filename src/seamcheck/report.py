@@ -34,10 +34,6 @@ class GlobalSeam:
         return Rect(self.x - window, self.y_lo - window,
                     self.x + window, self.y_hi + window)
 
-    def label(self) -> str:
-        return (f"{self.module} seam@{self.x} "
-                f"{self.left[0]}:{self.left[1]}|{self.right[0]}:{self.right[1]}")
-
 
 @dataclass(frozen=True)
 class SeamReport:

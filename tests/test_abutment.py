@@ -5,27 +5,28 @@ represents each seam topology as the frozenset of its two ordered
 variants, entirely independent of the library's canonicalization.
 """
 
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seamcheck import (
     CaseKind,
+    CellLibrary,
     HeightMismatchError,
     Orientation,
-    canonical_class,
     coverage_check,
     enumerate_library,
     expected_count,
     gen_single_multi,
     gen_type_aa,
     gen_type_ab,
-    legal_orientations,
-    mirror_topology,
 )
 
-from conftest import synth_cell, synth_library
+from conftest import ROW_HEIGHT, SITE_WIDTH, synth_cell, synth_library
 
 R0, R180, MX, MY = (Orientation.R0, Orientation.R180,
                     Orientation.MX, Orientation.MY)
@@ -68,13 +69,6 @@ def oracle_covered(cases):
                  (seam.right[0], names[seam.right[1].name]))
             covered.add(oracle_class(t))
     return covered
-
-
-class TestLegalOrientations:
-    def test_row_parity(self):
-        assert set(legal_orientations(0)) == {R0, MY}
-        assert set(legal_orientations(1)) == {MX, R180}
-        assert set(legal_orientations(2)) == {R0, MY}
 
 
 class TestTypeAA:
@@ -254,6 +248,52 @@ class TestEnumerateLibrary:
         lib = synth_library(5, multi_every=3, with_shapes=False)
         assert enumerate_library(lib) == enumerate_library(lib)
 
+    def test_colliding_sanitized_names_get_suffixes(self):
+        lib = named_library(["X_Y", "Z", "X", "Y_Z"])
+        names = [c.module_name for c in enumerate_library(lib)]
+        assert len(names) == 10 == len(set(names))
+        assert names.index("scell_X_Y_Z") < names.index("scell_X_Y_Z_2")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.text("AXY_9-", min_size=1, max_size=4),
+                              st.booleans()),
+                    min_size=1, max_size=6, unique_by=lambda c: c[0]))
+    def test_module_names_unique(self, spec):
+        lib = named_library([name for name, _ in spec],
+                            multi={name for name, multi in spec if multi})
+        cases = enumerate_library(lib)
+        names = [c.module_name for c in cases]
+        assert len(set(names)) == len(names)
+        plain = all(re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", name)
+                    for name, _ in spec)
+        for k, case in enumerate(cases):
+            base = oracle_module_name(case)
+            if plain or base not in names[:k]:
+                assert case.module_name == base
+            else:
+                head, _, suffix = case.module_name.rpartition("_")
+                assert head == base and int(suffix) >= 2
+
+
+def named_library(names, multi=()):
+    """Shape-less library of the given cell names; cells in ``multi`` are
+    two rows tall."""
+    return CellLibrary("named", ROW_HEIGHT, SITE_WIDTH, tuple(
+        dataclasses.replace(synth_cell(i, 2 if name in multi else 1,
+                                       with_shape=False), name=name)
+        for i, name in enumerate(names)))
+
+
+def oracle_module_name(case):
+    """The sanitized name a case has when no earlier case took it."""
+    def clean(name):
+        name = re.sub(r"[^A-Za-z0-9_]", "_", name)
+        return name if name[:1].isalpha() or name[:1] == "_" else "c" + name
+
+    prefix = "mcell" if case.kind is CaseKind.AB_SINGLE_MULTI else "scell"
+    cells = [case.cell_a] + ([case.cell_b] if case.cell_b else [])
+    return "_".join([prefix] + [clean(c) for c in cells])
+
 
 class TestExpectedCount:
     def test_small_values(self):
@@ -270,25 +310,6 @@ class TestExpectedCount:
         for n in range(0, 60):
             assert expected_count(n, "proposed") == 4 * n + 5 * n * (n - 1) // 2
             assert expected_count(n, "conventional") == 8 * n + 8 * n * (n - 1)
-
-
-class TestMirrorClasses:
-    def test_mirror_topology_is_involution(self):
-        rng = random.Random(5)
-        cells = ["X", "Y", "Z"]
-        for _ in range(100):
-            t = ((rng.choice(cells), rng.choice((R0, MY))),
-                 (rng.choice(cells), rng.choice((R0, MY))))
-            assert mirror_topology(mirror_topology(t)) == t
-
-    def test_canonical_is_mirror_invariant(self):
-        rng = random.Random(6)
-        order = {"X": 0, "Y": 1, "Z": 2}
-        for _ in range(200):
-            t = ((rng.choice("XYZ"), rng.choice((R0, MY))),
-                 (rng.choice("XYZ"), rng.choice((R0, MY))))
-            assert canonical_class(t, order) == \
-                canonical_class(mirror_topology(t), order)
 
 
 class TestCoverage:
@@ -328,6 +349,47 @@ class TestCoverage:
         names = [c.name for c in lib.cells]
         assert missing_pairs == {frozenset((a, b))
                                  for a in names for b in names if a != b}
+
+    def test_missing_matches_oracle_on_random_subsets(self):
+        rng = random.Random(11)
+        for trial in range(30):
+            lib = synth_library(rng.randrange(1, 8),
+                                multi_every=rng.choice((0, 2, 3)),
+                                with_shapes=False)
+            cases = [c for c in enumerate_library(lib)
+                     if rng.random() < 0.6]
+            report = coverage_check(cases, lib)
+            names = [c.name for c in lib.cells]
+            multi = {c.name for c in lib.cells if c.is_multi}
+            universe = oracle_universe(names, multi)
+            missing = [((a, oa.name), (b, ob.name))
+                       for (a, oa), (b, ob) in report.missing]
+            assert ({oracle_class(t) for t in missing}
+                    == universe - oracle_covered(cases)), trial
+            assert len(set(map(oracle_class, missing))) == len(missing)
+            assert report.universe == len(universe)
+            assert report.covered == len(universe) - len(missing)
+            # Each class appears as its smaller variant under library
+            # order ("MY" < "R0"), sorted by cells, then orientations.
+            order = {name: i for i, name in enumerate(names)}
+
+            def key(t):
+                (a, oa), (b, ob) = t
+                return (order[a], oa, order[b], ob)
+
+            assert all(key(t) <= key(oracle_mirror(t)) for t in missing)
+            assert missing == sorted(missing, key=lambda t: (
+                order[t[0][0]], order[t[1][0]], t[0][1], t[1][1]))
+
+    def test_odd_row_seams_count_as_base_row_classes(self):
+        lib = synth_library(3, with_shapes=False)
+        cases = enumerate_library(lib)[:4]
+        flipped = [dataclasses.replace(c, seams=tuple(
+            s._replace(left=(s.left[0], s.left[1].flipped_ud),
+                       right=(s.right[0], s.right[1].flipped_ud))
+            for s in c.seams)) for c in cases]
+        report = coverage_check(flipped, lib)
+        assert report.missing and report == coverage_check(cases, lib)
 
     def test_empty_library_is_vacuously_complete(self):
         lib = synth_library(0, with_shapes=False)

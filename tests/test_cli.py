@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main()."""
 
 import json
+import re
 
 import pytest
 
@@ -98,6 +99,32 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "site width" in err
         assert not (out / "testcases_seamdemo.def").exists()
+
+    def test_row_height_unlike_the_deck_exits_two(self, tmp_path, capsys):
+        # 600-DBU cells would be stacked on the deck's 576-DBU rows.
+        lef = tmp_path / "tall.lef"
+        lef.write_text((TESTDATA / "seamdemo.lef").read_text()
+                       .replace("BY 0.576", "BY 0.600"))
+        out = tmp_path / "out"
+        assert run(["generate", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: library row height 600")
+        assert not (out / "testcases_seamdemo.def").exists()
+
+    def test_names_that_sanitize_alike_get_distinct_modules(self, tmp_path):
+        text = synth_lef(4, name="alike")
+        for i, name in enumerate(("X_Y", "Z", "X", "Y_Z")):
+            text = text.replace(f"SC{i:04d}", name)
+        lef = tmp_path / "alike.lef"
+        lef.write_text(text)
+        out = tmp_path / "out"
+        assert run(["generate", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(out)]) == 0
+        verilog = (out / "testcases_alike.v").read_text()
+        modules = re.findall(r"^module (\S+) \(\);", verilog, re.M)
+        assert len(modules) == 11 == len(set(modules))  # 10 cases + TOP
+        assert "scell_X_Y_Z" in modules and "scell_X_Y_Z_2" in modules
 
 
 class TestLibraryNames:
@@ -354,6 +381,29 @@ class TestReport:
             err = capsys.readouterr().err
             assert err.startswith("error:"), key
             assert str(results) in err and key in err, (key, err)
+
+    def test_nothing_to_draw_lays_out_nothing(self, tmp_path, monkeypatch):
+        import seamcheck.cli as climod
+
+        def refuse(*args):
+            raise AssertionError("report laid out a library")
+
+        out = self.prepared(tmp_path)
+        monkeypatch.setattr(climod, "plan_library", refuse)
+        assert run(["report", "--out", str(out), "--svg-cap", "0"]) == 0
+        results = out / "results.json"
+        doc = json.loads(results.read_text())
+        for lib in doc["libraries"]:
+            for run_ in lib["runs"]:
+                for rec in run_["violations"]:
+                    rec["case"] = None
+        results.write_text(json.dumps(doc))
+        assert run(["report", "--out", str(out)]) == 0
+        clean = tmp_path / "clean"
+        run(["verify", "--libs", CLEAN, "--rules", RULES, "--out",
+             str(clean)])
+        assert run(["report", "--out", str(clean)]) == 0
+        assert not (out / "svg").exists() and not (clean / "svg").exists()
 
     def test_clean_run_renders_no_svgs(self, tmp_path):
         out = tmp_path / "out"

@@ -101,12 +101,10 @@ class TestOrientationCodes:
             Orientation.from_def_code("FW")
 
     def test_mirror_tables(self):
-        assert Orientation.R0.mirrored_lr is Orientation.MY
-        assert Orientation.MY.mirrored_lr is Orientation.R0
-        assert Orientation.R180.mirrored_lr is Orientation.MX
-        assert Orientation.MX.mirrored_lr is Orientation.R180
         assert Orientation.R0.flipped_ud is Orientation.MX
         assert Orientation.MY.flipped_ud is Orientation.R180
+        assert Orientation.MX.flipped_ud is Orientation.R0
+        assert Orientation.R180.flipped_ud is Orientation.MY
 
 
 def bar_cell(name, width, shapes):
