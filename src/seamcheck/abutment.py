@@ -23,6 +23,7 @@ universe by brute force and reports anything the cases fail to realize.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -72,6 +73,7 @@ class AbutmentCase:
     module_name: str
 
 
+@functools.cache
 def _sanitize(name: str) -> str:
     out = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
     if not out or out[0].isdigit():

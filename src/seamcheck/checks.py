@@ -15,12 +15,13 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from .abutment import AbutmentCase, Placement
 from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
 from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
                        connected_components, flatten, parallel_runs,
                        union_all)
-from .library import CellLibrary
+from .library import CellLibrary, CellProfile
 from .rules import HotspotPattern, RuleDeck
 
 
@@ -385,18 +386,13 @@ def case_layout(case_index: int, cases, library: CellLibrary,
                 option: DptOption) -> FlatLayout:
     """Flatten one case at its floorplan position, recolored when running
     Option II. Shape ids are case-local and reproducible."""
-    layout = _flatten_case(case_index, cases, library, floorplan)
+    layout = flatten(library._by_name,
+                     floorplan.case_placements(case_index, cases[case_index]),
+                     floorplan.die_area)
     if option is DptOption.OPTION_II:
         layout, _, _ = _recolour(layout, rules,
                                  sweep_neighbours(layout, rules))
     return layout
-
-
-def _flatten_case(case_index, cases, library, floorplan) -> FlatLayout:
-    """One case's shapes at its floorplan position."""
-    return flatten(library._by_name,
-                   floorplan.case_placements(case_index, cases[case_index]),
-                   floorplan.die_area)
 
 
 def _recolour(layout, rules, neighbours):
@@ -421,27 +417,111 @@ def _recolour(layout, rules, neighbours):
     return layout, odd, recolor
 
 
+def _check_layout(layout: FlatLayout, rules: RuleDeck, option: DptOption
+                  ) -> tuple[list[Violation], dict[str, int]]:
+    """Every check of one flattened layout: one sweep per layer serves
+    Option II's recolouring and the width, spacing and hotspot checks.
+    Returns the violations sorted by ``Violation.sort_key`` and the
+    recoloured shape count per instance."""
+    neighbours = sweep_neighbours(layout, rules)
+    found: list[Violation] = []
+    recolor: dict[str, int] = {}
+    if option is DptOption.OPTION_II:
+        layout, found, recolor = _recolour(layout, rules, neighbours)
+    found.extend(check_width(layout, rules))
+    found.extend(check_spacing(layout, rules, option, neighbours))
+    found.extend(match_hotspots(layout, rules, neighbours))
+    found.sort(key=Violation.sort_key)
+    return found, recolor
+
+
+def _isolated(cell: CellProfile, rules: RuleDeck) -> bool:
+    """True when every shape of ``cell`` lies inside its outline and every
+    shape on a layer with a ``RuleDeck.reach`` lies more than half that
+    reach inside it. Two isolated instances whose interiors do not overlap
+    are then more than the reach apart on their separating axis, so no
+    check pairs shapes across them. The margins hold in every
+    orientation."""
+    for s in cell.shapes:
+        x1, y1, x2, y2 = s.rect
+        margin = min(x1, y1, cell.width - x2, cell.height - y2)
+        reach = rules.reach(s.layer)
+        if margin < 0 or (reach is not None and 2 * margin <= reach):
+            return False
+    return True
+
+
+def _alone(cell: CellProfile, orientation, rules: RuleDeck,
+           option: DptOption):
+    """One instance of an isolated ``cell`` checked on its own at the
+    origin: (violations in cell-local coordinates and shape ids,
+    recoloured shape count, shape count). None when no case can reuse it:
+    the cell is not isolated, or it has an odd cycle, which under Option
+    II keeps the drawn masks of its whole layer in every case."""
+    if not _isolated(cell, rules):
+        return None
+    layout = flatten({cell.name: cell},
+                     [Placement(cell.name, cell.name, (0, 0), orientation)],
+                     Rect(0, 0, cell.width, cell.height))
+    found, recolor = _check_layout(layout, rules, option)
+    if any(v.kind is ViolationKind.ODD_CYCLE for v in found):
+        return None
+    return found, recolor.get(cell.name, 0), len(cell.shapes)
+
+
+def _compose(case_index: int, placements, alone
+             ) -> tuple[list[Violation], dict[str, int]]:
+    """A case's violations and recolour counts as the union of its
+    instances' standalone results (``alone``, one per placement): each
+    violation moves by its instance's origin and its shape ids by the
+    shapes placed before it."""
+    found: list[Violation] = []
+    recolor: dict[str, int] = {}
+    offset = 0
+    for p, (violations, recoloured, n_shapes) in zip(placements, alone):
+        dx, dy = p.origin
+        for v in violations:
+            x1, y1, x2, y2 = v.bbox
+            found.append(replace(
+                v, bbox=Rect(x1 + dx, y1 + dy, x2 + dx, y2 + dy),
+                shape_ids=tuple(s + offset for s in v.shape_ids),
+                case_index=case_index))
+        if recoloured:
+            recolor[p.instance_name] = recoloured
+        offset += n_shapes
+    found.sort(key=Violation.sort_key)
+    return found, recolor
+
+
 def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
             max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> VerificationResult:
     """Full pipeline: enumerate cases, pack them, then verify each case in
     isolation (the floorplan gap guarantees cases cannot interact).
-    Violations are listed in case order."""
+    A case made only of isolated cells (``_isolated``) is composed from
+    per-(cell, orientation) results checked once per call; any other
+    case is flattened and checked whole. Violations are listed in case
+    order."""
     cases, floorplan = plan_library(library, rules, max_row_width)
+    cells = library._by_name
+    standalone: dict = {}  # (cell, orientation) -> _alone(...)
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
-    for idx in range(len(cases)):
-        layout = _flatten_case(idx, cases, library, floorplan)
-        # One sweep per layer serves the recolouring and every checker.
-        neighbours = sweep_neighbours(layout, rules)
-        found: list[Violation] = []
-        if option is DptOption.OPTION_II:
-            layout, found, case_recolor = _recolour(layout, rules,
-                                                    neighbours)
-            recolor.update(case_recolor)
-        found.extend(check_width(layout, rules))
-        found.extend(check_spacing(layout, rules, option, neighbours))
-        found.extend(match_hotspots(layout, rules, neighbours))
-        found.sort(key=Violation.sort_key)
-        violations.extend(replace(v, case_index=idx) for v in found)
+    for idx, case in enumerate(cases):
+        placements = floorplan.case_placements(idx, case)
+        alone = []
+        for p in placements:
+            key = (p.cell_ref, p.orientation)
+            if key not in standalone:
+                standalone[key] = _alone(cells[p.cell_ref], p.orientation,
+                                         rules, option)
+            alone.append(standalone[key])
+        if None in alone:
+            layout = flatten(cells, placements, floorplan.die_area)
+            found, case_recolor = _check_layout(layout, rules, option)
+            found = [replace(v, case_index=idx) for v in found]
+        else:
+            found, case_recolor = _compose(idx, placements, alone)
+        violations.extend(found)
+        recolor.update(case_recolor)
     return VerificationResult(library, rules, option, cases, floorplan,
                               tuple(violations), recolor)

@@ -108,18 +108,21 @@ class _Options:
     def libs(self, required: bool = True):
         value = self.get("libs", required=required)
         if value is not None and not (
-                isinstance(value, list)
+                isinstance(value, list) and value
                 and all(isinstance(v, str) for v in value)):
-            raise ValueError(f"option libs must be a list of paths, "
-                             f"not {value!r}")
+            raise ValueError(f"option libs must be a list of one or more "
+                             f"paths, not {value!r}")
         return value
 
 
 def _dpt_options(opt: _Options) -> list[DptOption]:
-    token = str(opt.get("dpt_option", "both"))
-    if token == "both":
+    value = opt.get("dpt_option", "both")
+    if value == "both":
         return [DptOption.OPTION_I, DptOption.OPTION_II]
-    return [DptOption(token)]
+    if value not in ("I", "II"):
+        raise ValueError(f"option dpt_option must be I, II or both, "
+                         f"not {value!r}")
+    return [DptOption(value)]
 
 
 def cmd_profile(args) -> int:

@@ -18,11 +18,8 @@ from seamcheck import (
     FlatShape,
     HotspotPattern,
     IncompleteAssignmentError,
-    LayerRule,
     Mask,
     Rect,
-    RuleDeck,
-    Violation,
     ViolationKind,
     apply_colors,
     build_conflict_graph,
@@ -35,6 +32,8 @@ from seamcheck import (
     sweep_neighbours,
 )
 
+from brute import (ORACLE_DECK, brute_conflict_edges, brute_hotspots,
+                   brute_spacing)
 from conftest import read_testdata
 
 OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
@@ -391,19 +390,6 @@ class TestHotspots:
             assert len(hotspots(layout, QUAD)) == k
 
 
-# Oracle deck: a DPT layer, a single-mask layer and a rule-less layer
-# that only a hotspot pattern reads, so every sweep consumer is exercised.
-ORACLE_DECK = RuleDeck(
-    row_height=576, site_width=8, interaction_distance=200,
-    layers={"M1": LayerRule("M1", 32, 32, 64, True),
-            "M2": LayerRule("M2", 32, 48)},
-    hotspot_patterns=(
-        HotspotPattern("quad", "M1", (Mask.E1, Mask.E2, Mask.E1, Mask.E2),
-                       50, 100),
-        HotspotPattern("twin", "M2", (Mask.E1, Mask.E1), 80, 60),
-        HotspotPattern("tri", "M3", (Mask.E2, Mask.E1, Mask.E2), 64, 40)))
-
-
 def random_bar_layout(rng, groups=8):
     """Rows of parallel bars (either direction) with gaps around every
     limit of ORACLE_DECK, ragged ends and mostly two-mask colouring, plus
@@ -430,129 +416,6 @@ def random_bar_layout(rng, groups=8):
             mask = Mask.E2 if mask is Mask.E1 else Mask.E1
             x += w + rng.choice(gaps)
     return layout_of(*specs, die=Rect(0, 0, 2500, 2500))
-
-
-def brute_run(a: Rect, b: Rect):
-    """(spacing, axis) of two rects facing each other across a gap >= 0
-    with positive overlap along the gap, else None."""
-    gap_x = max(a.x1, b.x1) - min(a.x2, b.x2)
-    gap_y = max(a.y1, b.y1) - min(a.y2, b.y2)
-    if gap_x >= 0 and gap_y < 0:
-        return gap_x, "vertical"
-    if gap_y >= 0 and gap_x < 0:
-        return gap_y, "horizontal"
-    return None
-
-
-def brute_components(shapes):
-    """shape id -> smallest id of its touch component, by flood fill over
-    all pairs (a contact of positive length or area connects)."""
-    def touch(a, b):
-        gx = max(a.x1, b.x1) - min(a.x2, b.x2)
-        gy = max(a.y1, b.y1) - min(a.y2, b.y2)
-        return gx <= 0 and gy <= 0 and (gx < 0 or gy < 0)
-
-    root = {}
-    for s in shapes:
-        if s.shape_id in root:
-            continue
-        group, todo = {s.shape_id}, [s]
-        while todo:
-            t = todo.pop()
-            for u in shapes:
-                if u.shape_id not in group and touch(t.rect, u.rect):
-                    group.add(u.shape_id)
-                    todo.append(u)
-        for sid in group:
-            root[sid] = min(group)
-    return root
-
-
-def brute_spacing(layout, rules, option):
-    out = []
-    for layer in {s.layer for s in layout.shapes}:
-        rule = rules.layer_rule(layer)
-        if rule is None:
-            continue
-        shapes = [s for s in layout.shapes if s.layer == layer]
-        comp = brute_components(shapes)
-        fixed = rule.dpt and option is OPT_I
-        for i, a in enumerate(shapes):
-            for b in shapes[i + 1:]:
-                run = brute_run(a.rect, b.rect)
-                if run is None or comp[a.shape_id] == comp[b.shape_id]:
-                    continue
-                bbox = a.rect.union(b.rect)
-                ids = (a.shape_id, b.shape_id)
-                if run[0] < rule.min_spacing_any_mask:
-                    out.append(Violation(ViolationKind.SPACING_ANY_MASK,
-                                         layer, bbox, ids))
-                if (fixed and a.mask is b.mask is not Mask.NONE
-                        and run[0] < rule.min_spacing_same_mask):
-                    out.append(Violation(ViolationKind.SPACING_SAME_MASK,
-                                         layer, bbox, ids))
-        if fixed:
-            out.extend(Violation(ViolationKind.COLOR_MISSING, layer, s.rect,
-                                 (s.shape_id,))
-                       for s in shapes if s.mask is Mask.NONE)
-    return sorted(out, key=Violation.sort_key)
-
-
-def brute_conflict_edges(layout, rules, layer):
-    shapes = [s for s in layout.shapes if s.layer == layer]
-    comp = brute_components(shapes)
-    edges = set()
-    for i, a in enumerate(shapes):
-        for b in shapes[i + 1:]:
-            run = brute_run(a.rect, b.rect)
-            u, v = sorted((comp[a.shape_id], comp[b.shape_id]))
-            if run and run[0] < rules.layer_rule(layer).min_spacing_same_mask \
-                    and u != v:
-                edges.add((u, v))
-    return comp, edges
-
-
-def brute_hotspots(layout, rules):
-    """Every chain of distinct shapes, each one strictly before the next
-    along the axis at a gap in (0, max_gap], whose masks read as the
-    pattern either way and whose common span is long enough."""
-    out = []
-    for p in rules.hotspot_patterns:
-        shapes = [s for s in layout.shapes if s.layer == p.layer]
-        for axis in ("vertical", "horizontal"):
-            def span(r):
-                return (r.y1, r.y2) if axis == "vertical" else (r.x1, r.x2)
-
-            def follows(a, b):
-                run = brute_run(a, b)
-                before = a.x2 <= b.x1 if axis == "vertical" else a.y2 <= b.y1
-                return (run is not None and run[1] == axis and before
-                        and 0 < run[0] <= p.max_gap)
-
-            def extend(chain):
-                if len(chain) == p.track_count:
-                    masks = tuple(s.mask for s in chain)
-                    lo = max(span(s.rect)[0] for s in chain)
-                    hi = min(span(s.rect)[1] for s in chain)
-                    if (masks in (p.masks, p.masks[::-1])
-                            and hi - lo >= p.min_run_length):
-                        rects = [s.rect for s in chain]
-                        bbox = (Rect(min(r.x1 for r in rects), lo,
-                                     max(r.x2 for r in rects), hi)
-                                if axis == "vertical" else
-                                Rect(lo, min(r.y1 for r in rects),
-                                     hi, max(r.y2 for r in rects)))
-                        out.append(Violation(
-                            ViolationKind.HOTSPOT, p.layer, bbox,
-                            tuple(s.shape_id for s in chain), p.name))
-                    return
-                for s in shapes:
-                    if follows(chain[-1].rect, s.rect):
-                        extend(chain + [s])
-
-            for s in shapes:
-                extend([s])
-    return sorted(out, key=Violation.sort_key)
 
 
 class TestSharedSweepOracle:

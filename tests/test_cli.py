@@ -294,6 +294,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "libs" in err
 
+    @pytest.mark.parametrize("command", ["verify", "generate"])
+    def test_empty_libs_in_config_exits_two(self, tmp_path, capsys,
+                                            command):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("libs: []\n")
+        assert run([command, "--config", str(cfg), "--rules", RULES,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: option libs")
+
+    def test_bad_dpt_option_in_config_names_the_option(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("dpt_option: III\n")
+        assert run(["verify", "--config", str(cfg), "--libs", SEAM,
+                    "--rules", RULES, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: option dpt_option must be I, II or both, not 'III'\n")
+
     def test_path_option_not_a_string_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("rules: [a]\n")
