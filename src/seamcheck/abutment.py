@@ -81,6 +81,26 @@ def _sanitize(name: str) -> str:
     return out
 
 
+@functools.cache
+def _instance_names(count: int) -> tuple[str, ...]:
+    """U1..U<count>, built once per count and shared by every case."""
+    return tuple(f"U{n}" for n in range(1, count + 1))
+
+
+@functools.cache
+def _column(cell: str, orientation: Orientation) -> tuple[str, Orientation]:
+    """One shared (cell, orientation) tuple per pair for every seam that
+    names it: fewer live objects for the cyclic garbage collector to
+    traverse."""
+    return cell, orientation
+
+
+def instance_path(module: str, instance: str) -> str:
+    """Hierarchical name of a case's instance on the die:
+    <module>/<instance>."""
+    return f"{module}/{instance}"
+
+
 _AA_ORIENTS = (Orientation.MY, Orientation.R0, Orientation.R0, Orientation.MY)
 _AB_ORIENTS = (Orientation.R0, Orientation.R0, Orientation.MY,
                Orientation.MY, Orientation.R0)
@@ -94,30 +114,32 @@ def _chain(kind: CaseKind, cell_a: CellProfile,
     instances, flipped vertically on odd rows. Seams span rows 0..k-1 and
     instances are numbered U1.. in placement order."""
     if cell_b is None:
-        columns = tuple(zip((cell_a,) * 4, _AA_ORIENTS))
+        columns = zip((cell_a,) * 4, _AA_ORIENTS)
         module = f"scell_{_sanitize(cell_a.name)}"
     else:
-        columns = tuple(zip((cell_b, cell_a, cell_b, cell_a, cell_b),
-                            _AB_ORIENTS))
+        columns = zip((cell_b, cell_a, cell_b, cell_a, cell_b), _AB_ORIENTS)
         prefix = "mcell" if kind is CaseKind.AB_SINGLE_MULTI else "scell"
         module = f"{prefix}_{_sanitize(cell_a.name)}_{_sanitize(cell_b.name)}"
     k = cell_a.height_rows
     row_h = cell_a.height // k
+    names = _instance_names(3 * k + 2)  # no case places more instances
     placements: list[Placement] = []
     seams: list[Seam] = []
+    left = None  # the previous column
     x = 0
-    for i, (c, o) in enumerate(columns):
-        if i:
-            left, left_o = columns[i - 1]
-            seams.append(Seam(x, 0, k - 1, (left.name, left_o), (c.name, o)))
+    for c, o in columns:
+        column = _column(c.name, o)
+        if left is not None:
+            seams.append(Seam(x, 0, k - 1, left, column))
         if c.height_rows == k:
-            placements.append(
-                Placement(f"U{len(placements) + 1}", c.name, (x, 0), o))
+            placements.append(Placement(names[len(placements)], c.name,
+                                        (x, 0), o))
         else:
             for row in range(k):
                 placements.append(Placement(
-                    f"U{len(placements) + 1}", c.name, (x, row * row_h),
+                    names[len(placements)], c.name, (x, row * row_h),
                     o.flipped_ud if row % 2 else o))
+        left = column
         x += c.width
     return AbutmentCase(kind, cell_a.name,
                         None if cell_b is None else cell_b.name,

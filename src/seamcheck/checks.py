@@ -15,7 +15,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .abutment import AbutmentCase, Placement
+from .abutment import AbutmentCase, Placement, instance_path
 from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
 from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
@@ -320,10 +320,16 @@ def _match_one_pattern(layout: FlatLayout, pattern: HotspotPattern,
         def span(r: Rect) -> tuple[int, int]:
             return (r.y1, r.y2) if axis == "vertical" else (r.x1, r.x2)
 
-        def grow(chain: list[int], masks: tuple[Mask, ...],
-                 lo: int, hi: int):
+        # Depth-first over chains, children in successor order (pushed in
+        # reverse). An explicit stack, not a recursive closure: a closure
+        # that refers to itself is a reference cycle, and would leave this
+        # layout to the cyclic garbage collector.
+        stack = [([s.shape_id], (s.mask,), *span(s.rect))
+                 for s in reversed(shapes) if (s.mask,) in prefixes]
+        while stack:
+            chain, masks, lo, hi = stack.pop()
             if hi - lo < pattern.min_run_length:
-                return
+                continue
             if len(chain) == pattern.track_count:
                 if masks in targets:
                     rects = [layout.shape(s).rect for s in chain]
@@ -336,19 +342,13 @@ def _match_one_pattern(layout: FlatLayout, pattern: HotspotPattern,
                     found.append(Violation(ViolationKind.HOTSPOT,
                                            pattern.layer, bbox, tuple(chain),
                                            pattern.name))
-                return
-            for sid in nxt.get(chain[-1], ()):
+                continue
+            for sid in reversed(nxt.get(chain[-1], ())):
                 m = masks + (layout.shape(sid).mask,)
                 if m not in prefixes:
                     continue
                 slo, shi = span(layout.shape(sid).rect)
-                grow(chain + [sid], m, max(lo, slo), min(hi, shi))
-
-        for s in shapes:
-            if (s.mask,) not in prefixes:
-                continue
-            lo, hi = span(s.rect)
-            grow([s.shape_id], (s.mask,), lo, hi)
+                stack.append((chain + [sid], m, max(lo, slo), min(hi, shi)))
     return found
 
 
@@ -469,25 +469,29 @@ def _alone(cell: CellProfile, orientation, rules: RuleDeck,
     return found, recolor.get(cell.name, 0), len(cell.shapes)
 
 
-def _compose(case_index: int, placements, alone
-             ) -> tuple[list[Violation], dict[str, int]]:
+def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
+             alone) -> tuple[list[Violation], dict[str, int]]:
     """A case's violations and recolour counts as the union of its
     instances' standalone results (``alone``, one per placement): each
-    violation moves by its instance's origin and its shape ids by the
-    shapes placed before it."""
+    violation moves by its instance's die origin (the case's ``origin``
+    plus the case-local one) and its shape ids by the shapes placed
+    before it."""
     found: list[Violation] = []
     recolor: dict[str, int] = {}
+    ox, oy = origin
     offset = 0
-    for p, (violations, recoloured, n_shapes) in zip(placements, alone):
-        dx, dy = p.origin
-        for v in violations:
-            x1, y1, x2, y2 = v.bbox
-            found.append(replace(
-                v, bbox=Rect(x1 + dx, y1 + dy, x2 + dx, y2 + dy),
-                shape_ids=tuple(s + offset for s in v.shape_ids),
-                case_index=case_index))
+    for p, (violations, recoloured, n_shapes) in zip(case.placements, alone):
+        if violations:
+            dx, dy = p.origin[0] + ox, p.origin[1] + oy
+            for v in violations:
+                x1, y1, x2, y2 = v.bbox
+                found.append(replace(
+                    v, bbox=Rect(x1 + dx, y1 + dy, x2 + dx, y2 + dy),
+                    shape_ids=tuple(s + offset for s in v.shape_ids),
+                    case_index=case_index))
         if recoloured:
-            recolor[p.instance_name] = recoloured
+            recolor[instance_path(case.module_name,
+                                  p.instance_name)] = recoloured
         offset += n_shapes
     found.sort(key=Violation.sort_key)
     return found, recolor
@@ -507,20 +511,21 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
     for idx, case in enumerate(cases):
-        placements = floorplan.case_placements(idx, case)
         alone = []
-        for p in placements:
+        for p in case.placements:
             key = (p.cell_ref, p.orientation)
             if key not in standalone:
                 standalone[key] = _alone(cells[p.cell_ref], p.orientation,
                                          rules, option)
             alone.append(standalone[key])
         if None in alone:
-            layout = flatten(cells, placements, floorplan.die_area)
+            layout = flatten(cells, floorplan.case_placements(idx, case),
+                             floorplan.die_area)
             found, case_recolor = _check_layout(layout, rules, option)
             found = [replace(v, case_index=idx) for v in found]
         else:
-            found, case_recolor = _compose(idx, placements, alone)
+            found, case_recolor = _compose(idx, case,
+                                           floorplan.origin_of(idx), alone)
         violations.extend(found)
         recolor.update(case_recolor)
     return VerificationResult(library, rules, option, cases, floorplan,

@@ -57,10 +57,10 @@ def _load_libraries(paths):
 
 def _integer(value, what: str) -> int:
     """The exact integer value of ``value``: an int, an integral float or
-    an integer string. Anything else, a fractional float included, is an
-    input error naming ``what``."""
+    an integer string. Anything else, a fractional float or a boolean
+    included, is an input error naming ``what``."""
     try:
-        number = int(value)
+        number = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (isinstance(value, float) and number != value):

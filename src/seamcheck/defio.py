@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abutment import AbutmentCase, Placement
+from .abutment import AbutmentCase, Placement, instance_path
 from .errors import ParseError
 from .floorplan import Floorplan
 from .geometry import Orientation, Rect, UnknownCellRefError
@@ -34,35 +34,49 @@ class DefDesign:
     die_area: Rect
 
 
-def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
-    lines = [
+def _component(name: str, cell_ref: str, x: int, y: int,
+               orientation: Orientation) -> str:
+    return (f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
+            f"{orientation.def_code} ;")
+
+
+def _document(components: list[str], die_area: Rect, design: str) -> str:
+    return "\n".join([
         "VERSION 5.6 ;",
         f"DESIGN {design} ;",
         "UNITS DISTANCE MICRONS 1000 ;",
         f"DIEAREA ( {die_area.x1} {die_area.y1} ) "
         f"( {die_area.x2} {die_area.y2} ) ;",
-        f"COMPONENTS {len(placements)} ;",
-    ]
-    for p in placements:
-        lines.append(f"- {p.instance_name} {p.cell_ref} + PLACED "
-                     f"( {p.origin[0]} {p.origin[1]} ) "
-                     f"{p.orientation.def_code} ;")
-    lines.append("END COMPONENTS")
-    lines.append("END DESIGN")
-    return "\n".join(lines) + "\n"
+        f"COMPONENTS {len(components)} ;",
+        *components,
+        "END COMPONENTS",
+        "END DESIGN",
+    ]) + "\n"
+
+
+def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
+    return _document([_component(p.instance_name, p.cell_ref, *p.origin,
+                                 p.orientation) for p in placements],
+                     die_area, design)
 
 
 def emit_def(cases: list[AbutmentCase], library: CellLibrary,
              floorplan: Floorplan) -> str:
-    """Placed-design DEF for the case list under the given floorplan."""
+    """Placed-design DEF for the case list under the given floorplan. Each
+    component line is written from the case-local placement shifted by
+    the case's die origin."""
     module_names(cases)  # surface NameCollision before writing anything
-    for case in cases:
-        for p in case.placements:
-            if p.cell_ref not in library:
-                raise UnknownCellRefError(p.cell_ref)
-    placements = [p for idx, case in enumerate(cases)
-                  for p in floorplan.case_placements(idx, case)]
-    return render_def(placements, floorplan.die_area)
+    components = []
+    for idx, case in enumerate(cases):
+        ox, oy = floorplan.origin_of(idx)
+        module = case.module_name
+        for name, cell_ref, (x, y), orientation in case.placements:
+            if cell_ref not in library:
+                raise UnknownCellRefError(cell_ref)
+            components.append(_component(instance_path(module, name),
+                                         cell_ref, x + ox, y + oy,
+                                         orientation))
+    return _document(components, floorplan.die_area, "TOP")
 
 
 class _DefParser(_Parser):

@@ -1,16 +1,20 @@
 """Case packing: lay testcases out in isolated islands on one die.
 
-Cases are packed first-fit into horizontal shelves. The horizontal gap
-between neighbors is at least twice the rule interaction distance, so no
-check can see across case boundaries and per-case verification equals
+Cases are packed first-fit into horizontal shelves, found through a
+min-tree per shelf height (D. S. Johnson, "Fast algorithms for bin
+packing", JCSS 1974) in O(log S) per case for S shelves. The horizontal
+gap between neighbors is at least twice the rule interaction distance, so
+no check can see across case boundaries and per-case verification equals
 whole-die verification.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .abutment import AbutmentCase, Placement, enumerate_library
+from .abutment import (AbutmentCase, Placement, enumerate_library,
+                       instance_path)
 from .errors import CaseTooWideError
 from .geometry import Rect
 from .library import CellLibrary
@@ -36,7 +40,7 @@ class Floorplan:
         hierarchically (<module>/<instance>), in placement order."""
         ox, oy = self.origin_of(case_index)
         module = case.module_name
-        return [Placement(f"{module}/{p.instance_name}", p.cell_ref,
+        return [Placement(instance_path(module, p.instance_name), p.cell_ref,
                           (p.origin[0] + ox, p.origin[1] + oy), p.orientation)
                 for p in case.placements]
 
@@ -45,14 +49,65 @@ def _round_up(value: int, grid: int) -> int:
     return -(-value // grid) * grid
 
 
+class _ShelfClass:
+    """The shelves of one height, in creation order, under a min-tree of
+    their ``next_x``: leaf ``size + i`` holds shelf i's, every inner node
+    the least of its children's, unused leaves infinity."""
+
+    def __init__(self):
+        self.shelves: list[tuple[int, int]] = []  # (shelf number, row start)
+        self.size = 1
+        self.tree: list[float] = [math.inf, math.inf]
+
+    def first_fit(self, limit: int) -> int | None:
+        """The first shelf whose ``next_x`` is at most ``limit``."""
+        tree = self.tree
+        if tree[1] > limit:
+            return None
+        node, size = 1, self.size
+        while node < size:
+            node *= 2
+            if tree[node] > limit:
+                node += 1
+        return node - size
+
+    def next_x(self, shelf: int) -> int:
+        return self.tree[self.size + shelf]
+
+    def set_next_x(self, shelf: int, next_x: int):
+        tree = self.tree
+        node = self.size + shelf
+        tree[node] = next_x
+        while node > 1:
+            node //= 2
+            a, b = tree[2 * node], tree[2 * node + 1]
+            least = a if a < b else b
+            if tree[node] == least:
+                break
+            tree[node] = least
+
+    def append(self, number: int, row_start: int, next_x: int):
+        if len(self.shelves) == self.size:
+            leaves = self.tree[self.size:] + [math.inf] * self.size
+            self.size *= 2
+            self.tree = [math.inf] * self.size + leaves
+            for node in range(self.size - 1, 0, -1):
+                self.tree[node] = min(self.tree[2 * node],
+                                      self.tree[2 * node + 1])
+        self.shelves.append((number, row_start))
+        self.set_next_x(len(self.shelves) - 1, next_x)
+
+
 def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
                    max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> Floorplan:
     """First-fit shelf packing. Each shelf spans as many rows as its first
-    case needs; later cases fit into the first shelf tall enough with
-    width to spare. Raises CaseTooWide if a case exceeds max_row_width."""
+    case needs; later cases fit into the first shelf, in creation order,
+    tall enough with width to spare. Raises CaseTooWide if a case exceeds
+    max_row_width."""
     gap = _round_up(max(2 * rules.interaction_distance, rules.site_width),
                     rules.site_width)
-    shelves: list[list[int]] = []  # [row_start, height_rows, next_x]
+    classes: dict[int, _ShelfClass] = {}  # shelf height in rows -> shelves
+    shelf_count = 0
     total_rows = 0
     positions: list[tuple[int, int]] = []
     for case in cases:
@@ -60,18 +115,26 @@ def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
             raise CaseTooWideError(
                 f"case {case.module_name} is {case.width} DBU wide, above "
                 f"the {max_row_width} DBU row limit")
-        placed = False
-        for shelf in shelves:
-            if (case.height_rows <= shelf[1]
-                    and shelf[2] + case.width <= max_row_width):
-                positions.append((shelf[0], shelf[2]))
-                shelf[2] += case.width + gap
-                placed = True
-                break
-        if not placed:
-            shelves.append([total_rows, case.height_rows, case.width + gap])
+        limit = max_row_width - case.width
+        best = None  # (shelf number, class, shelf within the class)
+        for height, cls in classes.items():
+            if height < case.height_rows:
+                continue
+            shelf = cls.first_fit(limit)
+            if shelf is not None and (best is None
+                                      or cls.shelves[shelf][0] < best[0]):
+                best = (cls.shelves[shelf][0], cls, shelf)
+        if best is None:
+            classes.setdefault(case.height_rows, _ShelfClass()).append(
+                shelf_count, total_rows, case.width + gap)
+            shelf_count += 1
             positions.append((total_rows, 0))
             total_rows += case.height_rows
+        else:
+            _, cls, shelf = best
+            x = cls.next_x(shelf)
+            positions.append((cls.shelves[shelf][1], x))
+            cls.set_next_x(shelf, x + case.width + gap)
     die_w = max((pos[1] + case.width
                  for pos, case in zip(positions, cases)), default=0)
     die_h = total_rows * rules.row_height

@@ -67,6 +67,10 @@ class Mask(enum.Enum):
     E1 = "E1"
     E2 = "E2"
 
+    # Members are singletons compared by identity, so identity hashing keeps
+    # every dict and set lookup's meaning and runs in C, not in Python.
+    __hash__ = object.__hash__
+
     def __repr__(self):  # noqa: D105 - terse enum repr reads better in diffs
         return f"Mask.{self.name}"
 
@@ -82,6 +86,8 @@ class Orientation(enum.Enum):
     R180 = "R180"
     MX = "MX"
     MY = "MY"
+
+    __hash__ = object.__hash__  # as for Mask
 
     @property
     def def_code(self) -> str:

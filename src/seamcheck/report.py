@@ -9,9 +9,9 @@ the residual (intra-cell) list.
 
 from __future__ import annotations
 
+import html
 import json
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .abutment import AbutmentCase
 from .checks import VerificationResult, Violation
@@ -217,12 +217,15 @@ def render_svg(layout: FlatLayout, violation: Violation, margin: int = 0,
     for sid in sorted(layout.query_window(vp)):
         s = layout.shape(sid)
         r = s.rect
+        # html.escape, not xml.sax.saxutils.escape: the same replacements
+        # (&, <, >), without an import that pulls in urllib and email.
+        title = html.escape(f"{sid} {s.layer} {s.source_instance}",
+                            quote=False)
         parts.append(
             f'<rect x="{fx(r.x1)}" y="{fy(r.y2)}" width="{r.width}" '
             f'height="{r.height}" fill="{_FILL[s.mask]}" stroke="#333333" '
             f'stroke-width="2">'
-            f'<title>{escape(f"{sid} {s.layer} {s.source_instance}")}</title>'
-            f'</rect>')
+            f'<title>{title}</title></rect>')
     for seam in seams:
         if vp.x1 <= seam.x <= vp.x2:
             parts.append(

@@ -1,6 +1,7 @@
 """All-pairs reference checkers with no sweep, shared by the checker and
 whole-library oracle tests. Each one compares every pair of shapes on a
-layer, so it shares no neighbour search with the program."""
+layer, so it shares no neighbour search with the program. Also the
+linear-scan first-fit floorplan that ``plan_floorplan`` must equal."""
 
 from collections import defaultdict
 from dataclasses import replace
@@ -9,6 +10,7 @@ from seamcheck import (
     ConflictGraph,
     DptOption,
     FlatLayout,
+    Floorplan,
     HotspotPattern,
     LayerRule,
     Mask,
@@ -20,7 +22,8 @@ from seamcheck import (
     flatten,
     union_all,
 )
-from seamcheck.floorplan import DEFAULT_MAX_ROW_WIDTH, plan_library
+from seamcheck.floorplan import (DEFAULT_MAX_ROW_WIDTH, _round_up,
+                                 plan_library)
 
 # Oracle deck: a DPT layer, a single-mask layer and a rule-less layer
 # that only a hotspot pattern reads, so every sweep consumer is exercised.
@@ -223,3 +226,30 @@ def reference_run_all(library, rules, option):
         found.sort(key=Violation.sort_key)
         violations.extend(replace(v, case_index=idx) for v in found)
     return tuple(violations), recolor
+
+
+def linear_floorplan(cases, rules, max_row_width):
+    """First-fit shelf packing by scanning every shelf for every case:
+    the first shelf, in creation order, tall enough and with room, else a
+    new shelf as tall as the case."""
+    gap = _round_up(max(2 * rules.interaction_distance, rules.site_width),
+                    rules.site_width)
+    shelves = []  # [row_start, height_rows, next_x]
+    total_rows = 0
+    positions = []
+    for case in cases:
+        for shelf in shelves:
+            if (case.height_rows <= shelf[1]
+                    and shelf[2] + case.width <= max_row_width):
+                positions.append((shelf[0], shelf[2]))
+                shelf[2] += case.width + gap
+                break
+        else:
+            shelves.append([total_rows, case.height_rows, case.width + gap])
+            positions.append((total_rows, 0))
+            total_rows += case.height_rows
+    die_w = max((pos[1] + case.width
+                 for pos, case in zip(positions, cases)), default=0)
+    return Floorplan(gap, rules.row_height, tuple(positions),
+                     Rect(0, 0, max(die_w, 1),
+                          max(total_rows * rules.row_height, 1)))

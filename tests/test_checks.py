@@ -4,6 +4,7 @@ Random conflict graphs are validated against an exhaustive 2^n coloring
 oracle; hotspot layouts are constructed with known match counts.
 """
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -510,3 +511,18 @@ class TestRunAll:
             n_ii = sum(1 for v in run_all(lib, demo_rules, OPT_II).violations
                        if v.kind in COLOR_RELATED)
             assert n_ii <= n_i
+
+    def test_leaves_no_cyclic_garbage(self, seam_library, demo_rules):
+        """Every layout a run builds is freed by reference counting: with
+        the cyclic collector off, nothing is left for it to collect."""
+        gc.collect()
+        gc.disable()
+        try:
+            results = [run_all(seam_library, demo_rules, opt)
+                       for opt in (OPT_I, OPT_II)]
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert any(v.kind is ViolationKind.HOTSPOT
+                   for res in results for v in res.violations)
+        assert garbage == 0

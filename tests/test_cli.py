@@ -271,6 +271,26 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "svg_cap" in err
 
+    @pytest.mark.parametrize("command", ["verify", "generate"])
+    def test_boolean_row_width_exits_two(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("max_row_width: true\n")
+        assert run([command, "--config", str(cfg), "--libs", SEAM,
+                    "--rules", RULES, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: option max_row_width must be an integer, not True\n")
+
+    def test_boolean_svg_cap_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        run(["verify", "--libs", SEAM, "--rules", RULES, "--out", str(out)])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("svg_cap: true\n")
+        capsys.readouterr()
+        assert run(["report", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: option svg_cap must be an integer, not True\n")
+        assert not (out / "svg").exists()
+
     def test_exact_integer_option_values_still_work(self, tmp_path):
         """An integral float, an integer string and a plain int all give
         the outputs of the default row width."""
@@ -354,7 +374,8 @@ class TestReport:
         results = out / "results.json"
         good = json.loads(results.read_text())
         for key, value in (("max_row_width", [1]), ("window", "wide"),
-                           ("max_row_width", 2.5), ("window", None)):
+                           ("max_row_width", 2.5), ("window", None),
+                           ("max_row_width", True)):
             results.write_text(json.dumps({**good, key: value}))
             capsys.readouterr()
             assert run(["report", "--out", str(out)]) == 2, (key, value)

@@ -3,8 +3,11 @@
 import dataclasses
 import random
 import re
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamcheck import (
     CaseTooWideError,
@@ -24,6 +27,7 @@ from seamcheck import (
     render_def,
 )
 
+from brute import linear_floorplan
 from conftest import ROW_HEIGHT, read_testdata, synth_cell, synth_library
 
 RULES_TEXT = read_testdata("rules.yaml")
@@ -284,3 +288,61 @@ class TestFloorplan:
             spans.sort()
             for (a1, a2), (b1, b2) in zip(spans, spans[1:]):
                 assert b1 - a2 >= 2 * rules.interaction_distance
+
+class Box(NamedTuple):
+    """What floorplanning reads of a case."""
+
+    width: int
+    height_rows: int
+    module_name: str = "m"
+
+
+@st.composite
+def packing_inputs(draw):
+    """Case sizes of 1-3 rows and a row width from just above the widest
+    case to loose."""
+    boxes = draw(st.lists(
+        st.builds(Box, st.integers(1, 2000),
+                  st.sampled_from((1, 1, 1, 2, 3))),
+        min_size=1, max_size=60))
+    widest = max(b.width for b in boxes)
+    slack = draw(st.one_of(st.integers(0, 16), st.integers(0, 20_000)))
+    return boxes, widest + slack
+
+
+class TestFirstFitOracle:
+    """``plan_floorplan`` equals the linear first-fit scan."""
+
+    RULES = rules_with_interaction(64)  # gap 128
+
+    @settings(max_examples=300, deadline=None)
+    @given(packing_inputs())
+    def test_random_sequences_match_linear_scan(self, inputs):
+        boxes, max_row_width = inputs
+        assert (plan_floorplan(boxes, self.RULES, max_row_width)
+                == linear_floorplan(boxes, self.RULES, max_row_width))
+
+    @pytest.mark.parametrize("boxes, positions", [
+        # The second case fills shelf 0 exactly: 400 + 128 + 472 = 1000.
+        ([Box(400, 1), Box(472, 1)], ((0, 0), (0, 528))),
+        # Shelf 0 keeps 472 free, shelf 1 keeps 172; the last case fits
+        # both and takes the first, emptier one.
+        ([Box(400, 1), Box(700, 1), Box(100, 1)],
+         ((0, 0), (1, 0), (0, 528))),
+        # A two-row case never goes into a one-row shelf, however empty;
+        # a one-row case may go into the two-row shelf.
+        ([Box(100, 1), Box(100, 2), Box(100, 1)],
+         ((0, 0), (1, 0), (0, 228))),
+        ([Box(100, 2), Box(100, 1)], ((0, 0), (0, 228))),
+    ])
+    def test_fixed_sequences(self, boxes, positions):
+        plan = plan_floorplan(boxes, self.RULES, 1000)
+        assert plan.positions == positions
+        assert plan == linear_floorplan(boxes, self.RULES, 1000)
+
+    def test_many_shelves_of_mixed_height(self):
+        rng = random.Random(5)
+        boxes = [Box(rng.randrange(1, 3000), rng.choice((1, 1, 2, 3)))
+                 for _ in range(3000)]
+        assert (plan_floorplan(boxes, self.RULES, 3000)
+                == linear_floorplan(boxes, self.RULES, 3000))
