@@ -16,8 +16,10 @@ the exhaustive pairing:
 
 Total placements for N single-height cells: 4N + 5*N*(N-1)/2, versus
 8N + 8*N*(N-1) for one-pair-per-case enumeration (about 3.2x less).
-coverage_check() is the independent proof: it enumerates the full class
-universe by brute force and reports anything the cases fail to realize.
+A case stores its placements only; its seams are derived from them.
+coverage_check() is the independent proof: it counts the realized
+classes against the size of the class universe and, when any is
+missing, enumerates the universe by brute force to name them.
 """
 
 from __future__ import annotations
@@ -61,16 +63,27 @@ class CaseKind(enum.Enum):
     AB_SINGLE_MULTI = "AB_single_multi"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbutmentCase:
     kind: CaseKind
     cell_a: str
     cell_b: str | None
     placements: tuple[Placement, ...]
-    seams: tuple[Seam, ...]
     width: int
     height_rows: int
     module_name: str
+
+    @property
+    def seams(self) -> tuple[Seam, ...]:
+        """One seam per adjacent pair of base-row placements (case-local
+        y = 0, in placement order), at the right instance's x and spanning
+        rows 0..height_rows-1."""
+        base = [p for p in self.placements if p.origin[1] == 0]
+        top = self.height_rows - 1
+        return tuple(Seam(r.origin[0], 0, top,
+                          (l.cell_ref, l.orientation),
+                          (r.cell_ref, r.orientation))
+                     for l, r in zip(base, base[1:]))
 
 
 @functools.cache
@@ -87,14 +100,6 @@ def _instance_names(count: int) -> tuple[str, ...]:
     return tuple(f"U{n}" for n in range(1, count + 1))
 
 
-@functools.cache
-def _column(cell: str, orientation: Orientation) -> tuple[str, Orientation]:
-    """One shared (cell, orientation) tuple per pair for every seam that
-    names it: fewer live objects for the cyclic garbage collector to
-    traverse."""
-    return cell, orientation
-
-
 def instance_path(module: str, instance: str) -> str:
     """Hierarchical name of a case's instance on the die:
     <module>/<instance>."""
@@ -106,13 +111,14 @@ _AB_ORIENTS = (Orientation.R0, Orientation.R0, Orientation.MY,
                Orientation.MY, Orientation.R0)
 
 
-def _chain(kind: CaseKind, cell_a: CellProfile,
-           cell_b: CellProfile | None) -> AbutmentCase:
+def _chain(kind: CaseKind, cell_a: CellProfile, cell_b: CellProfile | None,
+           shared: dict[Placement, Placement] | None) -> AbutmentCase:
     """Abut one column per (cell, orientation), left to right: the A-A
     pattern when ``cell_b`` is None, the A-B pattern otherwise. The case
     is as tall as A (k rows); a column whose cell is shorter stacks k
-    instances, flipped vertically on odd rows. Seams span rows 0..k-1 and
-    instances are numbered U1.. in placement order."""
+    instances, flipped vertically on odd rows. Instances are numbered U1..
+    in placement order. A placement equal to one already in ``shared`` is
+    that object."""
     if cell_b is None:
         columns = zip((cell_a,) * 4, _AA_ORIENTS)
         module = f"scell_{_sanitize(cell_a.name)}"
@@ -120,41 +126,37 @@ def _chain(kind: CaseKind, cell_a: CellProfile,
         columns = zip((cell_b, cell_a, cell_b, cell_a, cell_b), _AB_ORIENTS)
         prefix = "mcell" if kind is CaseKind.AB_SINGLE_MULTI else "scell"
         module = f"{prefix}_{_sanitize(cell_a.name)}_{_sanitize(cell_b.name)}"
+    if shared is None:
+        shared = {}
     k = cell_a.height_rows
     row_h = cell_a.height // k
     names = _instance_names(3 * k + 2)  # no case places more instances
     placements: list[Placement] = []
-    seams: list[Seam] = []
-    left = None  # the previous column
     x = 0
     for c, o in columns:
-        column = _column(c.name, o)
-        if left is not None:
-            seams.append(Seam(x, 0, k - 1, left, column))
-        if c.height_rows == k:
-            placements.append(Placement(names[len(placements)], c.name,
-                                        (x, 0), o))
-        else:
-            for row in range(k):
-                placements.append(Placement(
-                    names[len(placements)], c.name, (x, row * row_h),
-                    o.flipped_ud if row % 2 else o))
-        left = column
+        for row in range(1 if c.height_rows == k else k):
+            p = Placement(names[len(placements)], c.name, (x, row * row_h),
+                          o.flipped_ud if row % 2 else o)
+            placements.append(shared.setdefault(p, p))
         x += c.width
     return AbutmentCase(kind, cell_a.name,
                         None if cell_b is None else cell_b.name,
-                        tuple(placements), tuple(seams), x, k, module)
+                        tuple(placements), x, k, module)
 
 
-def gen_type_aa(cell: CellProfile) -> AbutmentCase:
+def gen_type_aa(cell: CellProfile, *,
+                shared: dict[Placement, Placement] | None = None
+                ) -> AbutmentCase:
     """Four abutted instances of one cell, [MY, R0, R0, MY]. The three
     seams realize all three same-cell mirror classes. Multi-height cells
     use the same single-row pattern."""
     kind = CaseKind.AA_MULTI if cell.is_multi else CaseKind.AA_SINGLE
-    return _chain(kind, cell, None)
+    return _chain(kind, cell, None, shared)
 
 
-def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
+def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile, *,
+                shared: dict[Placement, Placement] | None = None
+                ) -> AbutmentCase:
     """Five abutted instances, cells [B, A, B, A, B] with orientations
     [R0, R0, MY, MY, R0]. The four seams realize all four cross-cell
     mirror classes (covering B-A topologies as mirrors of A-B ones)."""
@@ -162,10 +164,12 @@ def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
         raise ValueError("type A-B needs two distinct cells")
     if cell_a.height_rows != 1 or cell_b.height_rows != 1:
         raise HeightMismatchError("type A-B cells must be single-height")
-    return _chain(CaseKind.AB_SINGLE, cell_a, cell_b)
+    return _chain(CaseKind.AB_SINGLE, cell_a, cell_b, shared)
 
 
-def gen_single_multi(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
+def gen_single_multi(cell_a: CellProfile, cell_b: CellProfile, *,
+                     shared: dict[Placement, Placement] | None = None
+                     ) -> AbutmentCase:
     """The A-B pattern with a k-row multi-height A: columns
     [B-stack, A, B-stack, A, B-stack], each B-stack holding k stacked
     instances that flip vertically on odd rows. 3k+2 placements."""
@@ -176,7 +180,7 @@ def gen_single_multi(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
     if cell_b.height_rows != 1:
         raise HeightMismatchError(
             f"filler cell {cell_b.name} must be single-height")
-    return _chain(CaseKind.AB_SINGLE_MULTI, cell_a, cell_b)
+    return _chain(CaseKind.AB_SINGLE_MULTI, cell_a, cell_b, shared)
 
 
 def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
@@ -184,20 +188,22 @@ def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
     cell in library order, then one case per unordered cell pair (i < j)
     in index order. Pairs of two multi-height cells are out of scope and
     skipped. Module names are unique: a case whose sanitized name is
-    taken by an earlier case gets the first free suffix _2, _3, ..."""
-    cases = [gen_type_aa(c) for c in library.cells]
+    taken by an earlier case gets the first free suffix _2, _3, ...
+    Equal placements of different cases are one object."""
+    shared: dict[Placement, Placement] = {}
     cells = library.cells
+    cases = [gen_type_aa(c, shared=shared) for c in cells]
     for i in range(len(cells)):
         for j in range(i + 1, len(cells)):
             a, b = cells[i], cells[j]
             if not a.is_multi and not b.is_multi:
-                cases.append(gen_type_ab(a, b))
+                cases.append(gen_type_ab(a, b, shared=shared))
             elif a.is_multi and b.is_multi:
                 continue
             elif a.is_multi:
-                cases.append(gen_single_multi(a, b))
+                cases.append(gen_single_multi(a, b, shared=shared))
             else:
-                cases.append(gen_single_multi(b, a))
+                cases.append(gen_single_multi(b, a, shared=shared))
     taken: set[str] = set()
     for k, case in enumerate(cases):
         name, n = case.module_name, 1
@@ -246,28 +252,43 @@ _SIDE = {Orientation.MY: 0, Orientation.R180: 0,
 _SIDE_ORIENT = (Orientation.MY, Orientation.R0)
 
 
+def _universe_size(cells: tuple[CellProfile, ...]) -> int:
+    """Classes in the coverage universe of these cells: 3 per cell and 4
+    per unordered pair of cells that are not both multi-height."""
+    n, m = len(cells), sum(c.is_multi for c in cells)
+    return 3 * n + 4 * (n * (n - 1) // 2 - m * (m - 1) // 2)
+
+
 def coverage_check(cases: Iterable[AbutmentCase],
                    library: CellLibrary) -> CoverageReport:
-    """Compare realized seam topologies against the brute-force class
-    universe: every ordered (cell, orientation) pair over {R0, MY},
-    except pairs of two distinct multi-height cells. A topology is
-    (left index, left side, right index, right side) over library order;
-    its class is the smaller of it and its left-right mirror. Complete
-    iff nothing is missing; ``missing`` is sorted by (left cell, right
-    cell, left orientation, right orientation)."""
+    """Compare realized seam topologies against the class universe: every
+    ordered (cell, orientation) pair over {R0, MY}, except pairs of two
+    distinct multi-height cells. A topology is (left index, left side,
+    right index, right side) over library order; its class is the smaller
+    of it and its left-right mirror. A count of the realized classes
+    inside the universe that reaches its size proves completeness; only
+    when the count is short is the universe enumerated by brute force.
+    Complete iff nothing is missing; ``missing`` is sorted by (left cell,
+    right cell, left orientation, right orientation)."""
     cells = library.cells
     index = {c.name: i for i, c in enumerate(cells)}
+    multi = [c.is_multi for c in cells]
+    n = len(cells)
 
     def cls(x, ox, y, oy):
         return min((x, ox, y, oy), (y, 1 - oy, x, 1 - ox))
 
-    universe = {cls(x, ox, y, oy)
-                for x, a in enumerate(cells) for y, b in enumerate(cells)
-                if x == y or not (a.is_multi and b.is_multi)
-                for ox in (0, 1) for oy in (0, 1)}
     covered = {cls(index[s.left[0]], _SIDE[s.left[1]],
                    index[s.right[0]], _SIDE[s.right[1]])
                for case in cases for s in case.seams}
+    size = _universe_size(cells)
+    if sum(1 for x, _, y, _ in covered
+           if x == y or not (multi[x] and multi[y])) == size:
+        return CoverageReport(size, size, ())
+    universe = {cls(x, ox, y, oy)
+                for x in range(n) for y in range(n)
+                if x == y or not (multi[x] and multi[y])
+                for ox in (0, 1) for oy in (0, 1)}
     missing = sorted(universe - covered,
                      key=lambda t: (t[0], t[2], t[1], t[3]))
     return CoverageReport(

@@ -12,17 +12,16 @@ from .errors import NameCollisionError
 
 
 def module_names(cases) -> list[str]:
-    """Sanitized module name per case; raises on collisions."""
-    names = []
-    seen: dict[str, int] = {}
-    for idx, case in enumerate(cases):
-        name = case.module_name
-        if name in seen:
-            raise NameCollisionError(
-                f"cases #{seen[name]} and #{idx} both sanitize to module "
-                f"{name!r}")
-        seen[name] = idx
-        names.append(name)
+    """Module name per case; raises on collisions."""
+    names = [case.module_name for case in cases]
+    if len(set(names)) < len(names):
+        seen: dict[str, int] = {}
+        for idx, name in enumerate(names):
+            if name in seen:
+                raise NameCollisionError(
+                    f"cases #{seen[name]} and #{idx} both sanitize to module "
+                    f"{name!r}")
+            seen[name] = idx
     return names
 
 

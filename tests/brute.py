@@ -1,7 +1,8 @@
 """All-pairs reference checkers with no sweep, shared by the checker and
 whole-library oracle tests. Each one compares every pair of shapes on a
 layer, so it shares no neighbour search with the program. Also the
-linear-scan first-fit floorplan that ``plan_floorplan`` must equal."""
+linear-scan first-fit floorplan that ``plan_floorplan`` must equal, and
+the eager column walk that a case's derived seams must equal."""
 
 from collections import defaultdict
 from dataclasses import replace
@@ -14,8 +15,10 @@ from seamcheck import (
     HotspotPattern,
     LayerRule,
     Mask,
+    Orientation,
     Rect,
     RuleDeck,
+    Seam,
     Violation,
     ViolationKind,
     color_decompose,
@@ -253,3 +256,30 @@ def linear_floorplan(cases, rules, max_row_width):
     return Floorplan(gap, rules.row_height, tuple(positions),
                      Rect(0, 0, max(die_w, 1),
                           max(total_rows * rules.row_height, 1)))
+
+
+_R0, _MY = Orientation.R0, Orientation.MY
+# Column orientations of the two case patterns, left to right.
+_AA_COLUMNS = (_MY, _R0, _R0, _MY)
+_AB_COLUMNS = (_R0, _R0, _MY, _MY, _R0)
+
+
+def oracle_seams(case, library):
+    """A case's seams by walking its columns: A-A is four columns of A,
+    the A-B patterns are columns B, A, B, A, B. Each seam sits where a
+    column ends, spans the case's rows (A's row count) and names the
+    base-row (cell, orientation) on either side. Built from the cell
+    widths, the row counts and the pattern tables, not from placements."""
+    cells = {c.name: c for c in library.cells}
+    a = cells[case.cell_a]
+    if case.cell_b is None:
+        columns = [(a, o) for o in _AA_COLUMNS]
+    else:
+        b = cells[case.cell_b]
+        columns = list(zip((b, a, b, a, b), _AB_COLUMNS))
+    seams, x = [], 0
+    for (lc, lo), (rc, ro) in zip(columns, columns[1:]):
+        x += lc.width
+        seams.append(Seam(x, 0, a.height_rows - 1, (lc.name, lo),
+                          (rc.name, ro)))
+    return tuple(seams)

@@ -6,9 +6,11 @@ variants, entirely independent of the library's canonicalization.
 """
 
 import dataclasses
+import gc
 import itertools
 import random
 import re
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,9 @@ from seamcheck import (
     gen_type_aa,
     gen_type_ab,
 )
+from seamcheck.abutment import _universe_size
 
+from brute import oracle_seams
 from conftest import ROW_HEIGHT, SITE_WIDTH, synth_cell, synth_library
 
 R0, R180, MX, MY = (Orientation.R0, Orientation.R180,
@@ -220,6 +224,34 @@ class TestSingleMulti:
                              synth_cell(1, height_rows=2, with_shape=False))
 
 
+def sized_library(spec):
+    """Shape-less library with one cell per (rows, sites) of ``spec``."""
+    return CellLibrary("sized", ROW_HEIGHT, SITE_WIDTH, tuple(
+        dataclasses.replace(synth_cell(i, rows, with_shape=False),
+                            width=SITE_WIDTH * sites)
+        for i, (rows, sites) in enumerate(spec)))
+
+
+class TestDerivedSeams:
+    """A case stores placements only; its seams must equal the eager
+    column walk of tests/brute.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 40)),
+                    min_size=1, max_size=6))
+    def test_match_column_walk(self, spec):
+        lib = sized_library(spec)
+        for case in enumerate_library(lib):
+            assert case.seams == oracle_seams(case, lib), case
+
+    def test_fixed_library_reaches_every_kind(self):
+        lib = sized_library([(1, 20), (2, 21), (3, 5), (1, 7)])
+        cases = enumerate_library(lib)
+        assert {c.kind for c in cases} == set(CaseKind)
+        for case in cases:
+            assert case.seams == oracle_seams(case, lib), case
+
+
 class TestEnumerateLibrary:
     def test_counts_match_formula_for_single_height(self):
         for n in (0, 1, 2, 3, 7, 12):
@@ -247,6 +279,20 @@ class TestEnumerateLibrary:
     def test_deterministic(self):
         lib = synth_library(5, multi_every=3, with_shapes=False)
         assert enumerate_library(lib) == enumerate_library(lib)
+
+    def test_equal_placements_are_one_object(self):
+        cases = enumerate_library(synth_library(60, multi_every=4))
+        placements = [p for c in cases for p in c.placements]
+        assert len({id(p) for p in placements}) == len(set(placements))
+
+    def test_few_tracked_objects_per_case(self):
+        lib = synth_library(60, multi_every=4)
+        enumerate_library(lib)  # fill the module's name caches first
+        gc.collect()
+        before = len(gc.get_objects())
+        cases = enumerate_library(lib)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 6 * len(cases)
 
     def test_colliding_sanitized_names_get_suffixes(self):
         lib = named_library(["X_Y", "Z", "X", "Y_Z"])
@@ -384,12 +430,48 @@ class TestCoverage:
     def test_odd_row_seams_count_as_base_row_classes(self):
         lib = synth_library(3, with_shapes=False)
         cases = enumerate_library(lib)[:4]
-        flipped = [dataclasses.replace(c, seams=tuple(
+        # coverage_check reads only .seams, so stand-ins carry the
+        # odd-row variants of each case's seams.
+        flipped = [types.SimpleNamespace(seams=tuple(
             s._replace(left=(s.left[0], s.left[1].flipped_ud),
                        right=(s.right[0], s.right[1].flipped_ud))
             for s in c.seams)) for c in cases]
         report = coverage_check(flipped, lib)
         assert report.missing and report == coverage_check(cases, lib)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.booleans(), max_size=12))
+    def test_counted_universe_matches_brute_force(self, flags):
+        names = [f"C{i}" for i in range(len(flags))]
+        multi = {name for name, tall in zip(names, flags) if tall}
+        lib = named_library(names, multi)
+        report = coverage_check(enumerate_library(lib), lib)
+        assert report.complete
+        # A short count falls back to the brute-force universe, so the
+        # size that the count must reach is checked on its own too.
+        assert (report.universe == _universe_size(lib.cells)
+                == len(oracle_universe(names, multi)))
+
+    def test_stray_class_does_not_complete_the_count(self):
+        # Drop one A-B case (4 classes) and add a stand-in whose four
+        # seams join two distinct multi-height cells: 4 classes outside
+        # the universe, which must not make up for the missing ones.
+        lib = synth_library(6, multi_every=3, with_shapes=False)
+        cases = enumerate_library(lib)
+        dropped = next(c for c in cases if c.kind is CaseKind.AB_SINGLE)
+        tall = [c.name for c in lib.cells if c.is_multi]
+        rename = dict(zip((dropped.cell_a, dropped.cell_b), tall))
+        stray = types.SimpleNamespace(seams=tuple(
+            s._replace(left=(rename[s.left[0]], s.left[1]),
+                       right=(rename[s.right[0]], s.right[1]))
+            for s in dropped.seams))
+        report = coverage_check(
+            [c for c in cases if c is not dropped] + [stray], lib)
+        missing = [((a, oa.name), (b, ob.name))
+                   for (a, oa), (b, ob) in report.missing]
+        assert len(missing) == 4
+        assert set(map(oracle_class, missing)) == oracle_covered([dropped])
+        assert report.covered == report.universe - 4
 
     def test_empty_library_is_vacuously_complete(self):
         lib = synth_library(0, with_shapes=False)

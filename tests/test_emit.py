@@ -85,7 +85,8 @@ class TestVerilog:
         y = dataclasses.replace(synth_cell(2, with_shape=False), name="Y")
         cases = [gen_type_aa(xy), gen_type_ab(x, y)]
         assert cases[0].module_name == cases[1].module_name
-        with pytest.raises(NameCollisionError):
+        with pytest.raises(NameCollisionError, match=re.escape(
+                "cases #0 and #1 both sanitize to module 'scell_X_Y'")):
             emit_verilog(cases)
 
     def test_empty_case_list_still_emits_top(self):
