@@ -30,7 +30,7 @@ from .netlist import emit_verilog
 from .report import (GlobalSeam, SeamReport, SummaryRow, SummaryTable,
                      attribute_to_seams, case_seams, global_seams,
                      render_jsonl, render_svg, seams_per_violation,
-                     summarize, violation_record)
+                     summary_table, violation_record)
 from .rules import HotspotPattern, LayerRule, RuleDeck, parse_rules
 
 __version__ = "0.1.0"

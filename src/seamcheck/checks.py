@@ -357,7 +357,6 @@ class VerificationResult:
     """Aggregated outcome of one library under one DPT option."""
 
     library: CellLibrary
-    rules: RuleDeck
     option: DptOption
     cases: list[AbutmentCase]
     floorplan: Floorplan
@@ -528,5 +527,5 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
                                            floorplan.origin_of(idx), alone)
         violations.extend(found)
         recolor.update(case_recolor)
-    return VerificationResult(library, rules, option, cases, floorplan,
+    return VerificationResult(library, option, cases, floorplan,
                               tuple(violations), recolor)

@@ -198,59 +198,58 @@ def cmd_generate(args) -> int:
     return status
 
 
-def _verify_results(opt: _Options):
-    rules = parse_rules(_read(opt.path("rules", required=True)))
-    max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
-    results = []
-    for path, lib in _load_libraries(opt.libs()):
-        for option in _dpt_options(opt):
-            res = run_all(lib, rules, option, max_row_width)
-            results.append((path, res))
-    return rules, max_row_width, results
+def _verify_run(lib, rules, option: DptOption, max_row_width: int):
+    """One library under one DPT option: its ``results.json`` run entry
+    and its JSONL text. The result, with its cases and floorplan, is
+    released on return, so verify holds one run's cases at a time."""
+    res = run_all(lib, rules, option, max_row_width)
+    window = rules.interaction_distance
+    seams = report.seams_per_violation(res.violations, res.cases,
+                                       res.floorplan, window)
+    records = [report.violation_record(v, res.cases, s)
+               for v, s in zip(res.violations, seams)]
+    run = {
+        "option": option.value,
+        "counts": res.counts_by_kind(),
+        "drc": res.drc_count,
+        "drcplus": res.drcplus_count,
+        "seam_attributed": sum(map(len, seams)),
+        "residual": seams.count([]),
+        "recolor_diff": dict(sorted(res.recolor_diff.items())),
+        "violations": records,
+    }
+    return run, report.render_jsonl(res, window)
 
 
 def cmd_verify(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    rules, max_row_width, results = _verify_results(opt)
-    window = rules.interaction_distance
-
+    rules = parse_rules(_read(opt.path("rules", required=True)))
+    max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     payload = {"rules": opt.path("rules"), "max_row_width": max_row_width,
-               "window": window, "libraries": []}
-    by_lib: dict[str, dict] = {}
-    for path, res in results:
-        name = res.library.name
-        if name not in by_lib:
-            by_lib[name] = {"name": name, "path": path, "runs": []}
-            payload["libraries"].append(by_lib[name])
-        seams = report.seams_per_violation(res.violations, res.cases,
-                                           res.floorplan, window)
-        records = [report.violation_record(v, res.cases, s)
-                   for v, s in zip(res.violations, seams)]
-        by_lib[name]["runs"].append({
-            "option": res.option.value,
-            "counts": res.counts_by_kind(),
-            "drc": res.drc_count,
-            "drcplus": res.drcplus_count,
-            "seam_attributed": sum(map(len, seams)),
-            "residual": seams.count([]),
-            "recolor_diff": dict(sorted(res.recolor_diff.items())),
-            "violations": records,
-        })
-        _write(os.path.join(
-            out_dir, f"violations_{name}_opt{res.option.value}.jsonl"),
-            report.render_jsonl(res, window))
+               "window": rules.interaction_distance, "libraries": []}
+    jsonl = {}  # file name -> text; every file is written after all runs
+    for path, lib in _load_libraries(opt.libs()):
+        runs = []
+        for option in _dpt_options(opt):
+            run, text = _verify_run(lib, rules, option, max_row_width)
+            runs.append(run)
+            jsonl[f"violations_{lib.name}_opt{option.value}.jsonl"] = text
+        payload["libraries"].append(
+            {"name": lib.name, "path": path, "runs": runs})
 
-    table = report.summarize([res for _, res in results])
+    table = report.summary_table(payload["libraries"])
+    for name, text in jsonl.items():
+        _write(os.path.join(out_dir, name), text)
     _write(os.path.join(out_dir, "summary.txt"), table.render())
     _write(os.path.join(out_dir, "summary.json"),
            json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n")
     _write(os.path.join(out_dir, "results.json"),
            json.dumps(payload, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(table.render())
-    total = sum(len(res.violations) for _, res in results)
-    return 0 if total == 0 else 1
+    return 1 if any(run["violations"] for entry in payload["libraries"]
+                    for run in entry["runs"]) else 0
 
 
 def _is_int(value) -> bool:
@@ -337,15 +336,11 @@ def cmd_report(args) -> int:
     window = _integer(payload.get("window", rules.interaction_distance),
                       f"{results_path} key window")
 
-    rows = []
     svg_count = 0
     for entry in payload["libraries"]:
-        counts = {}
         lib = libs.get(entry["name"])
         cases = None  # laid out only when an SVG may be drawn
         for run in entry["runs"]:
-            counts[f"drc_{run['option']}"] = run["drc"]
-            counts[f"drcplus_{run['option']}"] = run["drcplus"]
             if lib is None or svg_cap <= 0 or all(
                     rec["case"] is None for rec in run["violations"]):
                 continue
@@ -381,9 +376,8 @@ def cmd_report(args) -> int:
                     f"{entry['name']}_opt{run['option']}_{vi:04d}_"
                     f"{violation.kind.value}.svg"), svg)
             svg_count += len(picked)
-        rows.append(report.SummaryRow(entry["name"], counts))
 
-    table = report.SummaryTable(tuple(rows))
+    table = report.summary_table(payload["libraries"])
     _write(os.path.join(out_dir, "summary.txt"), table.render())
     sys.stdout.write(table.render())
     sys.stdout.write(f"wrote {svg_count} svg file(s)\n")

@@ -65,26 +65,19 @@ def seams_per_violation(violations, cases, floorplan: Floorplan,
                         window: int) -> list[list[GlobalSeam]]:
     """The seams each violation is charged to, parallel to
     ``violations``: every seam of its case whose band (widened by
-    ``window``) intersects the violation box, in (case, seam) order. A
-    violation with no case is tested against every seam of the library,
-    one whose case index is out of range against none. Seams are built
-    only for the cases that violations name."""
-    by_case: dict[int, list[GlobalSeam]] = {}
-    every_seam: list[GlobalSeam] | None = None
+    ``window``) intersects the violation box, in seam order. A violation
+    with no case, or with a case index out of range, is charged to no
+    seam. Seams are built only for the cases that violations name."""
+    by_case: dict[int | None, list[GlobalSeam]] = {}
     out = []
     for v in violations:
         idx = v.case_index
-        if idx is None:
-            if every_seam is None:
-                every_seam = global_seams(cases, floorplan)
-            candidates = every_seam
-        else:
-            if idx not in by_case:
-                by_case[idx] = (case_seams(idx, cases[idx], floorplan)
-                                if 0 <= idx < len(cases) else [])
-            candidates = by_case[idx]
-        out.append([s for s in candidates
-                     if s.band(window).intersects(v.bbox)])
+        if idx not in by_case:
+            by_case[idx] = (case_seams(idx, cases[idx], floorplan)
+                            if idx is not None and 0 <= idx < len(cases)
+                            else [])
+        out.append([s for s in by_case[idx]
+                    if s.band(window).intersects(v.bbox)])
     return out
 
 
@@ -147,21 +140,15 @@ class SummaryTable:
                          for r in self.rows]}
 
 
-def summarize(results: list[VerificationResult]) -> SummaryTable:
-    """One row per library, DRC and DRC+ counts per option, zeroes
-    rendered as Clean."""
-    order: list[str] = []
-    by_lib: dict[str, dict] = {}
-    for res in results:
-        name = res.library.name
-        if name not in by_lib:
-            order.append(name)
-            by_lib[name] = {}
-        suffix = res.option.value
-        by_lib[name][f"drc_{suffix}"] = res.drc_count
-        by_lib[name][f"drcplus_{suffix}"] = res.drcplus_count
-    return SummaryTable(tuple(SummaryRow(name, by_lib[name])
-                              for name in order))
+def summary_table(libraries) -> SummaryTable:
+    """One row per entry of a ``results.json`` ``libraries`` list, in
+    order, with the DRC and DRC+ counts of each run under its option;
+    zeroes render as Clean."""
+    return SummaryTable(tuple(
+        SummaryRow(entry["name"], {
+            f"{key}_{run['option']}": run[key]
+            for run in entry["runs"] for key in ("drc", "drcplus")})
+        for entry in libraries))
 
 
 def violation_record(v: Violation, cases, seams) -> dict:

@@ -144,7 +144,10 @@ def parse_rules(text: str) -> RuleDeck:
         where = f"layer {lname}"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: rule entry must be a mapping")
-        dpt = bool(raw.get("dpt", False))
+        dpt = raw.get("dpt", False)
+        if not isinstance(dpt, bool):
+            raise ParseError(f"{where}: dpt must be true or false, "
+                             f"got {dpt!r}")
         if dpt or "min_spacing_same_mask" in raw:
             same_mask = _positive_int(
                 _require(raw, "min_spacing_same_mask", where),

@@ -1,10 +1,13 @@
 """Command-line interface tests, run in-process through main()."""
 
+import gc
 import json
 import re
+import weakref
 
 import pytest
 
+import seamcheck.cli as climod
 from seamcheck.cli import main
 
 from conftest import TESTDATA, synth_lef
@@ -182,6 +185,43 @@ class TestVerify:
         assert runs["I"]["drc"] == 3 and runs["I"]["drcplus"] == 1
         assert runs["II"]["drc"] == 0 and runs["II"]["drcplus"] == 0
         assert runs["I"]["residual"] == 0
+
+    def test_one_run_is_held_at_a_time(self, tmp_path, monkeypatch):
+        real = climod.run_all
+        refs, alive = [], []
+
+        def run_all(*args):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            result = real(*args)
+            refs.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(climod, "run_all", run_all)
+        assert run(["verify", "--libs", SEAM, CLEAN, "--rules", RULES,
+                    "--out", str(tmp_path / "out")]) == 1
+        assert alive == [[], [False], [False, False],
+                         [False, False, False]]
+
+    def test_failing_later_library_writes_nothing(self, tmp_path, capsys):
+        tall = tmp_path / "tall.lef"
+        tall.write_text((TESTDATA / "clean.lef").read_text()
+                        .replace("BY 0.576", "BY 0.600"))
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", SEAM, str(tall), "--rules", RULES,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: library row height 600")
+        assert list(out.iterdir()) == []
+
+    def test_non_boolean_dpt_exits_two(self, tmp_path, capsys):
+        deck = tmp_path / "rules.yaml"
+        deck.write_text((TESTDATA / "rules.yaml").read_text()
+                        .replace("dpt: true", 'dpt: "no"'))
+        assert run(["verify", "--libs", SEAM, "--rules", str(deck),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer M1: dpt must be true or false, got 'no'\n")
 
     def test_single_option_run(self, tmp_path):
         out = tmp_path / "out"

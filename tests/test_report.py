@@ -6,7 +6,6 @@ import xml.dom.minidom
 from collections import Counter
 
 from seamcheck import (
-    CellLibrary,
     DptOption,
     Rect,
     Violation,
@@ -20,11 +19,12 @@ from seamcheck import (
     render_svg,
     run_all,
     seams_per_violation,
-    summarize,
+    summary_table,
     violation_record,
 )
+from seamcheck.cli import main
 
-from conftest import synth_library
+from conftest import TESTDATA, synth_library
 
 OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
 
@@ -136,7 +136,7 @@ class TestAttributionOracle:
         hits, residual = {}, []
         for v in violations:
             found = [s for s in seams
-                     if v.case_index in (None, s.case_index)
+                     if v.case_index == s.case_index
                      and s.band(window).intersects(v.bbox)]
             for s in found:
                 hits.setdefault(s, []).append(v)
@@ -171,11 +171,19 @@ class TestAttributionOracle:
         assert attributed > 0 and residual_total > 0
 
 
+def library_entry(results):
+    """The ``results.json`` library entry of verify runs of one library,
+    reduced to what ``summary_table`` reads."""
+    return {"name": results[0].library.name,
+            "runs": [{"option": r.option.value, "drc": r.drc_count,
+                      "drcplus": r.drcplus_count} for r in results]}
+
+
 class TestSummary:
     def test_fixture_rows(self, seam_library, demo_rules):
         results = [run_all(seam_library, demo_rules, OPT_I),
                    run_all(seam_library, demo_rules, OPT_II)]
-        table = summarize(results)
+        table = summary_table([library_entry(results)])
         assert len(table.rows) == 1
         row = table.rows[0]
         assert row.library == "seamdemo"
@@ -186,14 +194,8 @@ class TestSummary:
         assert "Clean" in text
 
     def test_zero_renders_clean_and_absent_renders_dash(self):
-        lib = CellLibrary(name="fab", row_height=576, site_width=8, cells=())
-        hot = tuple(
-            vio(ViolationKind.HOTSPOT, Rect(i, 0, i + 1, 1), None,
-                pattern="p")
-            for i in range(218)
-        )
-        res = _stub_result(lib, OPT_I, hot)
-        table = summarize([res])
+        table = summary_table([{"name": "fab", "runs": [
+            {"option": "I", "drc": 0, "drcplus": 218}]}])
         row = table.rows[0]
         assert row.cell("drc_I") == "Clean"
         assert row.cell("drcplus_I") == "218"
@@ -205,17 +207,21 @@ class TestSummary:
     def test_multiple_libraries_keep_first_seen_order(self, seam_library,
                                                       clean_library,
                                                       demo_rules):
-        results = [run_all(clean_library, demo_rules, OPT_I),
-                   run_all(seam_library, demo_rules, OPT_I)]
-        table = summarize(results)
+        table = summary_table([
+            library_entry([run_all(clean_library, demo_rules, OPT_I)]),
+            library_entry([run_all(seam_library, demo_rules, OPT_I)])])
         assert [r.library for r in table.rows] == ["cleandemo", "seamdemo"]
 
-
-def _stub_result(lib, option, violations):
-    from seamcheck.checks import VerificationResult
-    return VerificationResult(library=lib, rules=None, option=option,
-                              cases=(), floorplan=None,
-                              violations=tuple(violations), recolor_diff={})
+    def test_report_rewrites_the_verify_summary(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["verify", "--libs", str(TESTDATA / "seamdemo.lef"),
+                     str(TESTDATA / "clean.lef"), "--rules",
+                     str(TESTDATA / "rules.yaml"), "--out", str(out)]) == 1
+        written = (out / "summary.txt").read_bytes()
+        (out / "summary.txt").unlink()
+        assert main(["report", "--out", str(out), "--svg-cap", "0"]) == 0
+        assert (out / "summary.txt").read_bytes() == written
+        assert b"seamdemo" in written and b"cleandemo" in written
 
 
 class TestJsonl:

@@ -50,6 +50,19 @@ class TestParseRules:
         assert pat.track_count == 4
         assert pat.max_gap == 80 and pat.min_run_length == 100
 
+    @pytest.mark.parametrize("value", ['"false"', '"no"', "[1]", "maybe",
+                                       "2", "null"])
+    def test_dpt_must_be_a_boolean(self, value):
+        bad = VALID.replace("dpt: true", f"dpt: {value}")
+        with pytest.raises(ParseError, match=r"layer M1: dpt must be true "
+                           r"or false, got "):
+            parse_rules(bad)
+
+    def test_dpt_false_or_absent_is_not_a_dpt_layer(self):
+        for text in (VALID.replace("dpt: true", "dpt: false"),
+                     VALID.replace("    dpt: true\n", "")):
+            assert parse_rules(text).dpt_layers == []
+
     def test_fixture_deck(self, demo_rules):
         assert demo_rules.layer_rule("M1").dpt
         assert demo_rules.hotspot_patterns[0].name == "quad_alternating"
