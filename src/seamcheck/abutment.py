@@ -111,23 +111,24 @@ _AB_ORIENTS = (Orientation.R0, Orientation.R0, Orientation.MY,
                Orientation.MY, Orientation.R0)
 
 
-def _chain(kind: CaseKind, cell_a: CellProfile, cell_b: CellProfile | None,
-           shared: dict[Placement, Placement] | None) -> AbutmentCase:
+def _chain(cell_a: CellProfile, cell_b: CellProfile | None,
+           shared: dict[Placement, Placement]) -> AbutmentCase:
     """Abut one column per (cell, orientation), left to right: the A-A
-    pattern when ``cell_b`` is None, the A-B pattern otherwise. The case
-    is as tall as A (k rows); a column whose cell is shorter stacks k
-    instances, flipped vertically on odd rows. Instances are numbered U1..
-    in placement order. A placement equal to one already in ``shared`` is
-    that object."""
+    pattern when ``cell_b`` is None, the A-B pattern otherwise; the kind
+    is the multi-height one when A is. The case is as tall as A (k rows);
+    a column whose cell is shorter stacks k instances, flipped vertically
+    on odd rows. Instances are numbered U1.. in placement order. A
+    placement equal to one already in ``shared`` is that object."""
     if cell_b is None:
+        kind = CaseKind.AA_MULTI if cell_a.is_multi else CaseKind.AA_SINGLE
         columns = zip((cell_a,) * 4, _AA_ORIENTS)
         module = f"scell_{_sanitize(cell_a.name)}"
     else:
+        kind = (CaseKind.AB_SINGLE_MULTI if cell_a.is_multi
+                else CaseKind.AB_SINGLE)
         columns = zip((cell_b, cell_a, cell_b, cell_a, cell_b), _AB_ORIENTS)
-        prefix = "mcell" if kind is CaseKind.AB_SINGLE_MULTI else "scell"
+        prefix = "mcell" if cell_a.is_multi else "scell"
         module = f"{prefix}_{_sanitize(cell_a.name)}_{_sanitize(cell_b.name)}"
-    if shared is None:
-        shared = {}
     k = cell_a.height_rows
     row_h = cell_a.height // k
     names = _instance_names(3 * k + 2)  # no case places more instances
@@ -144,19 +145,14 @@ def _chain(kind: CaseKind, cell_a: CellProfile, cell_b: CellProfile | None,
                         tuple(placements), x, k, module)
 
 
-def gen_type_aa(cell: CellProfile, *,
-                shared: dict[Placement, Placement] | None = None
-                ) -> AbutmentCase:
+def gen_type_aa(cell: CellProfile) -> AbutmentCase:
     """Four abutted instances of one cell, [MY, R0, R0, MY]. The three
     seams realize all three same-cell mirror classes. Multi-height cells
     use the same single-row pattern."""
-    kind = CaseKind.AA_MULTI if cell.is_multi else CaseKind.AA_SINGLE
-    return _chain(kind, cell, None, shared)
+    return _chain(cell, None, {})
 
 
-def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile, *,
-                shared: dict[Placement, Placement] | None = None
-                ) -> AbutmentCase:
+def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
     """Five abutted instances, cells [B, A, B, A, B] with orientations
     [R0, R0, MY, MY, R0]. The four seams realize all four cross-cell
     mirror classes (covering B-A topologies as mirrors of A-B ones)."""
@@ -164,12 +160,11 @@ def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile, *,
         raise ValueError("type A-B needs two distinct cells")
     if cell_a.height_rows != 1 or cell_b.height_rows != 1:
         raise HeightMismatchError("type A-B cells must be single-height")
-    return _chain(CaseKind.AB_SINGLE, cell_a, cell_b, shared)
+    return _chain(cell_a, cell_b, {})
 
 
-def gen_single_multi(cell_a: CellProfile, cell_b: CellProfile, *,
-                     shared: dict[Placement, Placement] | None = None
-                     ) -> AbutmentCase:
+def gen_single_multi(cell_a: CellProfile,
+                     cell_b: CellProfile) -> AbutmentCase:
     """The A-B pattern with a k-row multi-height A: columns
     [B-stack, A, B-stack, A, B-stack], each B-stack holding k stacked
     instances that flip vertically on odd rows. 3k+2 placements."""
@@ -180,30 +175,25 @@ def gen_single_multi(cell_a: CellProfile, cell_b: CellProfile, *,
     if cell_b.height_rows != 1:
         raise HeightMismatchError(
             f"filler cell {cell_b.name} must be single-height")
-    return _chain(CaseKind.AB_SINGLE_MULTI, cell_a, cell_b, shared)
+    return _chain(cell_a, cell_b, {})
 
 
 def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
     """All testcases for a library in canonical order: one A-A case per
     cell in library order, then one case per unordered cell pair (i < j)
-    in index order. Pairs of two multi-height cells are out of scope and
-    skipped. Module names are unique: a case whose sanitized name is
-    taken by an earlier case gets the first free suffix _2, _3, ...
-    Equal placements of different cases are one object."""
+    in index order; the multi-height cell of a pair, if any, is A. Pairs
+    of two multi-height cells are out of scope and skipped. Module names
+    are unique: a case whose sanitized name is taken by an earlier case
+    gets the first free suffix _2, _3, ... Equal placements of different
+    cases are one object."""
     shared: dict[Placement, Placement] = {}
     cells = library.cells
-    cases = [gen_type_aa(c, shared=shared) for c in cells]
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            a, b = cells[i], cells[j]
-            if not a.is_multi and not b.is_multi:
-                cases.append(gen_type_ab(a, b, shared=shared))
-            elif a.is_multi and b.is_multi:
-                continue
-            elif a.is_multi:
-                cases.append(gen_single_multi(a, b, shared=shared))
-            else:
-                cases.append(gen_single_multi(b, a, shared=shared))
+    cases = [_chain(c, None, shared) for c in cells]
+    for i, a in enumerate(cells):
+        for b in cells[i + 1:]:
+            if not (a.is_multi and b.is_multi):
+                pair = (b, a) if b.is_multi else (a, b)
+                cases.append(_chain(*pair, shared))
     taken: set[str] = set()
     for k, case in enumerate(cases):
         name, n = case.module_name, 1

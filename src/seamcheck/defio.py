@@ -34,13 +34,12 @@ class DefDesign:
     die_area: Rect
 
 
-def _component(name: str, cell_ref: str, x: int, y: int,
-               orientation: Orientation) -> str:
-    return (f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
-            f"{orientation.def_code} ;")
-
-
-def _document(components: list[str], die_area: Rect, design: str) -> str:
+def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
+    """DEF text for an iterable of (instance, cell, (x, y), orientation)
+    tuples, e.g. ``Placement``s, in the given order."""
+    components = [f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
+                  f"{orientation.def_code} ;"
+                  for name, cell_ref, (x, y), orientation in placements]
     return "\n".join([
         "VERSION 5.6 ;",
         f"DESIGN {design} ;",
@@ -54,29 +53,24 @@ def _document(components: list[str], die_area: Rect, design: str) -> str:
     ]) + "\n"
 
 
-def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
-    return _document([_component(p.instance_name, p.cell_ref, *p.origin,
-                                 p.orientation) for p in placements],
-                     die_area, design)
-
-
 def emit_def(cases: list[AbutmentCase], library: CellLibrary,
              floorplan: Floorplan) -> str:
     """Placed-design DEF for the case list under the given floorplan. Each
     component line is written from the case-local placement shifted by
     the case's die origin."""
     module_names(cases)  # surface NameCollision before writing anything
-    components = []
-    for idx, case in enumerate(cases):
-        ox, oy = floorplan.origin_of(idx)
-        module = case.module_name
-        for name, cell_ref, (x, y), orientation in case.placements:
-            if cell_ref not in library:
-                raise UnknownCellRefError(cell_ref)
-            components.append(_component(instance_path(module, name),
-                                         cell_ref, x + ox, y + oy,
-                                         orientation))
-    return _document(components, floorplan.die_area, "TOP")
+
+    def placed():
+        for idx, case in enumerate(cases):
+            ox, oy = floorplan.origin_of(idx)
+            module = case.module_name
+            for name, cell_ref, (x, y), orientation in case.placements:
+                if cell_ref not in library:
+                    raise UnknownCellRefError(cell_ref)
+                yield (instance_path(module, name), cell_ref,
+                       (x + ox, y + oy), orientation)
+
+    return render_def(placed(), floorplan.die_area)
 
 
 class _DefParser(_Parser):

@@ -7,8 +7,8 @@ and convert exactly to integer DBU (1000 per micron).
 
 Pre-assigned mask colors are encoded in layer names: ``M1_E1`` and ``M1_E2``
 are the two masks of layer M1, a bare ``M1`` is uncolored. Checkable cell
-geometry lives in OBS blocks; PIN/PORT rectangles are retained on the
-profile but only feed statistics and netlist stubs.
+geometry lives in OBS blocks; PIN/PORT rectangles are parsed, checked
+for duplicate pin names and kept on the profile, but no check reads them.
 """
 
 from __future__ import annotations
@@ -297,6 +297,7 @@ def parse_library(text: str) -> CellLibrary:
 
     site_width = row_height = None
     cells: list[CellProfile] = []
+    names: set[str] = set()
     while True:
         tok = p.peek()
         if tok is None:
@@ -319,8 +320,9 @@ def parse_library(text: str) -> CellLibrary:
                 raise ParseError("MACRO before SITE statement (row height "
                                  "unknown)", tok.line, tok.col)
             cell = _parse_macro(p, row_height, site_width)
-            if any(c.name == cell.name for c in cells):
+            if cell.name in names:
                 raise DuplicateCellError(f"duplicate MACRO {cell.name}")
+            names.add(cell.name)
             cells.append(cell)
         elif tok.text == "END":
             p.expect("END")

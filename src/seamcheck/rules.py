@@ -170,8 +170,14 @@ def parse_rules(text: str) -> RuleDeck:
                 f" < min_spacing_any_mask {rule.min_spacing_any_mask}")
         layers[str(lname)] = rule
 
+    raw_patterns = doc.get("hotspot_patterns")
+    if raw_patterns is None:
+        raw_patterns = []
+    elif not isinstance(raw_patterns, list):
+        raise ParseError(f"deck: hotspot_patterns must be a list of "
+                         f"mappings, got {raw_patterns!r}")
     patterns: list[HotspotPattern] = []
-    for i, raw in enumerate(doc.get("hotspot_patterns") or []):
+    for i, raw in enumerate(raw_patterns):
         where = f"hotspot pattern #{i + 1}"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: must be a mapping")

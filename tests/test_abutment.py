@@ -276,6 +276,22 @@ class TestEnumerateLibrary:
         assert kinds.count(CaseKind.AB_SINGLE) == 1
         assert kinds.count(CaseKind.AB_SINGLE_MULTI) == 4
 
+    def test_cases_equal_the_public_generators(self):
+        lib = sized_library([(1, 20), (2, 21), (3, 5), (1, 7), (2, 3),
+                             (1, 9)])
+        cells = lib.cells
+        expected = [gen_type_aa(c) for c in cells]
+        for a, b in itertools.combinations(cells, 2):
+            if not a.is_multi and not b.is_multi:
+                expected.append(gen_type_ab(a, b))
+            elif not b.is_multi:
+                expected.append(gen_single_multi(a, b))
+            elif not a.is_multi:
+                expected.append(gen_single_multi(b, a))
+        cases = enumerate_library(lib)
+        assert {c.kind for c in cases} == set(CaseKind)
+        assert cases == expected
+
     def test_deterministic(self):
         lib = synth_library(5, multi_every=3, with_shapes=False)
         assert enumerate_library(lib) == enumerate_library(lib)

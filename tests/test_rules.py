@@ -58,6 +58,19 @@ class TestParseRules:
                            r"or false, got "):
             parse_rules(bad)
 
+    @pytest.mark.parametrize("value", ["5", "true", "false", "{a: 1}"])
+    def test_hotspot_patterns_must_be_a_list(self, value):
+        head, _ = VALID.split("hotspot_patterns:")
+        with pytest.raises(ParseError, match=r"^deck: hotspot_patterns must "
+                           r"be a list"):
+            parse_rules(f"{head}hotspot_patterns: {value}\n")
+
+    @pytest.mark.parametrize("tail", ["", "hotspot_patterns:\n",
+                                      "hotspot_patterns: []\n"])
+    def test_hotspot_patterns_absent_null_or_empty(self, tail):
+        head, _ = VALID.split("hotspot_patterns:")
+        assert parse_rules(head + tail).hotspot_patterns == ()
+
     def test_dpt_false_or_absent_is_not_a_dpt_layer(self):
         for text in (VALID.replace("dpt: true", "dpt: false"),
                      VALID.replace("    dpt: true\n", "")):
