@@ -17,13 +17,13 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 import yaml
 
 from . import defio, netlist, report
 from .abutment import coverage_check, expected_count
-from .checks import (DptOption, Violation, ViolationKind, case_layout,
-                     run_all)
+from .checks import DptOption, ViolationKind, case_layout, run_all
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, plan_library
 from .geometry import Rect
 from .library import parse_library, profile
@@ -31,8 +31,11 @@ from .rules import parse_rules
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write(path: str, text: str):
@@ -41,12 +44,17 @@ def _write(path: str, text: str):
 
 
 def _load_libraries(paths):
-    """(path, library) per path. Output files are named after the LIBRARY
-    name, so two libraries with one name are an input error."""
+    """(path, library) per path; a parse error names its file. Output
+    files are named after the LIBRARY name, so two libraries with one name
+    are an input error."""
     libs = []
     seen: dict[str, str] = {}
     for path in paths:
-        lib = parse_library(_read(path))
+        text = _read(path)
+        try:
+            lib = parse_library(text)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if lib.name in seen:
             raise ValueError(f"libraries {seen[lib.name]} and {path} are "
                              f"both named {lib.name}")
@@ -262,7 +270,7 @@ _STRING_OR_NULL = ("a string or null",
 _LIST = ("a list", lambda v: isinstance(v, list))
 _INTEGER = ("an integer", _is_int)
 _KIND_NAMES = frozenset(k.value for k in ViolationKind)
-# What report reads of results.json, per level: key -> (expected, test).
+# What report checks of results.json, per level: key -> (expected, test).
 _LIBRARY_KEYS = {"name": _STRING, "path": _STRING, "runs": _LIST}
 _RUN_KEYS = {"option": ("I or II", lambda v: v in ("I", "II")),
              "drc": _INTEGER, "drcplus": _INTEGER, "violations": _LIST}
@@ -276,6 +284,9 @@ _RECORD_KEYS = {
     "shape_ids": ("a list of integers",
                   lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "pattern": _STRING_OR_NULL,
+    "seams": ("a list of objects with an integer x",
+              lambda v: isinstance(v, list) and all(
+                  isinstance(s, dict) and _is_int(s.get("x")) for s in v)),
 }
 
 
@@ -333,8 +344,6 @@ def cmd_report(args) -> int:
     max_row_width = _integer(
         payload.get("max_row_width", DEFAULT_MAX_ROW_WIDTH),
         f"{results_path} key max_row_width")
-    window = _integer(payload.get("window", rules.interaction_distance),
-                      f"{results_path} key window")
 
     svg_count = 0
     for entry in payload["libraries"]:
@@ -349,33 +358,23 @@ def cmd_report(args) -> int:
                 module_index = {c.module_name: i
                                 for i, c in enumerate(cases)}
             option = DptOption(run["option"])
-            picked = []  # (record index, violation), one per SVG
-            for vi, rec in enumerate(run["violations"]):
-                if len(picked) >= svg_cap:
-                    break
-                idx = module_index.get(rec["case"])
-                if idx is not None:
-                    picked.append((vi, Violation(
-                        ViolationKind(rec["kind"]), rec["layer"],
-                        Rect(*rec["bbox"]), tuple(rec["shape_ids"]),
-                        rec["pattern"], idx)))
-            seams = report.seams_per_violation(
-                [v for _, v in picked], cases, fp, window)
+            picked = islice(((vi, rec)
+                             for vi, rec in enumerate(run["violations"])
+                             if rec["case"] in module_index), svg_cap)
             layout_idx = None  # the case ``layout`` belongs to
-            for (vi, violation), near in zip(picked, seams):
-                if violation.case_index != layout_idx:
-                    layout_idx = violation.case_index
-                    layout = case_layout(layout_idx, cases, lib, fp, rules,
-                                         option)
-                svg = report.render_svg(layout, violation, margin,
-                                        tuple(near))
+            for vi, rec in picked:
+                idx = module_index[rec["case"]]
+                if idx != layout_idx:
+                    layout_idx = idx
+                    layout = case_layout(idx, cases, lib, fp, rules, option)
+                svg = report.render_svg(layout, Rect(*rec["bbox"]), margin,
+                                        tuple(s["x"] for s in rec["seams"]))
                 svg_dir = os.path.join(out_dir, "svg")
                 os.makedirs(svg_dir, exist_ok=True)
                 _write(os.path.join(
-                    svg_dir,
-                    f"{entry['name']}_opt{run['option']}_{vi:04d}_"
-                    f"{violation.kind.value}.svg"), svg)
-            svg_count += len(picked)
+                    svg_dir, f"{entry['name']}_opt{run['option']}_{vi:04d}_"
+                    f"{rec['kind']}.svg"), svg)
+                svg_count += 1
 
     table = report.summary_table(payload["libraries"])
     _write(os.path.join(out_dir, "summary.txt"), table.render())

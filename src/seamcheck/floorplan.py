@@ -1,11 +1,13 @@
-"""Case packing: lay testcases out in isolated islands on one die.
+"""Case packing: lay testcases out in shelves on one die.
 
 Cases are packed first-fit into horizontal shelves, found through a
 min-tree per shelf height (D. S. Johnson, "Fast algorithms for bin
 packing", JCSS 1974) in O(log S) per case for S shelves. The horizontal
-gap between neighbors is at least twice the rule interaction distance, so
-no check can see across case boundaries and per-case verification equals
-whole-die verification.
+gap between neighbors in a shelf is at least twice the rule interaction
+distance, but shelves abut with no gap and no row flip. So per-case
+verification equals whole-die verification only when no shape lies
+within half its layer's reach (``RuleDeck.reach``) of its cell's top or
+bottom edge; a power rail at the edge breaks it.
 """
 
 from __future__ import annotations

@@ -181,13 +181,13 @@ def render_jsonl(result: VerificationResult, window: int) -> str:
 _FILL = {Mask.E1: "#5588cc", Mask.E2: "#dd7766", Mask.NONE: "#bbbbbb"}
 
 
-def render_svg(layout: FlatLayout, violation: Violation, margin: int = 0,
-               seams: tuple[GlobalSeam, ...] = ()) -> str:
-    """Static SVG of the violation neighborhood: every shape within the
-    violation box plus margin, mask-colored, with the violation outlined
-    and any attributed seam drawn as a vertical line. Output bytes are a
-    pure function of the inputs."""
-    vp = violation.bbox.inflated(margin)
+def render_svg(layout: FlatLayout, bbox: Rect, margin: int = 0,
+               seam_xs: tuple[int, ...] = ()) -> str:
+    """Static SVG of a violation neighborhood: every shape within ``bbox``
+    plus margin, mask-colored, with ``bbox`` outlined and a vertical line
+    at each seam x inside the viewport. Output bytes are a pure function
+    of the inputs."""
+    vp = bbox.inflated(margin)
     w, h = vp.width, vp.height
 
     def fx(x: int) -> int:
@@ -213,16 +213,15 @@ def render_svg(layout: FlatLayout, violation: Violation, margin: int = 0,
             f'height="{r.height}" fill="{_FILL[s.mask]}" stroke="#333333" '
             f'stroke-width="2">'
             f'<title>{title}</title></rect>')
-    for seam in seams:
-        if vp.x1 <= seam.x <= vp.x2:
+    for x in seam_xs:
+        if vp.x1 <= x <= vp.x2:
             parts.append(
-                f'<line x1="{fx(seam.x)}" y1="0" x2="{fx(seam.x)}" '
+                f'<line x1="{fx(x)}" y1="0" x2="{fx(x)}" '
                 f'y2="{h}" stroke="#222222" stroke-width="2" '
                 f'stroke-dasharray="16 8"/>')
-    b = violation.bbox
     parts.append(
-        f'<rect x="{fx(b.x1)}" y="{fy(b.y2)}" width="{b.width}" '
-        f'height="{b.height}" fill="none" stroke="#cc0022" '
+        f'<rect x="{fx(bbox.x1)}" y="{fy(bbox.y2)}" width="{bbox.width}" '
+        f'height="{bbox.height}" fill="none" stroke="#cc0022" '
         f'stroke-width="4" stroke-dasharray="12 6"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

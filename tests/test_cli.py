@@ -43,6 +43,27 @@ class TestProfile:
         assert data["cells"] == 0
         assert data["width_hist"] == {}
 
+    def test_library_error_names_its_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.lef"
+        bad.write_text((TESTDATA / "seamdemo.lef").read_text()
+                       .replace("SIZE 0.2 BY", "SIZE 0.5761 BY", 1))
+        assert run(["profile", "--libs", SEAM, str(bad), "--out",
+                    str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line ")
+        assert "finer than 1 DBU" in err
+
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff" + (TESTDATA / "seamdemo.lef").read_bytes())
+        out = str(tmp_path / "out")
+        for argv in (["profile", "--libs", str(bad)],
+                     ["verify", "--libs", SEAM, "--rules", str(bad)]):
+            capsys.readouterr()
+            assert run(argv + ["--out", out]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: ") and "utf-8" in err, argv
+
 
 class TestGenerate:
     def test_artifacts_and_manifest(self, tmp_path):
@@ -100,7 +121,7 @@ class TestGenerate:
         assert run(["generate", "--libs", str(lef), "--rules", RULES,
                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: line ") and "site width" in err
+        assert err.startswith(f"error: {lef}: line ") and "site width" in err
         assert not (out / "testcases_seamdemo.def").exists()
 
     def test_row_height_unlike_the_deck_exits_two(self, tmp_path, capsys):
@@ -413,8 +434,7 @@ class TestReport:
         out = self.prepared(tmp_path)
         results = out / "results.json"
         good = json.loads(results.read_text())
-        for key, value in (("max_row_width", [1]), ("window", "wide"),
-                           ("max_row_width", 2.5), ("window", None),
+        for key, value in (("max_row_width", [1]), ("max_row_width", 2.5),
                            ("max_row_width", True)):
             results.write_text(json.dumps({**good, key: value}))
             capsys.readouterr()
@@ -461,6 +481,37 @@ class TestReport:
             err = capsys.readouterr().err
             assert err.startswith("error:"), key
             assert str(results) in err and key in err, (key, err)
+
+    def test_svg_draws_the_recorded_seams(self, tmp_path):
+        # The first record's box is x 148..252; with the 200-DBU margin
+        # its viewport starts at x = -52, so a seam at x lands at x + 52.
+        out = self.prepared(tmp_path)
+        results = out / "results.json"
+        doc = json.loads(results.read_text())
+        rec = doc["libraries"][0]["runs"][0]["violations"][0]
+        assert rec["bbox"][0] == 148 and [s["x"] for s in rec["seams"]] \
+            == [200, 400]
+        rec["seams"] = [{**rec["seams"][0], "x": 300}]
+        results.write_text(json.dumps(doc))
+        assert run(["report", "--out", str(out), "--svg-cap", "1"]) == 0
+        svg = (out / "svg" / f"seamdemo_optI_0000_{rec['kind']}.svg") \
+            .read_text()
+        assert re.findall(r'<line x1="(-?\d+)"', svg) == ["352"]
+
+    def test_malformed_seams_exit_two(self, tmp_path, capsys):
+        out = self.prepared(tmp_path)
+        results = out / "results.json"
+        good = results.read_text()
+        for seams in (5, [3], [{"x": "a"}]):
+            doc = json.loads(good)
+            doc["libraries"][0]["runs"][0]["violations"][0]["seams"] = seams
+            results.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert run(["report", "--out", str(out)]) == 2, seams
+            err = capsys.readouterr().err
+            assert err.startswith("error:"), seams
+            assert str(results) in err, seams
+            assert "libraries[0].runs[0].violations[0].seams" in err, seams
 
     def test_nothing_to_draw_lays_out_nothing(self, tmp_path, monkeypatch):
         import seamcheck.cli as climod

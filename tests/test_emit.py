@@ -89,6 +89,19 @@ class TestVerilog:
                 "cases #0 and #1 both sanitize to module 'scell_X_Y'")):
             emit_verilog(cases)
 
+    def test_cell_names_that_are_not_identifiers_are_escaped(self):
+        def named(index, name):
+            return dataclasses.replace(synth_cell(index, with_shape=False),
+                                       name=name)
+
+        dash, digit, plain = (named(0, "AND2-X1"), named(1, "9LIVES"),
+                              named(2, "OK_$1"))
+        text = emit_verilog([gen_type_aa(dash), gen_type_ab(dash, digit),
+                             gen_type_aa(plain)])
+        refs = re.findall(r"^  (\S+) U\d+ \(\);", text, re.M)
+        assert set(refs) == {"\\AND2-X1", "\\9LIVES", "OK_$1"}
+        assert "  \\AND2-X1 U1 ();" in text
+
     def test_empty_case_list_still_emits_top(self):
         text = emit_verilog([])
         assert "module TOP ();" in text

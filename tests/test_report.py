@@ -262,10 +262,9 @@ class TestSvg:
         v = res.violations[0]
         layout = case_layout(v.case_index, res.cases, seam_library,
                              res.floorplan, demo_rules, OPT_I)
-        reports, _ = attribute_to_seams(res.violations, res.cases,
-                                        res.floorplan, 200)
-        seams = tuple(r.seam for r in reports if v in r.violations)
-        return render_svg(layout, v, margin=margin, seams=seams), v
+        near, = seams_per_violation([v], res.cases, res.floorplan, 200)
+        return render_svg(layout, v.bbox, margin=margin,
+                          seam_xs=tuple(s.x for s in near)), v
 
     def test_well_formed_and_deterministic(self, seam_library, demo_rules):
         svg1, _ = self.render_first(seam_library, demo_rules)
@@ -296,6 +295,6 @@ class TestSvg:
         v = res.violations[0]
         layout = case_layout(v.case_index, res.cases, seam_library,
                              res.floorplan, demo_rules, OPT_I)
-        svg = render_svg(layout, v, margin=300)
+        svg = render_svg(layout, v.bbox, margin=300)
         ys = [int(part.split('"')[1]) for part in svg.split(" y=")[1:]]
         assert ys and any(y != ys[0] for y in ys)
