@@ -31,7 +31,7 @@ def main() -> None:
         for seam in case.seams:
             left = f"{seam.left[0]}:{seam.left[1].value}"
             right = f"{seam.right[0]}:{seam.right[1].value}"
-            print(f"  seam x={seam.x} rows {seam.row_lo}..{seam.row_hi} "
+            print(f"  seam x={seam.x} rows 0..{case.height_rows - 1} "
                   f"{left} | {right}")
 
     report = coverage_check(cases, library)

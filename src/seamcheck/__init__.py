@@ -4,8 +4,7 @@ enumeration, Verilog/DEF emission, and seam-level DRC / double-patterning
 
 from .abutment import (AbutmentCase, CaseKind, CoverageReport, Placement,
                        Seam, coverage_check, enumerate_library,
-                       expected_count, gen_single_multi, gen_type_aa,
-                       gen_type_ab)
+                       expected_count)
 from .checks import (ConflictGraph, DecomposeResult, DptOption,
                      LayerNeighbours, VerificationResult, Violation,
                      ViolationKind, apply_colors, build_conflict_graph,
@@ -14,9 +13,9 @@ from .checks import (ConflictGraph, DecomposeResult, DptOption,
                      sweep_neighbours)
 from .defio import DefDesign, emit_def, parse_def, render_def
 from .errors import (CaseTooWideError, DuplicateCellError,
-                     HeightMismatchError, IncompleteAssignmentError,
-                     InconsistentSpacingError, MissingLayerRuleError,
-                     NameCollisionError, NonIntegerHeightError, ParseError,
+                     IncompleteAssignmentError, InconsistentSpacingError,
+                     MissingLayerRuleError, NameCollisionError,
+                     NonIntegerHeightError, ParseError,
                      ShapeOutOfBoundsError)
 from .floorplan import Floorplan, plan_floorplan, plan_library
 from .geometry import (FlatLayout, FlatShape, Mask, Orientation, ParallelRun,

@@ -3,8 +3,8 @@
 Every side-to-side abutment topology of a cell library is a pair
 ((cellX, o1), (cellY, o2)) with o1, o2 in {R0, MY}; topologies that are
 left-right mirrors of each other print identically and form one class.
-The generators below realize every class with far fewer placements than
-the exhaustive pairing:
+enumerate_library(), the only case builder, realizes every class with
+far fewer placements than the exhaustive pairing, in three patterns:
 
   - type A-A: one row of 4 instances [MY, R0, R0, MY] covers all 3
     same-cell classes;
@@ -29,7 +29,6 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
-from .errors import HeightMismatchError
 from .geometry import Orientation
 from .library import CellLibrary, CellProfile
 
@@ -44,14 +43,12 @@ class Placement(NamedTuple):
 class Seam(NamedTuple):
     """A shared vertical boundary between two abutted instances.
 
-    ``x`` is case-local; ``row_lo``/``row_hi`` are the case-local row
-    indices the boundary spans (inclusive). ``left``/``right`` give the
-    (cell, orientation) topology at the base row.
+    ``x`` is case-local; the boundary spans every row of its case.
+    ``left``/``right`` give the (cell, orientation) topology at the base
+    row.
     """
 
     x: int
-    row_lo: int
-    row_hi: int
     left: tuple[str, Orientation]
     right: tuple[str, Orientation]
 
@@ -76,12 +73,9 @@ class AbutmentCase:
     @property
     def seams(self) -> tuple[Seam, ...]:
         """One seam per adjacent pair of base-row placements (case-local
-        y = 0, in placement order), at the right instance's x and spanning
-        rows 0..height_rows-1."""
+        y = 0, in placement order), at the right instance's x."""
         base = [p for p in self.placements if p.origin[1] == 0]
-        top = self.height_rows - 1
-        return tuple(Seam(r.origin[0], 0, top,
-                          (l.cell_ref, l.orientation),
+        return tuple(Seam(r.origin[0], (l.cell_ref, l.orientation),
                           (r.cell_ref, r.orientation))
                      for l, r in zip(base, base[1:]))
 
@@ -143,39 +137,6 @@ def _chain(cell_a: CellProfile, cell_b: CellProfile | None,
     return AbutmentCase(kind, cell_a.name,
                         None if cell_b is None else cell_b.name,
                         tuple(placements), x, k, module)
-
-
-def gen_type_aa(cell: CellProfile) -> AbutmentCase:
-    """Four abutted instances of one cell, [MY, R0, R0, MY]. The three
-    seams realize all three same-cell mirror classes. Multi-height cells
-    use the same single-row pattern."""
-    return _chain(cell, None, {})
-
-
-def gen_type_ab(cell_a: CellProfile, cell_b: CellProfile) -> AbutmentCase:
-    """Five abutted instances, cells [B, A, B, A, B] with orientations
-    [R0, R0, MY, MY, R0]. The four seams realize all four cross-cell
-    mirror classes (covering B-A topologies as mirrors of A-B ones)."""
-    if cell_a.name == cell_b.name:
-        raise ValueError("type A-B needs two distinct cells")
-    if cell_a.height_rows != 1 or cell_b.height_rows != 1:
-        raise HeightMismatchError("type A-B cells must be single-height")
-    return _chain(cell_a, cell_b, {})
-
-
-def gen_single_multi(cell_a: CellProfile,
-                     cell_b: CellProfile) -> AbutmentCase:
-    """The A-B pattern with a k-row multi-height A: columns
-    [B-stack, A, B-stack, A, B-stack], each B-stack holding k stacked
-    instances that flip vertically on odd rows. 3k+2 placements."""
-    if cell_a.height_rows < 2:
-        raise HeightMismatchError(
-            f"cell {cell_a.name} is single-height; single-multi cases need "
-            f"a multi-height A")
-    if cell_b.height_rows != 1:
-        raise HeightMismatchError(
-            f"filler cell {cell_b.name} must be single-height")
-    return _chain(cell_a, cell_b, {})
 
 
 def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:

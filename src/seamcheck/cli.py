@@ -45,8 +45,8 @@ def _write(path: str, text: str):
 
 def _load_libraries(paths):
     """(path, library) per path; a parse error names its file. Output
-    files are named after the LIBRARY name, so two libraries with one name
-    are an input error."""
+    files are named after the LIBRARY name, so two libraries with one name,
+    or a name with a path separator, are an input error."""
     libs = []
     seen: dict[str, str] = {}
     for path in paths:
@@ -55,6 +55,10 @@ def _load_libraries(paths):
             lib = parse_library(text)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        if "/" in lib.name or "\\" in lib.name:
+            raise ValueError(f"{path}: library name {lib.name!r} contains a "
+                             f"path separator; output files are named "
+                             f"after it")
         if lib.name in seen:
             raise ValueError(f"libraries {seen[lib.name]} and {path} are "
                              f"both named {lib.name}")

@@ -17,6 +17,7 @@ reproduces the original bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .abutment import AbutmentCase, Placement, instance_path
@@ -25,6 +26,8 @@ from .floorplan import Floorplan
 from .geometry import Orientation, Rect, UnknownCellRefError
 from .library import CellLibrary, _Parser, _tokenize
 from .netlist import module_names
+
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,10 @@ def emit_def(cases: list[AbutmentCase], library: CellLibrary,
 class _DefParser(_Parser):
     def integer(self) -> int:
         tok = self.take("integer")
-        try:
-            return int(tok.text)
-        except ValueError:
+        if not _INTEGER.fullmatch(tok.text):
             raise ParseError(f"expected integer, found {tok.text!r}",
-                             tok.line, tok.col) from None
+                             tok.line, tok.col)
+        return int(tok.text)
 
 
 def parse_def(text: str) -> DefDesign:

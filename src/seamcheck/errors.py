@@ -37,10 +37,6 @@ class InconsistentSpacingError(ValueError):
     any-mask spacing)."""
 
 
-class HeightMismatchError(ValueError):
-    """Cell heights do not fit the requested abutment pattern."""
-
-
 class CaseTooWideError(ValueError):
     """A testcase is wider than the floorplan row limit."""
 

@@ -122,7 +122,7 @@ def micron_to_dbu(text: str, line: int | None = None,
                   col: int | None = None) -> int:
     """Exact micron-to-DBU conversion. At most 3 decimal places; finer
     precision is rejected rather than silently rounded."""
-    m = re.fullmatch(r"(-?)(\d+)(?:\.(\d*))?", text)
+    m = re.fullmatch(r"(-?)([0-9]+)(?:\.([0-9]*))?", text)
     if m is None or (m.group(3) == "" and text.endswith(".")):
         raise ParseError(f"malformed coordinate {text!r}", line, col)
     sign, whole, frac = m.group(1), m.group(2), m.group(3) or ""

@@ -3,7 +3,8 @@
 One module per case containing its unconnected cell instances, plus a TOP
 module instantiating every case module once. The cases carry no nets, so
 instances are emitted unconnected: ``<CELL> U1 ();``. A cell name that
-is not a simple Verilog identifier is written escaped: ``\\AND2-X1 U1 ();``.
+is not a simple Verilog identifier, or is a reserved word, is written
+escaped: ``\\AND2-X1 U1 ();``, ``\\module U1 ();``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,22 @@ from .abutment import AbutmentCase
 from .errors import NameCollisionError
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+# Reserved words of IEEE 1364-2005 (Annex B).
+_KEYWORDS = frozenset("""
+always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+cmos config deassign default defparam design disable edge else end endcase
+endconfig endfunction endgenerate endmodule endprimitive endspecify
+endtable endtask event for force forever fork function generate genvar
+highz0 highz1 if ifnone incdir include initial inout input instance
+integer join large liblist library localparam macromodule medium module
+nand negedge nmos nor noshowcancelled not notif0 notif1 or output
+parameter pmos posedge primitive pull0 pull1 pulldown pullup
+pulsestyle_ondetect pulsestyle_onevent rcmos real realtime reg release
+repeat rnmos rpmos rtran rtranif0 rtranif1 scalared showcancelled signed
+small specify specparam strong0 strong1 supply0 supply1 table task time
+tran tranif0 tranif1 tri tri0 tri1 triand trior trireg unsigned use uwire
+vectored wait wand weak0 weak1 while wire wor xnor xor
+""".split())
 
 
 def module_names(cases) -> list[str]:
@@ -42,7 +59,7 @@ def emit_verilog(cases: list[AbutmentCase]) -> str:
             if ref is None:
                 ref = refs[p.cell_ref] = (
                     p.cell_ref if _IDENTIFIER.fullmatch(p.cell_ref)
-                    else "\\" + p.cell_ref)
+                    and p.cell_ref not in _KEYWORDS else "\\" + p.cell_ref)
             out.append(f"  {ref} {p.instance_name} ();")
         out.append("endmodule")
         out.append("")

@@ -2,8 +2,8 @@
 records and SVG neighborhood rendering.
 
 Violations are attributed to every abutment seam whose band (the seam
-line widened by the attribution window, limited to the rows the seam
-spans) intersects the violation box; anything touching no seam lands in
+line widened by the attribution window, limited to the rows of its
+case) intersects the violation box; anything touching no seam lands in
 the residual (intra-cell) list.
 """
 
@@ -43,12 +43,12 @@ class SeamReport:
 
 def case_seams(case_index: int, case: AbutmentCase,
                floorplan: Floorplan) -> list[GlobalSeam]:
-    """The seams of one case in die coordinates, in seam order."""
+    """The seams of one case in die coordinates, in seam order; each
+    spans the case's rows."""
     ox, oy = floorplan.origin_of(case_index)
-    rh = floorplan.row_height
+    y_hi = oy + case.height_rows * floorplan.row_height
     module = case.module_name
-    return [GlobalSeam(case_index, j, module, seam.x + ox,
-                       oy + seam.row_lo * rh, oy + (seam.row_hi + 1) * rh,
+    return [GlobalSeam(case_index, j, module, seam.x + ox, oy, y_hi,
                        (seam.left[0], seam.left[1].value),
                        (seam.right[0], seam.right[1].value))
             for j, seam in enumerate(case.seams)]

@@ -267,8 +267,8 @@ _AB_COLUMNS = (_R0, _R0, _MY, _MY, _R0)
 def oracle_seams(case, library):
     """A case's seams by walking its columns: A-A is four columns of A,
     the A-B patterns are columns B, A, B, A, B. Each seam sits where a
-    column ends, spans the case's rows (A's row count) and names the
-    base-row (cell, orientation) on either side. Built from the cell
+    column ends and names the base-row (cell, orientation) on either
+    side. Built from the cell
     widths, the row counts and the pattern tables, not from placements."""
     cells = {c.name: c for c in library.cells}
     a = cells[case.cell_a]
@@ -280,6 +280,5 @@ def oracle_seams(case, library):
     seams, x = [], 0
     for (lc, lo), (rc, ro) in zip(columns, columns[1:]):
         x += lc.width
-        seams.append(Seam(x, 0, a.height_rows - 1, (lc.name, lo),
-                          (rc.name, ro)))
+        seams.append(Seam(x, (lc.name, lo), (rc.name, ro)))
     return tuple(seams)

@@ -11,6 +11,7 @@ from seamcheck import (
     Mask,
     Rect,
     RuleDeck,
+    enumerate_library,
     parse_library,
     parse_rules,
 )
@@ -74,6 +75,13 @@ def synth_cell(index: int, height_rows: int = 1, with_shape: bool = True) -> Cel
         pins=(),
         shapes=shapes,
     )
+
+
+def last_case(*cells: CellProfile):
+    """The last case enumerate_library builds for a library of exactly
+    these cells: the A-A case of one cell, the pair case of two."""
+    return enumerate_library(
+        CellLibrary("cases", ROW_HEIGHT, SITE_WIDTH, cells))[-1]
 
 
 def synth_library(

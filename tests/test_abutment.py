@@ -11,6 +11,7 @@ import itertools
 import random
 import re
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,19 +19,16 @@ from hypothesis import given, settings, strategies as st
 from seamcheck import (
     CaseKind,
     CellLibrary,
-    HeightMismatchError,
     Orientation,
     coverage_check,
     enumerate_library,
     expected_count,
-    gen_single_multi,
-    gen_type_aa,
-    gen_type_ab,
 )
 from seamcheck.abutment import _universe_size
 
 from brute import oracle_seams
-from conftest import ROW_HEIGHT, SITE_WIDTH, synth_cell, synth_library
+from conftest import (ROW_HEIGHT, SITE_WIDTH, last_case, synth_cell,
+                      synth_library)
 
 R0, R180, MX, MY = (Orientation.R0, Orientation.R180,
                     Orientation.MX, Orientation.MY)
@@ -78,7 +76,7 @@ def oracle_covered(cases):
 class TestTypeAA:
     def test_shape(self):
         cell = synth_cell(0, with_shape=False)
-        case = gen_type_aa(cell)
+        case = last_case(cell)
         assert case.kind is CaseKind.AA_SINGLE
         assert [p.instance_name for p in case.placements] == ["U1", "U2", "U3", "U4"]
         assert [p.orientation for p in case.placements] == [MY, R0, R0, MY]
@@ -90,22 +88,23 @@ class TestTypeAA:
         assert case.module_name == f"scell_{cell.name}"
 
     def test_def_codes_follow_orientations(self):
-        case = gen_type_aa(synth_cell(0, with_shape=False))
+        case = last_case(synth_cell(0, with_shape=False))
         assert [p.orientation.def_code for p in case.placements] == \
             ["FN", "N", "N", "FN"]
 
     def test_covers_all_three_self_classes(self):
         cell = synth_cell(3, with_shape=False)
-        case = gen_type_aa(cell)
+        case = last_case(cell)
         assert oracle_covered([case]) == oracle_universe([cell.name])
         assert len(oracle_universe([cell.name])) == 3
 
     def test_multi_height_cell_spans_rows(self):
         cell = synth_cell(1, height_rows=3, with_shape=False)
-        case = gen_type_aa(cell)
+        case = last_case(cell)
         assert case.kind is CaseKind.AA_MULTI
         assert case.height_rows == 3
-        assert all(s.row_lo == 0 and s.row_hi == 2 for s in case.seams)
+        assert [p.origin[1] for p in case.placements] == [0] * 4
+        assert len(case.seams) == 3
 
 
 class TestTypeAB:
@@ -114,7 +113,7 @@ class TestTypeAB:
         self.b = synth_cell(1, with_shape=False)
 
     def test_shape(self):
-        case = gen_type_ab(self.a, self.b)
+        case = last_case(self.a, self.b)
         assert case.kind is CaseKind.AB_SINGLE
         assert [p.cell_ref for p in case.placements] == \
             [self.b.name, self.a.name, self.b.name, self.a.name, self.b.name]
@@ -125,7 +124,7 @@ class TestTypeAB:
         assert case.width == 3 * wb + 2 * wa
 
     def test_seam_adjacency(self):
-        case = gen_type_ab(self.a, self.b)
+        case = last_case(self.a, self.b)
         a, b = self.a.name, self.b.name
         got = [(s.left, s.right) for s in case.seams]
         assert got == [
@@ -136,7 +135,7 @@ class TestTypeAB:
         ]
 
     def test_covers_all_four_cross_classes(self):
-        case = gen_type_ab(self.a, self.b)
+        case = last_case(self.a, self.b)
         cross = {c for c in oracle_universe([self.a.name, self.b.name])
                  if len({cell for t in c for cell, _ in t}) == 2}
         assert len(cross) == 4
@@ -163,21 +162,12 @@ class TestTypeAB:
         assert all(len({oracle_class(((order[i], w[i]), (order[i + 1], w[i + 1])))
                         for i in range(4)}) == 4 for w in winners)
 
-    def test_same_cell_rejected(self):
-        with pytest.raises(ValueError):
-            gen_type_ab(self.a, self.a)
-
-    def test_multi_height_operand_rejected(self):
-        tall = synth_cell(2, height_rows=2, with_shape=False)
-        with pytest.raises(HeightMismatchError):
-            gen_type_ab(self.a, tall)
-
 
 class TestSingleMulti:
     def test_shape_k2(self):
         multi = synth_cell(0, height_rows=2, with_shape=False)
         single = synth_cell(1, with_shape=False)
-        case = gen_single_multi(multi, single)
+        case = last_case(multi, single)
         assert case.kind is CaseKind.AB_SINGLE_MULTI
         assert len(case.placements) == 3 * 2 + 2
         assert case.height_rows == 2
@@ -188,7 +178,7 @@ class TestSingleMulti:
         multi = synth_cell(0, height_rows=2, with_shape=False)
         single = synth_cell(1, with_shape=False)
         wa, wb = multi.width, single.width
-        case = gen_single_multi(multi, single)
+        case = last_case(multi, single)
         by_name = {p.instance_name: p for p in case.placements}
         # Column x origins: B stack, A, B stack, A, B stack.
         xs = [0, wb, wb + wa, 2 * wb + wa, 2 * wb + 2 * wa]
@@ -208,20 +198,17 @@ class TestSingleMulti:
     def test_seams_span_all_rows(self):
         multi = synth_cell(0, height_rows=3, with_shape=False)
         single = synth_cell(1, with_shape=False)
-        case = gen_single_multi(multi, single)
+        case = last_case(single, multi)
         assert len(case.placements) == 3 * 3 + 2
-        assert all(s.row_lo == 0 and s.row_hi == 2 for s in case.seams)
+        assert case.height_rows == 3
         assert len(case.seams) == 4
-
-    def test_single_height_multi_rejected(self):
-        with pytest.raises(HeightMismatchError):
-            gen_single_multi(synth_cell(0, with_shape=False),
-                             synth_cell(1, with_shape=False))
-
-    def test_multi_height_single_rejected(self):
-        with pytest.raises(HeightMismatchError):
-            gen_single_multi(synth_cell(0, height_rows=2, with_shape=False),
-                             synth_cell(1, height_rows=2, with_shape=False))
+        # Every column fills all three rows, so each seam spans them.
+        heights = {multi.name: multi.height, single.name: single.height}
+        column = Counter()
+        for p in case.placements:
+            column[p.origin[0]] += heights[p.cell_ref]
+        assert len(column) == 5
+        assert set(column.values()) == {3 * ROW_HEIGHT}
 
 
 def sized_library(spec):
@@ -276,21 +263,23 @@ class TestEnumerateLibrary:
         assert kinds.count(CaseKind.AB_SINGLE) == 1
         assert kinds.count(CaseKind.AB_SINGLE_MULTI) == 4
 
-    def test_cases_equal_the_public_generators(self):
+    def test_multi_height_cell_of_a_pair_is_a(self):
         lib = sized_library([(1, 20), (2, 21), (3, 5), (1, 7), (2, 3),
                              (1, 9)])
-        cells = lib.cells
-        expected = [gen_type_aa(c) for c in cells]
-        for a, b in itertools.combinations(cells, 2):
-            if not a.is_multi and not b.is_multi:
-                expected.append(gen_type_ab(a, b))
-            elif not b.is_multi:
-                expected.append(gen_single_multi(a, b))
-            elif not a.is_multi:
-                expected.append(gen_single_multi(b, a))
+        multi = {c.name for c in lib.cells if c.is_multi}
         cases = enumerate_library(lib)
         assert {c.kind for c in cases} == set(CaseKind)
-        assert cases == expected
+        pairs = [c for c in cases if c.cell_b is not None]
+        for case in pairs:
+            tall = case.kind is CaseKind.AB_SINGLE_MULTI
+            assert (case.cell_a in multi) is tall, case
+            assert case.cell_b not in multi, case
+        unordered = [frozenset((c.cell_a, c.cell_b)) for c in pairs]
+        assert len(set(unordered)) == len(unordered)
+        assert set(unordered) == {
+            frozenset((a.name, b.name))
+            for a, b in itertools.combinations(lib.cells, 2)
+            if not (a.is_multi and b.is_multi)}
 
     def test_deterministic(self):
         lib = synth_library(5, multi_every=3, with_shapes=False)

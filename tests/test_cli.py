@@ -171,6 +171,22 @@ class TestLibraryNames:
         assert SEAM in err and str(twin) in err and "seamdemo" in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("name", ["a/b", "a\\b"])
+    @pytest.mark.parametrize("command", ["profile", "generate", "verify"])
+    def test_path_separator_in_name_exits_two(self, tmp_path, capsys,
+                                              command, name):
+        lef = tmp_path / "sep.lef"
+        lef.write_text((TESTDATA / "clean.lef").read_text()
+                       .replace("LIBRARY cleandemo", f"LIBRARY {name}"))
+        out = tmp_path / "out"
+        argv = [command, "--libs", str(lef), "--out", str(out)]
+        if command != "profile":
+            argv += ["--rules", RULES]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lef}: library name {name!r}")
+        assert not out.exists() or not any(out.rglob("*"))
+
     def test_distinct_names_still_run_together(self, tmp_path):
         out = tmp_path / "out"
         assert run(["verify", "--libs", SEAM, CLEAN, "--rules", RULES,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from seamcheck import (
     CaseTooWideError,
+    CellLibrary,
     NameCollisionError,
     Orientation,
     ParseError,
@@ -19,8 +20,6 @@ from seamcheck import (
     emit_def,
     emit_verilog,
     enumerate_library,
-    gen_type_aa,
-    gen_type_ab,
     parse_def,
     parse_rules,
     plan_floorplan,
@@ -28,7 +27,8 @@ from seamcheck import (
 )
 
 from brute import linear_floorplan
-from conftest import ROW_HEIGHT, read_testdata, synth_cell, synth_library
+from conftest import (ROW_HEIGHT, SITE_WIDTH, last_case, read_testdata,
+                      synth_cell, synth_library)
 
 RULES_TEXT = read_testdata("rules.yaml")
 
@@ -53,7 +53,7 @@ class TestVerilog:
     def test_module_shapes(self):
         lib = synth_library(2, with_shapes=False)
         a, b = lib.cells
-        cases = [gen_type_aa(a), gen_type_aa(b), gen_type_ab(a, b)]
+        cases = enumerate_library(lib)
         text = emit_verilog(cases)
         mod_a = f"module scell_{a.name} ();"
         assert mod_a in text
@@ -72,7 +72,7 @@ class TestVerilog:
     def test_cross_case_instance_order(self):
         lib = synth_library(2, with_shapes=False)
         a, b = lib.cells
-        text = emit_verilog([gen_type_ab(a, b)])
+        text = emit_verilog([last_case(a, b)])
         body = text.split(f"module scell_{a.name}_{b.name} ();")[1]
         body = body.split("endmodule")[0]
         insts = re.findall(r"^\s+(\S+) (U\d+) \(\);", body, re.M)
@@ -83,8 +83,12 @@ class TestVerilog:
         xy = dataclasses.replace(synth_cell(0, with_shape=False), name="X_Y")
         x = dataclasses.replace(synth_cell(1, with_shape=False), name="X")
         y = dataclasses.replace(synth_cell(2, with_shape=False), name="Y")
-        cases = [gen_type_aa(xy), gen_type_ab(x, y)]
-        assert cases[0].module_name == cases[1].module_name
+        # enumerate_library suffixes the second scell_X_Y; undo that.
+        built = enumerate_library(CellLibrary("n", ROW_HEIGHT, SITE_WIDTH,
+                                              (xy, x, y)))
+        aa_xy, pair_xy = built[0], built[-1]
+        assert pair_xy.module_name == "scell_X_Y_2"
+        cases = [aa_xy, dataclasses.replace(pair_xy, module_name="scell_X_Y")]
         with pytest.raises(NameCollisionError, match=re.escape(
                 "cases #0 and #1 both sanitize to module 'scell_X_Y'")):
             emit_verilog(cases)
@@ -94,13 +98,16 @@ class TestVerilog:
             return dataclasses.replace(synth_cell(index, with_shape=False),
                                        name=name)
 
-        dash, digit, plain = (named(0, "AND2-X1"), named(1, "9LIVES"),
-                              named(2, "OK_$1"))
-        text = emit_verilog([gen_type_aa(dash), gen_type_ab(dash, digit),
-                             gen_type_aa(plain)])
+        names = ("AND2-X1", "9LIVES", "OK_$1", "module", "wire", "MODULE")
+        text = emit_verilog(enumerate_library(CellLibrary(
+            "n", ROW_HEIGHT, SITE_WIDTH,
+            tuple(named(i, name) for i, name in enumerate(names)))))
         refs = re.findall(r"^  (\S+) U\d+ \(\);", text, re.M)
-        assert set(refs) == {"\\AND2-X1", "\\9LIVES", "OK_$1"}
+        # Reserved words are escaped too; Verilog keywords are lower case.
+        assert set(refs) == {"\\AND2-X1", "\\9LIVES", "OK_$1", "\\module",
+                             "\\wire", "MODULE"}
         assert "  \\AND2-X1 U1 ();" in text
+        assert "  module U1 ();" not in text
 
     def test_empty_case_list_still_emits_top(self):
         text = emit_verilog([])
@@ -156,7 +163,7 @@ class TestDefEmission:
     def test_unknown_cell_ref_rejected(self):
         lib, cases, plan = self.make()
         ghost = dataclasses.replace(synth_cell(9, with_shape=False), name="GHOST")
-        bad = cases + [gen_type_aa(ghost)]
+        bad = cases + [last_case(ghost)]
         rules = parse_rules(RULES_TEXT)
         plan_bad = plan_floorplan(bad, rules)
         with pytest.raises(UnknownCellRefError):
@@ -213,6 +220,15 @@ class TestDefParsing:
         with pytest.raises(ParseError):
             parse_def(text + "EXTRA\n")
 
+    @pytest.mark.parametrize("number", ["1_000", "+50", "\u0663", "0x10"])
+    def test_integer_other_than_ascii_digits_rejected(self, number):
+        text, _, _ = self.roundtrip(n=1)
+        bad = text.replace("DIEAREA ( 0 0 )", f"DIEAREA ( {number} 0 )")
+        assert bad != text
+        with pytest.raises(ParseError, match=re.escape(
+                f"line 4, col 11: expected integer, found {number!r}")):
+            parse_def(bad)
+
     def test_missing_header_rejected(self):
         text, _, _ = self.roundtrip(n=1)
         with pytest.raises(ParseError):
@@ -222,7 +238,7 @@ class TestDefParsing:
 class TestFloorplan:
     def test_single_case_die(self):
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=200)
-        case = gen_type_aa(cell)
+        case = last_case(cell)
         rules = parse_rules(RULES_TEXT)
         plan = plan_floorplan([case], rules)
         assert plan.positions == ((0, 0),)
@@ -240,7 +256,7 @@ class TestFloorplan:
 
     def test_row_overflow_starts_new_row(self):
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=200)
-        cases = [gen_type_aa(cell), gen_type_aa(cell)]
+        cases = [last_case(cell)] * 2
         rules = rules_with_interaction(64)
         # Each case is 800 wide; gap is 128. Two cases need 1728.
         plan = plan_floorplan(cases, rules, max_row_width=1000)
@@ -251,7 +267,7 @@ class TestFloorplan:
 
     def test_cases_pack_on_one_row_when_they_fit(self):
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=200)
-        cases = [gen_type_aa(cell), gen_type_aa(cell)]
+        cases = [last_case(cell)] * 2
         rules = rules_with_interaction(64)
         plan = plan_floorplan(cases, rules, max_row_width=2000)
         assert plan.positions == ((0, 0), (0, 928))
@@ -275,7 +291,7 @@ class TestFloorplan:
 
     def test_case_too_wide(self):
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=400)
-        case = gen_type_aa(cell)
+        case = last_case(cell)
         rules = parse_rules(RULES_TEXT)
         with pytest.raises(CaseTooWideError):
             plan_floorplan([case], rules, max_row_width=1200)

@@ -66,12 +66,19 @@ class TestMicronToDbu:
             micron_to_dbu("1.2345")
 
     def test_malformed_numbers_rejected(self):
-        for bad in ("", ".", "1.", "--1", "0x10", "1e3"):
+        for bad in ("", ".", "1.", "--1", "0x10", "1e3", "+1", "1_000",
+                    "\u0663.5", "0.\u0665", "\uff11"):
             with pytest.raises(ParseError):
                 micron_to_dbu(bad)
 
     def test_negative_values_parse_as_signed(self):
         assert micron_to_dbu("-0.2") == -200
+
+    def test_non_ascii_digit_in_library_is_located(self):
+        text = MINIMAL.replace("SIZE 0.2 BY", "SIZE \u0660.2 BY", 1)
+        assert text != MINIMAL
+        with pytest.raises(ParseError, match="line [0-9]+, col [0-9]+"):
+            parse_library(text)
 
 
 class TestSplitMaskSuffix:

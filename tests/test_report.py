@@ -50,7 +50,8 @@ class TestGlobalSeams:
             local = cases[s.case_index].seams[s.seam_index]
             assert s.x == ox + local.x
             assert s.y_lo == oy
-            assert s.y_hi >= s.y_lo
+            assert s.y_hi == (oy + cases[s.case_index].height_rows
+                              * plan.row_height)
 
     def test_band_window(self, seam_library, demo_rules):
         _, _, seams = seam_setup(seam_library, demo_rules)
