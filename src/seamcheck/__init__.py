@@ -11,7 +11,7 @@ from .checks import (ConflictGraph, DecomposeResult, DptOption,
                      case_layout, check_spacing, check_width,
                      color_decompose, match_hotspots, run_all,
                      sweep_neighbours)
-from .defio import DefDesign, emit_def, parse_def, render_def
+from .defio import DefDesign, emit_def, parse_def, render_def, write_def
 from .errors import (CaseTooWideError, DuplicateCellError,
                      IncompleteAssignmentError, InconsistentSpacingError,
                      MissingLayerRuleError, NameCollisionError,
@@ -25,7 +25,7 @@ from .geometry import (FlatLayout, FlatShape, Mask, Orientation, ParallelRun,
 from .library import (CellLibrary, CellProfile, ColoredRect, DBU_PER_MICRON,
                       LibraryStats, PinDef, micron_to_dbu, parse_library,
                       profile, split_mask_suffix)
-from .netlist import emit_verilog
+from .netlist import emit_verilog, write_verilog
 from .report import (GlobalSeam, SeamReport, SummaryRow, SummaryTable,
                      attribute_to_seams, case_seams, global_seams,
                      render_jsonl, render_svg, seams_per_violation,

@@ -17,15 +17,18 @@ far fewer placements than the exhaustive pairing, in three patterns:
 Total placements for N single-height cells: 4N + 5*N*(N-1)/2, versus
 8N + 8*N*(N-1) for one-pair-per-case enumeration (about 3.2x less).
 A case stores its placements only; its seams are derived from them.
-coverage_check() is the independent proof: it counts the realized
-classes against the size of the class universe and, when any is
-missing, enumerates the universe by brute force to name them.
+coverage_check() is the independent proof: it marks each realized class
+in a bitmap of 4N^2 entries, read straight off adjacent base-row
+placements, and compares the marked count with the size of the class
+universe; only when the count is short does it scan the bitmap to name
+the missing classes.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -72,17 +75,28 @@ class AbutmentCase:
 
     @property
     def seams(self) -> tuple[Seam, ...]:
-        """One seam per adjacent pair of base-row placements (case-local
-        y = 0, in placement order), at the right instance's x."""
-        base = [p for p in self.placements if p.origin[1] == 0]
+        """One seam per adjacent pair of base-row placements, at the right
+        instance's x."""
         return tuple(Seam(r.origin[0], (l.cell_ref, l.orientation),
                           (r.cell_ref, r.orientation))
-                     for l, r in zip(base, base[1:]))
+                     for l, r in _base_pairs(self.placements))
+
+
+def _base_pairs(placements) -> Iterable[tuple[Placement, Placement]]:
+    """Adjacent pairs of base-row placements (case-local y = 0), in
+    placement order: the (left, right) instances of each seam."""
+    base = [p for p in placements if p.origin[1] == 0]
+    return zip(base, base[1:])
+
+
+_NOT_IDENT = re.compile(r"[^A-Za-z0-9_]")
 
 
 @functools.cache
 def _sanitize(name: str) -> str:
-    out = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
+    """``name`` as a simple Verilog identifier: every character outside
+    [A-Za-z0-9_] becomes ``_``, and a leading digit gets a ``c``."""
+    out = _NOT_IDENT.sub("_", name)
     if not out or out[0].isdigit():
         out = "c" + out
     return out
@@ -216,33 +230,36 @@ def coverage_check(cases: Iterable[AbutmentCase],
     ordered (cell, orientation) pair over {R0, MY}, except pairs of two
     distinct multi-height cells. A topology is (left index, left side,
     right index, right side) over library order; its class is the smaller
-    of it and its left-right mirror. A count of the realized classes
-    inside the universe that reaches its size proves completeness; only
-    when the count is short is the universe enumerated by brute force.
-    Complete iff nothing is missing; ``missing`` is sorted by (left cell,
-    right cell, left orientation, right orientation)."""
+    of it and its left-right mirror. Each realized class inside the
+    universe is marked in a bitmap of 4N^2 entries; a marked count that
+    reaches the universe size proves completeness. Complete iff nothing
+    is missing; ``missing`` is sorted by (left cell, right cell, left
+    orientation, right orientation)."""
     cells = library.cells
-    index = {c.name: i for i, c in enumerate(cells)}
-    multi = [c.is_multi for c in cells]
     n = len(cells)
-
-    def cls(x, ox, y, oy):
-        return min((x, ox, y, oy), (y, 1 - oy, x, 1 - ox))
-
-    covered = {cls(index[s.left[0]], _SIDE[s.left[1]],
-                   index[s.right[0]], _SIDE[s.right[1]])
-               for case in cases for s in case.seams}
+    # A node is (index, side) as 2 * index + side; a topology is the node
+    # pair (u, v) at bit u * 2N + v, and its mirror is (v ^ 1, u ^ 1).
+    node = {c.name: 2 * i for i, c in enumerate(cells)}
+    multi = [c.is_multi for c in cells]
+    bits = bytearray(4 * n * n)
+    for case in cases:
+        for left, right in _base_pairs(case.placements):
+            u = node[left.cell_ref] + _SIDE[left.orientation]
+            v = node[right.cell_ref] + _SIDE[right.orientation]
+            x, y = u >> 1, v >> 1
+            if x != y and multi[x] and multi[y]:
+                continue
+            bits[u * 2 * n + v if u <= v ^ 1
+                 else (v ^ 1) * 2 * n + (u ^ 1)] = 1
     size = _universe_size(cells)
-    if sum(1 for x, _, y, _ in covered
-           if x == y or not (multi[x] and multi[y])) == size:
+    covered = bits.count(1)
+    if covered == size:
         return CoverageReport(size, size, ())
-    universe = {cls(x, ox, y, oy)
-                for x in range(n) for y in range(n)
-                if x == y or not (multi[x] and multi[y])
-                for ox in (0, 1) for oy in (0, 1)}
-    missing = sorted(universe - covered,
-                     key=lambda t: (t[0], t[2], t[1], t[3]))
-    return CoverageReport(
-        len(universe), len(universe) - len(missing),
-        tuple(((cells[x].name, _SIDE_ORIENT[ox]),
-               (cells[y].name, _SIDE_ORIENT[oy])) for x, ox, y, oy in missing))
+    missing = tuple(
+        ((cells[x].name, _SIDE_ORIENT[ox]), (cells[y].name, _SIDE_ORIENT[oy]))
+        for x in range(n) for y in range(x, n)
+        if x == y or not (multi[x] and multi[y])
+        for ox in (0, 1) for oy in (0, 1)
+        if (x < y or ox <= 1 - oy)
+        and not bits[((2 * x + ox) * n + y) * 2 + oy])
+    return CoverageReport(size, covered, missing)

@@ -38,8 +38,13 @@ def _read(path: str) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _create(path: str):
+    """A new UTF-8 text file at ``path`` with LF line endings."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(text)
 
 
@@ -174,10 +179,11 @@ def cmd_generate(args) -> int:
     status = 0
     for path, lib in _load_libraries(opt.libs()):
         cases, fp = plan_library(lib, rules, max_row_width)
-        _write(os.path.join(out_dir, f"testcases_{lib.name}.v"),
-               netlist.emit_verilog(cases))
-        _write(os.path.join(out_dir, f"testcases_{lib.name}.def"),
-               defio.emit_def(cases, lib, fp))
+        with _create(os.path.join(out_dir, f"testcases_{lib.name}.v")) as fh:
+            netlist.write_verilog(fh, cases)
+        with _create(os.path.join(out_dir,
+                                  f"testcases_{lib.name}.def")) as fh:
+            defio.write_def(fh, cases, lib, fp)
         stats = profile(lib)
         placements = sum(len(c.placements) for c in cases)
         expected = (expected_count(stats.n_single, "proposed")

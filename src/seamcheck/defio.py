@@ -11,14 +11,20 @@ Emitted files carry exactly the placement data the testcases need:
     END COMPONENTS
     END DESIGN
 
-parse_def() inverts emission exactly: re-emitting a parsed design
-reproduces the original bytes.
+write_def() streams a case list's DEF to a file, one component line at
+a time, with the count taken from the cases up front; emit_def() returns
+the same text as a string, and render_def() formats any placements.
+parse_def() inverts emission exactly: integers are canonical (no leading
+zeros, no ``-0``), so re-emitting a parsed design reproduces the original
+bytes.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
+from typing import Iterable, TextIO
 
 from .abutment import AbutmentCase, Placement, instance_path
 from .errors import ParseError
@@ -27,7 +33,7 @@ from .geometry import Orientation, Rect, UnknownCellRefError
 from .library import CellLibrary, _Parser, _tokenize
 from .netlist import module_names
 
-_INTEGER = re.compile(r"-?[0-9]+")
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -37,31 +43,38 @@ class DefDesign:
     die_area: Rect
 
 
+def _write_document(out: TextIO, placements: Iterable, count: int,
+                    die_area: Rect, design: str = "TOP") -> None:
+    """Write a DEF document of ``count`` components, one line per
+    (instance, cell, (x, y), orientation) of ``placements``."""
+    out.write(f"VERSION 5.6 ;\nDESIGN {design} ;\n"
+              f"UNITS DISTANCE MICRONS 1000 ;\n"
+              f"DIEAREA ( {die_area.x1} {die_area.y1} ) "
+              f"( {die_area.x2} {die_area.y2} ) ;\n"
+              f"COMPONENTS {count} ;\n")
+    for name, cell_ref, (x, y), orientation in placements:
+        out.write(f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
+                  f"{orientation.def_code} ;\n")
+    out.write("END COMPONENTS\nEND DESIGN\n")
+
+
 def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
     """DEF text for an iterable of (instance, cell, (x, y), orientation)
     tuples, e.g. ``Placement``s, in the given order."""
-    components = [f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
-                  f"{orientation.def_code} ;"
-                  for name, cell_ref, (x, y), orientation in placements]
-    return "\n".join([
-        "VERSION 5.6 ;",
-        f"DESIGN {design} ;",
-        "UNITS DISTANCE MICRONS 1000 ;",
-        f"DIEAREA ( {die_area.x1} {die_area.y1} ) "
-        f"( {die_area.x2} {die_area.y2} ) ;",
-        f"COMPONENTS {len(components)} ;",
-        *components,
-        "END COMPONENTS",
-        "END DESIGN",
-    ]) + "\n"
+    placements = list(placements)
+    out = io.StringIO()
+    _write_document(out, placements, len(placements), die_area, design)
+    return out.getvalue()
 
 
-def emit_def(cases: list[AbutmentCase], library: CellLibrary,
-             floorplan: Floorplan) -> str:
-    """Placed-design DEF for the case list under the given floorplan. Each
-    component line is written from the case-local placement shifted by
-    the case's die origin."""
-    module_names(cases)  # surface NameCollision before writing anything
+def write_def(out: TextIO, cases: list[AbutmentCase], library: CellLibrary,
+              floorplan: Floorplan) -> None:
+    """Write the placed-design DEF of the case list under the given
+    floorplan to ``out``. Each component line is written from the
+    case-local placement shifted by the case's die origin. A name
+    collision raises before anything is written; a cell the library lacks
+    raises where its line would be."""
+    module_names(cases)
 
     def placed():
         for idx, case in enumerate(cases):
@@ -73,7 +86,17 @@ def emit_def(cases: list[AbutmentCase], library: CellLibrary,
                 yield (instance_path(module, name), cell_ref,
                        (x + ox, y + oy), orientation)
 
-    return render_def(placed(), floorplan.die_area)
+    _write_document(out, placed(), sum(len(c.placements) for c in cases),
+                    floorplan.die_area)
+
+
+def emit_def(cases: list[AbutmentCase], library: CellLibrary,
+             floorplan: Floorplan) -> str:
+    """Placed-design DEF text for the case list under the given
+    floorplan: what write_def() writes."""
+    out = io.StringIO()
+    write_def(out, cases, library, floorplan)
+    return out.getvalue()
 
 
 class _DefParser(_Parser):

@@ -4,12 +4,16 @@ One module per case containing its unconnected cell instances, plus a TOP
 module instantiating every case module once. The cases carry no nets, so
 instances are emitted unconnected: ``<CELL> U1 ();``. A cell name that
 is not a simple Verilog identifier, or is a reserved word, is written
-escaped: ``\\AND2-X1 U1 ();``, ``\\module U1 ();``.
+escaped: ``\\AND2-X1 U1 ();``, ``\\module U1 ();``. write_verilog()
+streams the text to a file one module at a time; emit_verilog() returns
+it as a string.
 """
 
 from __future__ import annotations
 
+import io
 import re
+from typing import TextIO
 
 from .abutment import AbutmentCase
 from .errors import NameCollisionError
@@ -47,24 +51,30 @@ def module_names(cases) -> list[str]:
     return names
 
 
-def emit_verilog(cases: list[AbutmentCase]) -> str:
-    """Deterministic netlist text for the case list (LF line endings)."""
+def write_verilog(out: TextIO, cases: list[AbutmentCase]) -> None:
+    """Write the netlist of the case list to ``out``, one module at a
+    time. A name collision raises before anything is written."""
     names = module_names(cases)
     refs: dict[str, str] = {}  # cell name -> its Verilog reference
-    out = []
     for case, name in zip(cases, names):
-        out.append(f"module {name} ();")
+        lines = [f"module {name} ();"]
         for p in case.placements:
             ref = refs.get(p.cell_ref)
             if ref is None:
                 ref = refs[p.cell_ref] = (
                     p.cell_ref if _IDENTIFIER.fullmatch(p.cell_ref)
                     and p.cell_ref not in _KEYWORDS else "\\" + p.cell_ref)
-            out.append(f"  {ref} {p.instance_name} ();")
-        out.append("endmodule")
-        out.append("")
-    out.append("module TOP ();")
+            lines.append(f"  {ref} {p.instance_name} ();")
+        lines.append("endmodule\n\n")
+        out.write("\n".join(lines))
+    out.write("module TOP ();\n")
     for name in names:
-        out.append(f"  {name} {name} ();")
-    out.append("endmodule")
-    return "\n".join(out) + "\n"
+        out.write(f"  {name} {name} ();\n")
+    out.write("endmodule\n")
+
+
+def emit_verilog(cases: list[AbutmentCase]) -> str:
+    """Deterministic netlist text for the case list (LF line endings)."""
+    out = io.StringIO()
+    write_verilog(out, cases)
+    return out.getvalue()

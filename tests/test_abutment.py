@@ -10,6 +10,7 @@ import gc
 import itertools
 import random
 import re
+import tracemalloc
 import types
 from collections import Counter
 
@@ -305,8 +306,17 @@ class TestEnumerateLibrary:
         assert len(names) == 10 == len(set(names))
         assert names.index("scell_X_Y_Z") < names.index("scell_X_Y_Z_2")
 
+    def test_non_ascii_letters_and_digits_become_underscores(self):
+        # Module names are simple Verilog identifiers, [A-Za-z0-9_] only.
+        lib = named_library(["CAF\u00c9", "CAF_", "\u0663X"])
+        names = [c.module_name for c in enumerate_library(lib)]
+        assert names == ["scell_CAF_", "scell_CAF__2", "scell__X",
+                         "scell_CAF__CAF_", "scell_CAF___X",
+                         "scell_CAF___X_2"]
+
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.text("AXY_9-", min_size=1, max_size=4),
+    @given(st.lists(st.tuples(st.text("AXY_9-\u00c9\u0663", min_size=1,
+                                      max_size=4),
                               st.booleans()),
                     min_size=1, max_size=6, unique_by=lambda c: c[0]))
     def test_module_names_unique(self, spec):
@@ -435,12 +445,12 @@ class TestCoverage:
     def test_odd_row_seams_count_as_base_row_classes(self):
         lib = synth_library(3, with_shapes=False)
         cases = enumerate_library(lib)[:4]
-        # coverage_check reads only .seams, so stand-ins carry the
-        # odd-row variants of each case's seams.
-        flipped = [types.SimpleNamespace(seams=tuple(
-            s._replace(left=(s.left[0], s.left[1].flipped_ud),
-                       right=(s.right[0], s.right[1].flipped_ud))
-            for s in c.seams)) for c in cases]
+        # coverage_check reads only .placements, so stand-ins carry each
+        # case's base row with every instance in its odd-row orientation.
+        flipped = [types.SimpleNamespace(placements=tuple(
+            p._replace(orientation=p.orientation.flipped_ud)
+            for p in c.placements)) for c in cases]
+        assert all(p.origin[1] == 0 for c in cases for p in c.placements)
         report = coverage_check(flipped, lib)
         assert report.missing and report == coverage_check(cases, lib)
 
@@ -466,10 +476,9 @@ class TestCoverage:
         dropped = next(c for c in cases if c.kind is CaseKind.AB_SINGLE)
         tall = [c.name for c in lib.cells if c.is_multi]
         rename = dict(zip((dropped.cell_a, dropped.cell_b), tall))
-        stray = types.SimpleNamespace(seams=tuple(
-            s._replace(left=(rename[s.left[0]], s.left[1]),
-                       right=(rename[s.right[0]], s.right[1]))
-            for s in dropped.seams))
+        stray = types.SimpleNamespace(placements=tuple(
+            p._replace(cell_ref=rename[p.cell_ref])
+            for p in dropped.placements))
         report = coverage_check(
             [c for c in cases if c is not dropped] + [stray], lib)
         missing = [((a, oa.name), (b, ob.name))
@@ -477,6 +486,20 @@ class TestCoverage:
         assert len(missing) == 4
         assert set(map(oracle_class, missing)) == oracle_covered([dropped])
         assert report.covered == report.universe - 4
+
+    def test_coverage_memory_does_not_grow_with_classes(self):
+        # 45,150 classes at N = 150: one tuple each would take megabytes;
+        # the bitmap takes 4N^2 = 90,000 bytes.
+        lib = synth_library(150, with_shapes=False)
+        cases = enumerate_library(lib)
+        tracemalloc.start()
+        try:
+            report = coverage_check(cases, lib)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.complete and report.universe == 45_150
+        assert peak < 256 * 1024, peak
 
     def test_empty_library_is_vacuously_complete(self):
         lib = synth_library(0, with_shapes=False)

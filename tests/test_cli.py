@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 import seamcheck.cli as climod
+from seamcheck import parse_def
 from seamcheck.cli import main
 
 from conftest import TESTDATA, synth_lef
@@ -112,6 +113,35 @@ class TestGenerate:
         assert m["expected_placements"] is None
         assert m["coverage_complete"] is True
 
+
+    @pytest.mark.parametrize("lef, name", [("seamdemo.lef", "seamdemo"),
+                                           ("mixed.lef", "mixeddemo")])
+    def test_def_parses_back_to_the_manifest_count(self, tmp_path, lef,
+                                                   name):
+        out = tmp_path / "out"
+        assert run(["generate", "--libs", str(TESTDATA / lef), "--rules",
+                    RULES, "--out", str(out)]) == 0
+        m = json.loads((out / f"manifest_{name}.json").read_text())
+        design = parse_def((out / f"testcases_{name}.def").read_text())
+        assert len(design.placements) == m["placements"]
+        verilog = (out / f"testcases_{name}.v").read_text()
+        assert len(re.findall(r"^module ", verilog, re.M)) == m["cases"] + 1
+
+    def test_non_ascii_cell_names_give_ascii_modules(self, tmp_path):
+        # Only [A-Za-z0-9_] may survive sanitizing: CAFÉ and CAF_ collide
+        # and the later case takes the _2 suffix.
+        lef = tmp_path / "cafe.lef"
+        lef.write_text((TESTDATA / "seamdemo.lef").read_text()
+                       .replace("SEAMA", "CAFÉ").replace("SEAMB", "CAF_"),
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["generate", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(out)]) == 0
+        verilog = (out / "testcases_seamdemo.v").read_text(encoding="utf-8")
+        modules = re.findall(r"^module (\S+) \(\);", verilog, re.M)
+        assert modules == ["scell_CAF_", "scell_CAF__2", "scell_CAF__CAF_",
+                           "TOP"]
+        assert "  \\CAFÉ U1 ();" in verilog
 
     def test_off_grid_cell_width_exits_two(self, tmp_path, capsys):
         lef = tmp_path / "offgrid.lef"

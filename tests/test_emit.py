@@ -1,8 +1,11 @@
 """Netlist and placement-file emission, parsing, and floorplanning tests."""
 
 import dataclasses
+import os
 import random
 import re
+import tempfile
+import tracemalloc
 from typing import NamedTuple
 
 import pytest
@@ -21,14 +24,17 @@ from seamcheck import (
     emit_verilog,
     enumerate_library,
     parse_def,
+    parse_library,
     parse_rules,
     plan_floorplan,
     render_def,
+    write_def,
+    write_verilog,
 )
 
 from brute import linear_floorplan
-from conftest import (ROW_HEIGHT, SITE_WIDTH, last_case, read_testdata,
-                      synth_cell, synth_library)
+from conftest import (ROW_HEIGHT, SITE_WIDTH, TESTDATA, last_case,
+                      read_testdata, synth_cell, synth_library)
 
 RULES_TEXT = read_testdata("rules.yaml")
 
@@ -170,6 +176,61 @@ class TestDefEmission:
             emit_def(bad, lib, plan_bad)
 
 
+def written(writer, *args) -> bytes:
+    """The bytes ``writer`` puts in a real file opened as the CLI opens
+    its outputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            writer(fh, *args)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestStreamedEmission:
+    """write_verilog/write_def stream to a file what emit_verilog/emit_def
+    return as a string, and hold only a small part of it at a time."""
+
+    def check_library(self, lib):
+        cases = enumerate_library(lib)
+        plan = plan_floorplan(cases, parse_rules(RULES_TEXT))
+        assert (written(write_verilog, cases)
+                == emit_verilog(cases).encode("utf-8"))
+        assert (written(write_def, cases, lib, plan)
+                == emit_def(cases, lib, plan).encode("utf-8"))
+
+    @pytest.mark.parametrize("lef", sorted(p.name for p in
+                                           TESTDATA.glob("*.lef")))
+    def test_testdata_files_equal_strings(self, lef):
+        self.check_library(parse_library(read_testdata(lef)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.text("AXY_9-\u00c9", min_size=1,
+                                      max_size=4), st.booleans()),
+                    min_size=1, max_size=6, unique_by=lambda c: c[0]))
+    def test_mixed_libraries_equal_strings(self, spec):
+        self.check_library(CellLibrary("mixed", ROW_HEIGHT, SITE_WIDTH, tuple(
+            dataclasses.replace(synth_cell(i, 2 if tall else 1), name=name)
+            for i, (name, tall) in enumerate(spec))))
+
+    def test_writers_hold_under_half_of_what_they_write(self):
+        lib = synth_library(150)
+        cases = enumerate_library(lib)
+        plan = plan_floorplan(cases, parse_rules(RULES_TEXT))
+        written_bytes = (len(emit_verilog(cases).encode("utf-8"))
+                         + len(emit_def(cases, lib, plan).encode("utf-8")))
+        with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
+            tracemalloc.start()
+            try:
+                write_verilog(fh, cases)
+                write_def(fh, cases, lib, plan)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert written_bytes > 5_000_000
+        assert peak < written_bytes / 2, (peak, written_bytes)
+
+
 class TestDefParsing:
     def roundtrip(self, n=3, multi_every=0):
         lib, cases, plan = TestDefEmission().make(n, multi_every)
@@ -220,8 +281,11 @@ class TestDefParsing:
         with pytest.raises(ParseError):
             parse_def(text + "EXTRA\n")
 
-    @pytest.mark.parametrize("number", ["1_000", "+50", "\u0663", "0x10"])
+    @pytest.mark.parametrize("number", ["1_000", "+50", "\u0663", "0x10",
+                                        "007", "00", "-0", "-05"])
     def test_integer_other_than_ascii_digits_rejected(self, number):
+        # Only canonical integers parse: no leading zeros and no -0, so
+        # re-rendering a parsed design gives back its bytes.
         text, _, _ = self.roundtrip(n=1)
         bad = text.replace("DIEAREA ( 0 0 )", f"DIEAREA ( {number} 0 )")
         assert bad != text
