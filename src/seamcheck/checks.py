@@ -22,7 +22,7 @@ from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
                        connected_components, flatten, parallel_runs,
                        union_all)
 from .library import CellLibrary, CellProfile
-from .rules import HotspotPattern, RuleDeck
+from .rules import RuleDeck
 
 
 class ViolationKind(enum.Enum):
@@ -285,71 +285,50 @@ def match_hotspots(layout: FlatLayout, rules: RuleDeck,
     """Find every group of track_count parallel shapes whose ordered masks
     equal a deck pattern's sequence (or its mirror), with every adjacent
     gap in (0, max_gap] and a common parallel run of at least
-    min_run_length. Both track directions are searched."""
+    min_run_length. Chains grow one track at a time, from left to right,
+    along the runs of the layer's sweep. Horizontal tracks are vertical
+    tracks of the transposed rects."""
     out = []
     for pattern in rules.hotspot_patterns:
-        if pattern.layer in neighbours:
-            out.extend(_match_one_pattern(layout, pattern,
-                                          neighbours[pattern.layer]))
+        if pattern.layer not in neighbours:
+            continue
+        for axis in ("vertical", "horizontal"):
+            flip = axis == "horizontal"
+            rect = {s.shape_id: _transpose(s.rect) if flip else s.rect
+                    for s in layout.shapes_on(pattern.layer)}
+            successors: dict[int, list[int]] = {}
+            for run in neighbours[pattern.layer].runs:
+                if run.axis == axis and 0 < run.spacing <= pattern.max_gap:
+                    a, b = run.shape_a, run.shape_b
+                    if rect[b].x2 <= rect[a].x1:
+                        a, b = b, a
+                    successors.setdefault(a, []).append(b)
+            chains = [((a,), (layout.shape(a).mask,), rect[a].y1, rect[a].y2)
+                      for a in successors]
+            for _ in range(pattern.track_count - 1):
+                grown = []
+                for ids, masks, lo, hi in chains:
+                    for b in successors.get(ids[-1], ()):
+                        m = masks + (layout.shape(b).mask,)
+                        blo, bhi = max(lo, rect[b].y1), min(hi, rect[b].y2)
+                        if (m in pattern.prefixes
+                                and bhi - blo >= pattern.min_run_length):
+                            grown.append((ids + (b,), m, blo, bhi))
+                chains = grown
+            for ids, masks, lo, hi in chains:
+                if masks in pattern.targets:
+                    bbox = Rect(min(rect[s].x1 for s in ids), lo,
+                                max(rect[s].x2 for s in ids), hi)
+                    out.append(Violation(
+                        ViolationKind.HOTSPOT, pattern.layer,
+                        _transpose(bbox) if flip else bbox, ids,
+                        pattern.name))
     out.sort(key=Violation.sort_key)
     return out
 
 
-def _match_one_pattern(layout: FlatLayout, pattern: HotspotPattern,
-                       neighbours: LayerNeighbours) -> list[Violation]:
-    targets, prefixes = pattern.targets, pattern.prefixes
-    shapes = layout.shapes_on(pattern.layer)
-    # Successors per axis: the right (vertical) or upper (horizontal)
-    # neighbour of a gap in (0, max_gap] with a positive common run.
-    successors = {"vertical": defaultdict(list),
-                  "horizontal": defaultdict(list)}
-    for run in neighbours.runs:
-        if not 0 < run.spacing <= pattern.max_gap:
-            continue
-        a, b = layout.shape(run.shape_a).rect, layout.shape(run.shape_b).rect
-        a_first = a.x2 <= b.x1 if run.axis == "vertical" else a.y2 <= b.y1
-        first, second = ((run.shape_a, run.shape_b) if a_first
-                         else (run.shape_b, run.shape_a))
-        successors[run.axis][first].append(second)
-    found = []
-    for axis in ("vertical", "horizontal"):
-        nxt = successors[axis]
-        for succ in nxt.values():
-            succ.sort()
-
-        def span(r: Rect) -> tuple[int, int]:
-            return (r.y1, r.y2) if axis == "vertical" else (r.x1, r.x2)
-
-        # Depth-first over chains, children in successor order (pushed in
-        # reverse). An explicit stack, not a recursive closure: a closure
-        # that refers to itself is a reference cycle, and would leave this
-        # layout to the cyclic garbage collector.
-        stack = [([s.shape_id], (s.mask,), *span(s.rect))
-                 for s in reversed(shapes) if (s.mask,) in prefixes]
-        while stack:
-            chain, masks, lo, hi = stack.pop()
-            if hi - lo < pattern.min_run_length:
-                continue
-            if len(chain) == pattern.track_count:
-                if masks in targets:
-                    rects = [layout.shape(s).rect for s in chain]
-                    if axis == "vertical":
-                        bbox = Rect(min(r.x1 for r in rects), lo,
-                                    max(r.x2 for r in rects), hi)
-                    else:
-                        bbox = Rect(lo, min(r.y1 for r in rects),
-                                    hi, max(r.y2 for r in rects))
-                    found.append(Violation(ViolationKind.HOTSPOT,
-                                           pattern.layer, bbox, tuple(chain),
-                                           pattern.name))
-                continue
-            for sid in reversed(nxt.get(chain[-1], ())):
-                m = masks + (layout.shape(sid).mask,)
-                if m not in prefixes:
-                    continue
-                slo, shi = span(layout.shape(sid).rect)
-                stack.append((chain + [sid], m, max(lo, slo), min(hi, shi)))
-    return found
+def _transpose(r: Rect) -> Rect:
+    return Rect(r.y1, r.x1, r.y2, r.x2)
 
 
 @dataclass

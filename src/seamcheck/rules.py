@@ -24,6 +24,7 @@ import yaml
 from .errors import (InconsistentSpacingError, MissingLayerRuleError,
                      ParseError)
 from .geometry import Mask
+from .library import split_mask_suffix
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,6 @@ class RuleDeck:
     interaction_distance: int
     layers: dict[str, LayerRule]
     hotspot_patterns: tuple[HotspotPattern, ...] = ()
-    name: str = "rules"
 
     def layer_rule(self, layer: str) -> LayerRule | None:
         return self.layers.get(layer)
@@ -142,6 +142,10 @@ def parse_rules(text: str) -> RuleDeck:
     layers: dict[str, LayerRule] = {}
     for lname, raw in raw_layers.items():
         where = f"layer {lname}"
+        base, mask = split_mask_suffix(str(lname))
+        if mask is not Mask.NONE:
+            raise ParseError(f"{where}: the library folds {lname} shapes onto "
+                             f"layer {base}, so the rule must be keyed {base}")
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: rule entry must be a mapping")
         dpt = raw.get("dpt", False)
@@ -181,7 +185,9 @@ def parse_rules(text: str) -> RuleDeck:
         where = f"hotspot pattern #{i + 1}"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: must be a mapping")
-        pname = str(_require(raw, "name", where))
+        pname = _require(raw, "name", where)
+        if not isinstance(pname, str):
+            raise ParseError(f"{where}: name must be a string, got {pname!r}")
         layer = str(_require(raw, "layer", where))
         if layer not in layers:
             raise MissingLayerRuleError(
@@ -200,8 +206,7 @@ def parse_rules(text: str) -> RuleDeck:
 
     deck = RuleDeck(row_height=row_height, site_width=site_width,
                     interaction_distance=interaction, layers=layers,
-                    hotspot_patterns=tuple(patterns),
-                    name=str(doc.get("name", "rules")))
+                    hotspot_patterns=tuple(patterns))
     reach = max(deck.reach(layer) for layer in layers)
     if interaction < reach:
         raise InconsistentSpacingError(

@@ -390,6 +390,29 @@ class TestHotspots:
             layout = layout_of(*spec, die=Rect(0, 0, x + 1000, 4000))
             assert len(hotspots(layout, QUAD)) == k
 
+    @staticmethod
+    def branching():
+        """A tall E1 bar whose right neighbours are two stacked shorter
+        E2 bars, each starting its own E2 E1 E2 continuation."""
+        tall = ("M1", Mask.E1, Rect(0, 0, 32, 400))
+        lower = alternating(80, [48, 48], first=Mask.E2, y0=0, y1=150)
+        upper = alternating(80, [48, 48], first=Mask.E2, y0=250, y1=400)
+        return [tall, *lower, *upper]
+
+    def test_shape_with_two_successors_starts_two_chains(self):
+        vios = hotspots(layout_of(*self.branching()), QUAD)
+        assert [v.shape_ids for v in vios] == [(0, 1, 2, 3), (0, 4, 5, 6)]
+        assert [v.bbox for v in vios] == [Rect(0, 0, 272, 150),
+                                          Rect(0, 250, 272, 400)]
+
+    def test_branching_transposed_matches_on_the_horizontal_axis(self):
+        flipped = [(layer, m, Rect(r.y1, r.x1, r.y2, r.x2))
+                   for layer, m, r in self.branching()]
+        vios = hotspots(layout_of(*flipped), QUAD)
+        assert [v.shape_ids for v in vios] == [(0, 1, 2, 3), (0, 4, 5, 6)]
+        assert [v.bbox for v in vios] == [Rect(0, 0, 150, 272),
+                                          Rect(250, 0, 400, 272)]
+
 
 def random_bar_layout(rng, groups=8):
     """Rows of parallel bars (either direction) with gaps around every

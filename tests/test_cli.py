@@ -290,6 +290,29 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: layer M1: dpt must be true or false, got 'no'\n")
 
+    def test_mask_suffixed_layer_key_exits_two(self, tmp_path, capsys):
+        deck = tmp_path / "rules.yaml"
+        deck.write_text((TESTDATA / "rules.yaml").read_text()
+                        .replace("  M1:", "  M1_E1:")
+                        .replace("layer: M1", "layer: M1_E1"))
+        assert run(["verify", "--libs", SEAM, "--rules", str(deck),
+                    "--dpt-option", "both", "--out",
+                    str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer M1_E1: the library folds M1_E1 shapes onto layer "
+            "M1, so the rule must be keyed M1\n")
+
+    def test_non_string_pattern_name_exits_two(self, tmp_path, capsys):
+        deck = tmp_path / "rules.yaml"
+        deck.write_text((TESTDATA / "rules.yaml").read_text()
+                        .replace("name: quad_alternating", "name: NO"))
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", str(TESTDATA / "hotdemo.lef"),
+                    "--rules", str(deck), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: hotspot pattern #1: name must be a string, got False\n")
+        assert list(out.iterdir()) == []
+
     def test_single_option_run(self, tmp_path):
         out = tmp_path / "out"
         assert run(["verify", "--libs", SEAM, "--rules", RULES,

@@ -1,5 +1,7 @@
 """Rule-deck parsing and validation tests."""
 
+import re
+
 import pytest
 
 from seamcheck import (
@@ -35,7 +37,6 @@ hotspot_patterns:
 class TestParseRules:
     def test_valid_deck(self):
         deck = parse_rules(VALID)
-        assert deck.name == "demo14"
         assert deck.row_height == 576
         assert deck.site_width == 8
         assert deck.interaction_distance == 200
@@ -119,6 +120,34 @@ class TestParseRules:
     def test_bad_mask_name_rejected(self):
         with pytest.raises(ParseError):
             parse_rules(VALID.replace("[E1, E2, E1, E2]", "[E1, E3, E1, E2]"))
+
+    @pytest.mark.parametrize("suffix", ["_E1", "_E2"])
+    def test_mask_suffixed_layer_key_rejected(self, suffix):
+        bad = VALID.replace("  M1:", f"  M1{suffix}:").replace(
+            "layer: M1", f"layer: M1{suffix}")
+        with pytest.raises(ParseError, match=rf"^layer M1{suffix}: the "
+                           rf"library folds M1{suffix} shapes onto layer M1, "
+                           r"so the rule must be keyed M1$"):
+            parse_rules(bad)
+
+    @pytest.mark.parametrize("value, shown", [("NO", "False"),
+                                              ("{q: 1}", "{'q': 1}"),
+                                              ("7", "7"), ("null", "None")])
+    def test_pattern_name_must_be_a_string(self, value, shown):
+        bad = VALID.replace("name: quad_alternating", f"name: {value}")
+        with pytest.raises(ParseError, match=r"^hotspot pattern #1: name must "
+                           r"be a string, got " + re.escape(shown) + "$"):
+            parse_rules(bad)
+
+    def test_quoted_pattern_name_kept(self):
+        deck = parse_rules(VALID.replace("name: quad_alternating",
+                                         'name: "NO"'))
+        assert deck.hotspot_patterns[0].name == "NO"
+
+    def test_deck_name_is_an_unread_label(self):
+        unnamed = parse_rules(VALID.replace("name: demo14\n", ""))
+        assert parse_rules(VALID) == unnamed
+        assert not hasattr(unnamed, "name")
 
     def test_single_entry_mask_list_rejected(self):
         with pytest.raises(ParseError):
