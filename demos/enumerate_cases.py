@@ -35,8 +35,8 @@ def main() -> None:
                   f"{left} | {right}")
 
     report = coverage_check(cases, library)
-    print(f"\ncoverage: {report.covered} of {report.universe} boundary "
-          f"classes, complete={report.complete}")
+    print(f"\ncoverage: {report.universe - len(report.missing)} of "
+          f"{report.universe} boundary classes, complete={report.complete}")
 
     total = sum(len(c.placements) for c in cases)
     print(f"total placements: {total}")

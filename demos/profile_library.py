@@ -1,9 +1,9 @@
 """Parse a cell library and print its population profile.
 
 The library text uses the macro/pin/obstruction subset described in the
-README. Shapes under OBS carry a mask suffix (M1_E1, M1_E2) and are the
-ones the checkers look at; pin shapes are kept for completeness but never
-checked.
+README. A layer's mask suffix (M1_E1, M1_E2) is its pre-assigned color.
+Each cell keeps one list of checked shapes: its OBS rects, then each pin
+port rect that does not repeat one of them.
 """
 
 import pathlib

@@ -23,7 +23,7 @@ def main() -> None:
     seamy = run_all(library, rules, DptOption.OPTION_I)
     seams = seams_per_violation(seamy.violations, seamy.cases,
                                 seamy.floorplan, WINDOW)
-    print(f"{seamy.library.name} option I: "
+    print(f"{library.name} option I: "
           f"{len(seamy.violations)} violations, "
           f"{seams.count([])} residual (not near any seam)")
     for v, near in zip(seamy.violations, seams):
@@ -33,7 +33,7 @@ def main() -> None:
                   f"{s.left[0]}:{s.left[1]}|{s.right[0]}:{s.right[1]}")
 
     v = seamy.violations[0]
-    layout = case_layout(v.case_index, seamy.cases, seamy.library,
+    layout = case_layout(v.case_index, seamy.cases, library,
                          seamy.floorplan, rules, seamy.option)
     svg = render_svg(layout, v.bbox, margin=WINDOW,
                      seam_xs=tuple(s.x for s in seams[0]))

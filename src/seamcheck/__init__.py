@@ -23,8 +23,8 @@ from .geometry import (FlatLayout, FlatShape, Mask, Orientation, ParallelRun,
                        connected_components, flatten, parallel_runs,
                        rects_touch, run_between, transform_rect, union_all)
 from .library import (CellLibrary, CellProfile, ColoredRect, DBU_PER_MICRON,
-                      LibraryStats, PinDef, micron_to_dbu, parse_library,
-                      profile, split_mask_suffix)
+                      LibraryStats, micron_to_dbu, parse_library, profile,
+                      split_mask_suffix)
 from .netlist import emit_verilog, write_verilog
 from .report import (GlobalSeam, SeamReport, SummaryRow, SummaryTable,
                      attribute_to_seams, case_seams, global_seams,

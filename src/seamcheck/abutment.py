@@ -202,7 +202,6 @@ Topology = tuple[tuple[str, Orientation], tuple[str, Orientation]]
 @dataclass(frozen=True)
 class CoverageReport:
     universe: int
-    covered: int
     missing: tuple[Topology, ...]
 
     @property
@@ -252,9 +251,8 @@ def coverage_check(cases: Iterable[AbutmentCase],
             bits[u * 2 * n + v if u <= v ^ 1
                  else (v ^ 1) * 2 * n + (u ^ 1)] = 1
     size = _universe_size(cells)
-    covered = bits.count(1)
-    if covered == size:
-        return CoverageReport(size, size, ())
+    if bits.count(1) == size:
+        return CoverageReport(size, ())
     missing = tuple(
         ((cells[x].name, _SIDE_ORIENT[ox]), (cells[y].name, _SIDE_ORIENT[oy]))
         for x in range(n) for y in range(x, n)
@@ -262,4 +260,4 @@ def coverage_check(cases: Iterable[AbutmentCase],
         for ox in (0, 1) for oy in (0, 1)
         if (x < y or ox <= 1 - oy)
         and not bits[((2 * x + ox) * n + y) * 2 + oy])
-    return CoverageReport(size, covered, missing)
+    return CoverageReport(size, missing)

@@ -335,7 +335,6 @@ def _transpose(r: Rect) -> Rect:
 class VerificationResult:
     """Aggregated outcome of one library under one DPT option."""
 
-    library: CellLibrary
     option: DptOption
     cases: list[AbutmentCase]
     floorplan: Floorplan
@@ -478,11 +477,11 @@ def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
 def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
             max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> VerificationResult:
     """Full pipeline: enumerate cases, pack them, then verify each case in
-    isolation (the floorplan gap guarantees cases cannot interact).
-    A case made only of isolated cells (``_isolated``) is composed from
-    per-(cell, orientation) results checked once per call; any other
-    case is flattened and checked whole. Violations are listed in case
-    order."""
+    isolation. The horizontal gap keeps the cases of one shelf apart, but
+    stacked shelves abut (see ``floorplan``). A case made only of isolated
+    cells (``_isolated``) is composed from per-(cell, orientation) results
+    checked once per call; any other case is flattened and checked whole.
+    Violations are listed in case order."""
     cases, floorplan = plan_library(library, rules, max_row_width)
     cells = library._by_name
     standalone: dict = {}  # (cell, orientation) -> _alone(...)
@@ -506,5 +505,5 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
                                            floorplan.origin_of(idx), alone)
         violations.extend(found)
         recolor.update(case_recolor)
-    return VerificationResult(library, option, cases, floorplan,
+    return VerificationResult(option, cases, floorplan,
                               tuple(violations), recolor)

@@ -6,9 +6,9 @@ and OBS geometry. Dimensions are microns with at most three decimal places
 and convert exactly to integer DBU (1000 per micron).
 
 Pre-assigned mask colors are encoded in layer names: ``M1_E1`` and ``M1_E2``
-are the two masks of layer M1, a bare ``M1`` is uncolored. Checkable cell
-geometry lives in OBS blocks; PIN/PORT rectangles are parsed, checked
-for duplicate pin names and kept on the profile, but no check reads them.
+are the two masks of layer M1, a bare ``M1`` is uncolored. A cell's checked
+shapes are its OBS rectangles, then its PIN/PORT rectangles; a port rect
+that repeats the base layer and rect of a kept shape is that shape.
 """
 
 from __future__ import annotations
@@ -35,12 +35,6 @@ class ColoredRect:
 
 
 @dataclass(frozen=True)
-class PinDef:
-    name: str
-    shapes: tuple[ColoredRect, ...]
-
-
-@dataclass(frozen=True)
 class CellProfile:
     """Physical profile of one library cell, all dimensions in DBU."""
 
@@ -48,7 +42,6 @@ class CellProfile:
     width: int
     height: int
     height_rows: int
-    pins: tuple[PinDef, ...] = ()
     shapes: tuple[ColoredRect, ...] = ()
 
     @property
@@ -197,7 +190,7 @@ def _parse_layer_shapes(p: _Parser, end_words: set[str]) -> Iterator[ColoredRect
                              nxt.col if nxt else tok.col)
 
 
-def _parse_pin(p: _Parser, cell_name: str) -> PinDef:
+def _parse_pin(p: _Parser, cell_name: str) -> tuple[str, list[ColoredRect]]:
     p.expect("PIN")
     name_tok = p.take("pin name")
     shapes: list[ColoredRect] = []
@@ -212,7 +205,7 @@ def _parse_pin(p: _Parser, cell_name: str) -> PinDef:
         elif tok.text == "END":
             p.expect("END")
             p.expect(name_tok.text)
-            return PinDef(name_tok.text, tuple(shapes))
+            return name_tok.text, shapes
         else:
             raise ParseError(
                 f"unexpected {tok.text!r} in PIN {name_tok.text} of {cell_name}",
@@ -234,13 +227,16 @@ def _parse_macro(p: _Parser, row_height: int,
     name_tok = p.take("macro name")
     name = name_tok.text
     width = height = None
-    pins: list[PinDef] = []
+    pins: list[tuple[str, list[ColoredRect]]] = []
     shapes: list[ColoredRect] = []
     while True:
         tok = p.peek()
         if tok is None:
             p.take(f"END {name}")
         if tok.text == "SIZE":
+            if width is not None:
+                raise ParseError(f"duplicate SIZE in MACRO {name}",
+                                 tok.line, tok.col)
             p.expect("SIZE")
             width = p.number()
             p.expect("BY")
@@ -274,17 +270,23 @@ def _parse_macro(p: _Parser, row_height: int,
             f"cell {name} height {height} DBU is not a multiple of the row "
             f"height {row_height} DBU")
     seen_pins = set()
-    for pin in pins:
-        if pin.name in seen_pins:
-            raise ParseError(f"duplicate pin {pin.name} in MACRO {name}",
+    for pin, rects in pins:
+        if pin in seen_pins:
+            raise ParseError(f"duplicate pin {pin} in MACRO {name}",
                              name_tok.line, name_tok.col)
-        seen_pins.add(pin.name)
-        for s in pin.shapes:
-            _check_bounds(name, f"pin {pin.name}", s, width, height)
+        seen_pins.add(pin)
+        for s in rects:
+            _check_bounds(name, f"pin {pin}", s, width, height)
     for s in shapes:
         _check_bounds(name, "OBS", s, width, height)
+    kept = {(s.layer, s.rect) for s in shapes} if pins else None
+    for _, rects in pins:
+        for s in rects:
+            if (s.layer, s.rect) not in kept:
+                kept.add((s.layer, s.rect))
+                shapes.append(s)
     return CellProfile(name, width, height, height // row_height,
-                       tuple(pins), tuple(shapes))
+                       tuple(shapes))
 
 
 def parse_library(text: str) -> CellLibrary:

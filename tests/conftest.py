@@ -23,6 +23,24 @@ def read_testdata(name: str) -> str:
     return (TESTDATA / name).read_text(encoding="utf-8")
 
 
+# A one-cell library whose only metal is a pin: an M1_E1 port rect 4 DBU
+# inside the left edge. Its A-A case puts two such rects 8 DBU apart.
+PIN_ONLY_LEF = """\
+LIBRARY pinonly ;
+SITE core SIZE 0.008 BY 0.576 ;
+MACRO PINV
+  SIZE 0.2 BY 0.576 ;
+  PIN A
+    PORT
+      LAYER M1_E1 ;
+      RECT 0.004 0.1 0.036 0.476 ;
+    END
+  END A
+END PINV
+END LIBRARY
+"""
+
+
 @pytest.fixture(scope="session")
 def demo_rules() -> RuleDeck:
     return parse_rules(read_testdata("rules.yaml"))
@@ -72,7 +90,6 @@ def synth_cell(index: int, height_rows: int = 1, with_shape: bool = True) -> Cel
         width=width,
         height=height,
         height_rows=height_rows,
-        pins=(),
         shapes=shapes,
     )
 

@@ -28,6 +28,7 @@ from seamcheck import (
     check_width,
     color_decompose,
     match_hotspots,
+    parse_library,
     parse_rules,
     run_all,
     sweep_neighbours,
@@ -35,7 +36,7 @@ from seamcheck import (
 
 from brute import (ORACLE_DECK, brute_conflict_edges, brute_hotspots,
                    brute_spacing)
-from conftest import read_testdata
+from conftest import PIN_ONLY_LEF, read_testdata
 
 OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
 RULES = parse_rules(read_testdata("rules.yaml"))
@@ -518,6 +519,21 @@ class TestRunAll:
         assert res.violations == ()
         assert len(res.cases) == 5
         assert sum(len(c.placements) for c in res.cases) == 31
+
+    def test_pin_only_metal_is_checked(self, demo_rules):
+        lib = parse_library(PIN_ONLY_LEF)
+        kinds = {o: sorted(v.kind.value for v in run_all(lib, demo_rules,
+                                                         o).violations)
+                 for o in (OPT_I, OPT_II)}
+        assert kinds == {OPT_I: ["SpacingAnyMask", "SpacingSameMask"],
+                         OPT_II: ["SpacingAnyMask"]}
+
+    def test_bare_port_without_twin_is_uncoloured(self, demo_rules):
+        lib = parse_library(PIN_ONLY_LEF.replace("LAYER M1_E1", "LAYER M1"))
+        assert [s.mask for s in lib.cell("PINV").shapes] == [Mask.NONE]
+        kinds = Counter(v.kind for v in run_all(lib, demo_rules,
+                                                OPT_I).violations)
+        assert kinds[ViolationKind.COLOR_MISSING] > 0
 
     def test_grid_mismatch_rejected(self, seam_library):
         rules = parse_rules(read_testdata("rules.yaml").replace(

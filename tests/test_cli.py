@@ -11,7 +11,7 @@ import seamcheck.cli as climod
 from seamcheck import parse_def
 from seamcheck.cli import main
 
-from conftest import TESTDATA, synth_lef
+from conftest import PIN_ONLY_LEF, TESTDATA, synth_lef
 
 RULES = str(TESTDATA / "rules.yaml")
 SEAM = str(TESTDATA / "seamdemo.lef")
@@ -252,6 +252,15 @@ class TestVerify:
         assert runs["I"]["drc"] == 3 and runs["I"]["drcplus"] == 1
         assert runs["II"]["drc"] == 0 and runs["II"]["drcplus"] == 0
         assert runs["I"]["residual"] == 0
+
+    def test_pin_only_library_exits_one(self, tmp_path, capsys):
+        lef = tmp_path / "pinonly.lef"
+        lef.write_text(PIN_ONLY_LEF)
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(out)]) == 1
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert row == ["pinonly", "2", "Clean", "1", "Clean"]
 
     def test_one_run_is_held_at_a_time(self, tmp_path, monkeypatch):
         real = climod.run_all

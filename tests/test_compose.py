@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamcheck import (CellLibrary, CellProfile, ColoredRect, DptOption,
-                       Mask, Rect, ViolationKind, parse_rules, run_all)
+                       Mask, Rect, ViolationKind, parse_library, parse_rules,
+                       run_all)
 from seamcheck.checks import _isolated
 
 from brute import ORACLE_DECK, reference_run_all
@@ -21,7 +22,7 @@ E1, E2, NONE = Mask.E1, Mask.E2, Mask.NONE
 
 def cell(name, width, *shapes, rows=1):
     """shapes: (mask, x1, y1, x2, y2) on M1, or (layer, mask, rect)."""
-    return CellProfile(name, width, rows * ROW_HEIGHT, rows, (), tuple(
+    return CellProfile(name, width, rows * ROW_HEIGHT, rows, tuple(
         ColoredRect(*s) if len(s) == 3 else ColoredRect("M1", s[0],
                                                           Rect(*s[1:]))
         for s in shapes))
@@ -78,6 +79,53 @@ class TestFixedLibrary:
                          DptOption.OPTION_II)
         modules = {key.split("/")[0] for key in result.recolor_diff}
         assert modules == {"scell_SSM"}
+
+
+# Cells whose metal is drawn as pins: PINNED's only bar is a 24 DBU wide
+# port 60 DBU inside its outline (isolated, so its cases are composed);
+# PINEDGE's port bar sits 4 DBU inside its left edge beside an OBS bar
+# (not isolated, so its cases are flattened).
+PORTED = parse_library("""\
+LIBRARY ports ;
+SITE core SIZE 0.008 BY 0.576 ;
+MACRO PINNED
+  SIZE 0.16 BY 0.576 ;
+  PIN A
+    PORT
+      LAYER M1_E2 ;
+      RECT 0.06 0.06 0.084 0.5 ;
+    END
+  END A
+END PINNED
+MACRO PINEDGE
+  SIZE 0.12 BY 0.576 ;
+  PIN A
+    PORT
+      LAYER M1_E1 ;
+      RECT 0.004 0.1 0.036 0.476 ;
+    END
+  END A
+  OBS
+    LAYER M1_E2 ;
+    RECT 0.068 0.1 0.1 0.476 ;
+  END
+END PINEDGE
+END LIBRARY
+""")
+
+
+def test_port_metal_matches_reference():
+    pinned, pin_edge = PORTED.cells
+    assert _isolated(pinned, RULES) and not _isolated(pin_edge, RULES)
+    lib = library(pinned, pin_edge, SAME_MASK)
+    result = run_all(lib, RULES, DptOption.OPTION_I)
+    kinds = {}
+    for v in result.violations:
+        kinds.setdefault(result.cases[v.case_index].module_name,
+                         set()).add(v.kind)
+    assert kinds["scell_PINNED"] == {ViolationKind.WIDTH}
+    assert ViolationKind.SPACING_ANY_MASK in kinds["scell_PINEDGE"]
+    assert_matches_reference(lib, RULES)
 
 
 class TestIsolationBoundary:
@@ -160,8 +208,7 @@ def cells(draw, name):
     shapes = []
     for _ in range(draw(st.integers(0, 3))):
         shapes += draw(bar_group(width, rows * ROW_HEIGHT, inner))
-    return CellProfile(name, width, rows * ROW_HEIGHT, rows, (),
-                       tuple(shapes))
+    return CellProfile(name, width, rows * ROW_HEIGHT, rows, tuple(shapes))
 
 
 @st.composite

@@ -109,7 +109,7 @@ class TestOrientationCodes:
 
 def bar_cell(name, width, shapes):
     return CellProfile(name=name, width=width, height=ROW_HEIGHT, height_rows=1,
-                       pins=(), shapes=tuple(shapes))
+                       shapes=tuple(shapes))
 
 
 def lib_of(*cells):

@@ -107,16 +107,42 @@ class TestParseLibrary:
         assert [(s.layer, s.mask, s.rect) for s in inv.shapes] == [
             ("M1", Mask.E1, Rect(60, 60, 100, 500)),
             ("M1", Mask.E2, Rect(120, 60, 160, 500)),
+            ("M1", Mask.NONE, Rect(10, 50, 40, 300)),
         ]
 
-    def test_pin_shapes_are_retained_separately(self):
-        inv = parse_library(MINIMAL).cell("INV")
-        assert [p.name for p in inv.pins] == ["A"]
-        port = inv.pins[0].shapes
-        assert len(port) == 1
-        assert port[0].layer == "M1"
-        assert port[0].mask is Mask.NONE
-        assert port[0].rect == Rect(10, 50, 40, 300)
+    def test_port_rects_join_shapes_after_obs(self):
+        # Z's rect twins an OBS rect (the OBS mask wins), B repeats A's
+        # rect, and A draws one rect in two PORTs: each is one shape.
+        port = "    PORT\n      LAYER {} ;\n      RECT {} ;\n    END\n"
+        pins = "".join(
+            f"  PIN {name}\n" + "".join(port.format(*p) for p in ports)
+            + f"  END {name}\n" for name, ports in (
+                ("A", [("M1_E2", "0.01 0.05 0.04 0.3"),
+                       ("M1", "0.01 0.05 0.04 0.3"),
+                       ("M2", "0.01 0.05 0.04 0.3")]),
+                ("Z", [("M1", "0.06 0.06 0.1 0.5")]),
+                ("B", [("M1_E1", "0.01 0.05 0.04 0.3")])))
+        text = MINIMAL.replace(MINIMAL[MINIMAL.index("  PIN A"):
+                                      MINIMAL.index("  OBS")], pins, 1)
+        inv = parse_library(text).cell("INV")
+        assert [(s.layer, s.mask, s.rect) for s in inv.shapes] == [
+            ("M1", Mask.E1, Rect(60, 60, 100, 500)),
+            ("M1", Mask.E2, Rect(120, 60, 160, 500)),
+            ("M1", Mask.E2, Rect(10, 50, 40, 300)),
+            ("M2", Mask.NONE, Rect(10, 50, 40, 300)),
+        ]
+
+    def test_seamdemo_pins_twin_their_obs_shapes(self, seam_library):
+        # Every pin of seamdemo.lef repeats an OBS rect on a bare layer,
+        # so the shapes, their masks and their ids are the OBS ones.
+        shapes = {c.name: [(s.mask, s.rect) for s in c.shapes]
+                  for c in seam_library.cells}
+        assert shapes == {
+            "SEAMA": [(Mask.E1, Rect(20, 60, 52, 260)),
+                      (Mask.E1, Rect(148, 60, 180, 260))],
+            "SEAMB": [(Mask.E1, Rect(36, 300, 68, 560)),
+                      (Mask.E2, Rect(140, 300, 172, 560))],
+        }
 
     def test_comments_and_whitespace_ignored(self):
         text = MINIMAL.replace("MACRO INV", "# note\nMACRO INV  # trailing")
@@ -158,6 +184,22 @@ class TestParseLibrary:
     def test_missing_size_rejected(self):
         text = MINIMAL.replace("  SIZE 0.4 BY 1.152 ;\n", "")
         with pytest.raises(ParseError):
+            parse_library(text)
+
+    def test_duplicate_size_rejected(self):
+        text = MINIMAL.replace("  SIZE 0.2 BY 0.576 ;\n",
+                               "  SIZE 0.2 BY 0.576 ;\n"
+                               "  SIZE 0.4 BY 0.576 ;\n")
+        with pytest.raises(ParseError) as info:
+            parse_library(text)
+        assert "duplicate SIZE in MACRO INV" in str(info.value)
+        assert (info.value.line, info.value.col) == (5, 3)
+
+    def test_pin_bounds_checked_before_obs_bounds(self):
+        text = (MINIMAL.replace("RECT 0.01 0.05 0.04 0.3",
+                                "RECT 0.01 0.05 0.04 0.6")
+                .replace("RECT 0.06 0.06 0.1 0.5", "RECT 0.06 0.06 0.21 0.5"))
+        with pytest.raises(ShapeOutOfBoundsError, match="pin A rect"):
             parse_library(text)
 
     def test_duplicate_pin_rejected(self):

@@ -172,10 +172,10 @@ class TestAttributionOracle:
         assert attributed > 0 and residual_total > 0
 
 
-def library_entry(results):
-    """The ``results.json`` library entry of verify runs of one library,
+def library_entry(library, results):
+    """The ``results.json`` library entry of verify runs of ``library``,
     reduced to what ``summary_table`` reads."""
-    return {"name": results[0].library.name,
+    return {"name": library.name,
             "runs": [{"option": r.option.value, "drc": r.drc_count,
                       "drcplus": r.drcplus_count} for r in results]}
 
@@ -184,7 +184,7 @@ class TestSummary:
     def test_fixture_rows(self, seam_library, demo_rules):
         results = [run_all(seam_library, demo_rules, OPT_I),
                    run_all(seam_library, demo_rules, OPT_II)]
-        table = summary_table([library_entry(results)])
+        table = summary_table([library_entry(seam_library, results)])
         assert len(table.rows) == 1
         row = table.rows[0]
         assert row.library == "seamdemo"
@@ -209,8 +209,10 @@ class TestSummary:
                                                       clean_library,
                                                       demo_rules):
         table = summary_table([
-            library_entry([run_all(clean_library, demo_rules, OPT_I)]),
-            library_entry([run_all(seam_library, demo_rules, OPT_I)])])
+            library_entry(clean_library,
+                          [run_all(clean_library, demo_rules, OPT_I)]),
+            library_entry(seam_library,
+                          [run_all(seam_library, demo_rules, OPT_I)])])
         assert [r.library for r in table.rows] == ["cleandemo", "seamdemo"]
 
     def test_report_rewrites_the_verify_summary(self, tmp_path):
