@@ -28,9 +28,10 @@ def main() -> None:
           f"{seams.count([])} residual (not near any seam)")
     for v, near in zip(seamy.violations, seams):
         print(f"  {v.kind.value} on {v.layer} at {tuple(v.bbox)}")
+        module = seamy.cases[v.case_index].module_name
         for s in near:
-            print(f"    {s.module} seam@{s.x} "
-                  f"{s.left[0]}:{s.left[1]}|{s.right[0]}:{s.right[1]}")
+            print(f"    {module} seam@{s.x} {s.left[0]}:{s.left[1].value}"
+                  f"|{s.right[0]}:{s.right[1].value}")
 
     v = seamy.violations[0]
     layout = case_layout(v.case_index, seamy.cases, library,

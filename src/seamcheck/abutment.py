@@ -46,9 +46,10 @@ class Placement(NamedTuple):
 class Seam(NamedTuple):
     """A shared vertical boundary between two abutted instances.
 
-    ``x`` is case-local; the boundary spans every row of its case.
-    ``left``/``right`` give the (cell, orientation) topology at the base
-    row.
+    ``x`` is case-local on ``AbutmentCase.seams`` and in die coordinates
+    when ``report.seams_per_violation`` returns it; either way the
+    boundary spans every row of its case. ``left``/``right`` give the
+    (cell, orientation) topology at the base row.
     """
 
     x: int

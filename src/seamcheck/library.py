@@ -8,7 +8,8 @@ and convert exactly to integer DBU (1000 per micron).
 Pre-assigned mask colors are encoded in layer names: ``M1_E1`` and ``M1_E2``
 are the two masks of layer M1, a bare ``M1`` is uncolored. A cell's checked
 shapes are its OBS rectangles, then its PIN/PORT rectangles; a port rect
-that repeats the base layer and rect of a kept shape is that shape.
+that repeats the base layer and rect of a kept shape is that shape, and
+may not name the other mask. Any other ``_E<digits>`` suffix is an error.
 """
 
 from __future__ import annotations
@@ -85,11 +86,16 @@ class LibraryStats:
 
 
 def split_mask_suffix(layer_name: str) -> tuple[str, Mask]:
-    """M1_E1 -> ("M1", Mask.E1); bare names are uncolored."""
+    """M1_E1 -> ("M1", Mask.E1); bare names are uncolored. Any other
+    ``_E<digits>`` suffix is a mistyped mask and raises ParseError, so
+    its metal cannot land on a layer that no rule names."""
     if layer_name.endswith("_E1"):
         return layer_name[:-3], Mask.E1
     if layer_name.endswith("_E2"):
         return layer_name[:-3], Mask.E2
+    if re.search(r"_E[0-9]+$", layer_name):
+        raise ParseError(f"layer {layer_name}: unknown mask suffix, "
+                         f"expected _E1 or _E2")
     return layer_name, Mask.NONE
 
 
@@ -169,19 +175,25 @@ def _parse_rect(p: _Parser) -> Rect:
     return Rect(x1, y1, x2, y2)
 
 
-def _parse_layer_shapes(p: _Parser, end_words: set[str]) -> Iterator[ColoredRect]:
-    """LAYER <name> ; followed by RECT lines, repeated until an end word."""
+def _parse_layer_shapes(p: _Parser, end_words: set[str]
+                        ) -> Iterator[tuple[_Tok, ColoredRect]]:
+    """LAYER <name> ; followed by RECT lines, repeated until an end word.
+    Yields each rect with its RECT token."""
     while True:
         tok = p.peek()
         if tok is None or tok.text in end_words:
             return
         p.expect("LAYER")
-        lname = p.take("layer name").text
+        name_tok = p.take("layer name")
+        lname = name_tok.text
         p.expect(";")
-        layer, mask = split_mask_suffix(lname)
+        try:
+            layer, mask = split_mask_suffix(lname)
+        except ParseError as exc:
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         saw_rect = False
-        while p.peek() is not None and p.peek().text == "RECT":
-            yield ColoredRect(layer, mask, _parse_rect(p))
+        while (rect_tok := p.peek()) is not None and rect_tok.text == "RECT":
+            yield rect_tok, ColoredRect(layer, mask, _parse_rect(p))
             saw_rect = True
         if not saw_rect:
             nxt = p.peek()
@@ -190,10 +202,11 @@ def _parse_layer_shapes(p: _Parser, end_words: set[str]) -> Iterator[ColoredRect
                              nxt.col if nxt else tok.col)
 
 
-def _parse_pin(p: _Parser, cell_name: str) -> tuple[str, list[ColoredRect]]:
+def _parse_pin(p: _Parser, cell_name: str
+               ) -> tuple[str, list[tuple[_Tok, ColoredRect]]]:
     p.expect("PIN")
     name_tok = p.take("pin name")
-    shapes: list[ColoredRect] = []
+    shapes: list[tuple[_Tok, ColoredRect]] = []
     while True:
         tok = p.peek()
         if tok is None:
@@ -227,7 +240,7 @@ def _parse_macro(p: _Parser, row_height: int,
     name_tok = p.take("macro name")
     name = name_tok.text
     width = height = None
-    pins: list[tuple[str, list[ColoredRect]]] = []
+    pins: list[tuple[str, list[tuple[_Tok, ColoredRect]]]] = []
     shapes: list[ColoredRect] = []
     while True:
         tok = p.peek()
@@ -246,7 +259,7 @@ def _parse_macro(p: _Parser, row_height: int,
             pins.append(_parse_pin(p, name))
         elif tok.text == "OBS":
             p.expect("OBS")
-            shapes.extend(_parse_layer_shapes(p, {"END"}))
+            shapes.extend(s for _, s in _parse_layer_shapes(p, {"END"}))
             p.expect("END")
         elif tok.text == "END":
             p.expect("END")
@@ -275,16 +288,23 @@ def _parse_macro(p: _Parser, row_height: int,
             raise ParseError(f"duplicate pin {pin} in MACRO {name}",
                              name_tok.line, name_tok.col)
         seen_pins.add(pin)
-        for s in rects:
+        for _, s in rects:
             _check_bounds(name, f"pin {pin}", s, width, height)
     for s in shapes:
         _check_bounds(name, "OBS", s, width, height)
-    kept = {(s.layer, s.rect) for s in shapes} if pins else None
-    for _, rects in pins:
-        for s in rects:
-            if (s.layer, s.rect) not in kept:
-                kept.add((s.layer, s.rect))
+    kept = {(s.layer, s.rect): s.mask for s in shapes} if pins else None
+    for pin, rects in pins:
+        for rect_tok, s in rects:
+            mask = kept.get((s.layer, s.rect))
+            if mask is None:
+                kept[(s.layer, s.rect)] = s.mask
                 shapes.append(s)
+            elif mask is not s.mask and Mask.NONE not in (mask, s.mask):
+                raise ParseError(
+                    f"pin {pin} of MACRO {name}: port rect on "
+                    f"{s.layer}_{s.mask.value} twins a shape on "
+                    f"{s.layer}_{mask.value}",
+                    rect_tok.line, rect_tok.col)
     return CellProfile(name, width, height, height // row_height,
                        tuple(shapes))
 

@@ -1,10 +1,11 @@
 """Violation reporting: seam attribution, summary tables, structured
 records and SVG neighborhood rendering.
 
-Violations are attributed to every abutment seam whose band (the seam
-line widened by the attribution window, limited to the rows of its
-case) intersects the violation box; anything touching no seam lands in
-the residual (intra-cell) list.
+A violation is charged to each seam of its own case whose band (the seam
+line widened by the attribution window, limited to the rows of the case)
+intersects the violation box. The seams are the case's own ``Seam``s with
+``x`` moved to the die; the case index, module name and row span stay
+with the case. A violation charged to no seam is residual (intra-cell).
 """
 
 from __future__ import annotations
@@ -13,88 +14,73 @@ import html
 import json
 from dataclasses import dataclass
 
-from .abutment import AbutmentCase
+from .abutment import AbutmentCase, Seam
 from .checks import VerificationResult, Violation
 from .floorplan import Floorplan
 from .geometry import FlatLayout, Mask, Rect
 
 
 @dataclass(frozen=True)
-class GlobalSeam:
-    case_index: int
-    seam_index: int
-    module: str
-    x: int
-    y_lo: int
-    y_hi: int
-    left: tuple[str, str]   # (cell, orientation name)
-    right: tuple[str, str]
-
-    def band(self, window: int) -> Rect:
-        return Rect(self.x - window, self.y_lo - window,
-                    self.x + window, self.y_hi + window)
-
-
-@dataclass(frozen=True)
 class SeamReport:
-    seam: GlobalSeam
+    case_index: int
+    seam: Seam
     violations: tuple[Violation, ...]
 
 
-def case_seams(case_index: int, case: AbutmentCase,
-               floorplan: Floorplan) -> list[GlobalSeam]:
-    """The seams of one case in die coordinates, in seam order; each
-    spans the case's rows."""
-    ox, oy = floorplan.origin_of(case_index)
-    y_hi = oy + case.height_rows * floorplan.row_height
-    module = case.module_name
-    return [GlobalSeam(case_index, j, module, seam.x + ox, oy, y_hi,
-                       (seam.left[0], seam.left[1].value),
-                       (seam.right[0], seam.right[1].value))
-            for j, seam in enumerate(case.seams)]
+def _die_seams(case: AbutmentCase, ox: int) -> list[Seam]:
+    return [seam._replace(x=seam.x + ox) for seam in case.seams]
 
 
 def global_seams(cases: list[AbutmentCase],
-                 floorplan: Floorplan) -> list[GlobalSeam]:
-    """Every seam of every case, in (case, seam) order."""
-    return [s for idx, case in enumerate(cases)
-            for s in case_seams(idx, case, floorplan)]
+                 floorplan: Floorplan) -> list[tuple[int, Seam]]:
+    """Every seam of every case in die coordinates, as (case index, seam)
+    pairs in (case, seam) order."""
+    return [(idx, seam) for idx, case in enumerate(cases)
+            for seam in _die_seams(case, floorplan.origin_of(idx)[0])]
 
 
 def seams_per_violation(violations, cases, floorplan: Floorplan,
-                        window: int) -> list[list[GlobalSeam]]:
+                        window: int) -> list[list[Seam]]:
     """The seams each violation is charged to, parallel to
-    ``violations``: every seam of its case whose band (widened by
-    ``window``) intersects the violation box, in seam order. A violation
-    with no case, or with a case index out of range, is charged to no
-    seam. Seams are built only for the cases that violations name."""
-    by_case: dict[int | None, list[GlobalSeam]] = {}
+    ``violations``: every seam of its case, with ``x`` in die
+    coordinates, whose band ``[x - window, x + window] x [y_lo - window,
+    y_hi + window]`` over the case's rows meets the violation box (edges
+    count), in seam order. A violation with no case, or with a case index
+    out of range, is charged to no seam. Seams are built only for the
+    cases that violations name."""
+    by_case: dict[int | None, tuple[int, int, list[Seam]]] = {}
     out = []
     for v in violations:
         idx = v.case_index
         if idx not in by_case:
-            by_case[idx] = (case_seams(idx, cases[idx], floorplan)
-                            if idx is not None and 0 <= idx < len(cases)
-                            else [])
-        out.append([s for s in by_case[idx]
-                    if s.band(window).intersects(v.bbox)])
+            if idx is not None and 0 <= idx < len(cases):
+                ox, oy = floorplan.origin_of(idx)
+                y_hi = oy + cases[idx].height_rows * floorplan.row_height
+                by_case[idx] = (oy, y_hi, _die_seams(cases[idx], ox))
+            else:
+                by_case[idx] = (0, 0, [])
+        y_lo, y_hi, seams = by_case[idx]
+        b = v.bbox
+        in_rows = b.y1 <= y_hi + window and y_lo - window <= b.y2
+        out.append([s for s in seams if in_rows and s.x - window <= b.x2
+                    and b.x1 <= s.x + window])
     return out
 
 
 def attribute_to_seams(violations, cases, floorplan: Floorplan,
                        window: int) -> tuple[list[SeamReport], list[Violation]]:
     """``seams_per_violation`` grouped by seam: per-seam reports (seams
-    with at least one hit) in (case, seam) order and the residual list of
-    violations charged to no seam. Every violation appears either in >= 1
-    seam report or in the residual, never both."""
+    with at least one hit) sorted by case and then by ``x``, and the
+    residual list of violations charged to no seam. Every violation
+    appears either in >= 1 seam report or in the residual, never both."""
     per_violation = seams_per_violation(violations, cases, floorplan,
                                         window)
-    hits: dict[GlobalSeam, list[Violation]] = {}
+    hits: dict[tuple[int, Seam], list[Violation]] = {}
     for v, seams in zip(violations, per_violation):
         for s in seams:
-            hits.setdefault(s, []).append(v)
-    reports = [SeamReport(s, tuple(hits[s])) for s in
-               sorted(hits, key=lambda s: (s.case_index, s.seam_index))]
+            hits.setdefault((v.case_index, s), []).append(v)
+    reports = [SeamReport(idx, s, tuple(vs)) for (idx, s), vs in
+               sorted(hits.items(), key=lambda kv: (kv[0][0], kv[0][1].x))]
     residual = [v for v, seams in zip(violations, per_violation)
                 if not seams]
     return reports, residual
@@ -161,8 +147,9 @@ def violation_record(v: Violation, cases, seams) -> dict:
         "bbox": list(v.bbox),
         "case": case,
         "seams": [{"x": s.x,
-                   "left": f"{s.left[0]}:{s.left[1]}",
-                   "right": f"{s.right[0]}:{s.right[1]}"} for s in seams],
+                   "left": f"{s.left[0]}:{s.left[1].value}",
+                   "right": f"{s.right[0]}:{s.right[1].value}"}
+                  for s in seams],
         "shape_ids": list(v.shape_ids),
         "pattern": v.pattern_name,
     }

@@ -262,6 +262,21 @@ class TestVerify:
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert row == ["pinonly", "2", "Clean", "1", "Clean"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (("LAYER M1_E1", "LAYER M1_E3"),
+         "line 7, col 13: layer M1_E3: unknown mask suffix, expected _E1 "
+         "or _E2"),
+        (("END PINV", "OBS\n    LAYER M1_E2 ;\n"
+          "    RECT 0.004 0.1 0.036 0.476 ;\n  END\nEND PINV"),
+         "line 8, col 7: pin A of MACRO PINV: port rect on M1_E1 twins a "
+         "shape on M1_E2")], ids=["mask-suffix", "twin-mask"])
+    def test_bad_pin_mask_exits_two(self, tmp_path, capsys, edit, message):
+        lef = tmp_path / "pinonly.lef"
+        lef.write_text(PIN_ONLY_LEF.replace(*edit))
+        assert run(["verify", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {lef}: {message}\n"
+
     def test_one_run_is_held_at_a_time(self, tmp_path, monkeypatch):
         real = climod.run_all
         refs, alive = [], []

@@ -87,6 +87,18 @@ class TestSplitMaskSuffix:
         assert split_mask_suffix("M1_E2") == ("M1", Mask.E2)
         assert split_mask_suffix("M1") == ("M1", Mask.NONE)
         assert split_mask_suffix("VIA1_E1") == ("VIA1", Mask.E1)
+        assert split_mask_suffix("M1_EX") == ("M1_EX", Mask.NONE)
+
+    @pytest.mark.parametrize("name", ["M1_E3", "M1_E0", "M1_E12"])
+    def test_other_mask_suffix_rejected(self, name):
+        with pytest.raises(ParseError, match=rf"^layer {name}: unknown mask "
+                           r"suffix, expected _E1 or _E2$"):
+            split_mask_suffix(name)
+
+    def test_other_mask_suffix_located_at_layer_name(self):
+        with pytest.raises(ParseError, match=r"^line 14, col 11: layer "
+                           r"M1_E3: unknown mask suffix"):
+            parse_library(MINIMAL.replace("LAYER M1_E2 ;", "LAYER M1_E3 ;"))
 
 
 class TestParseLibrary:
@@ -112,7 +124,8 @@ class TestParseLibrary:
 
     def test_port_rects_join_shapes_after_obs(self):
         # Z's rect twins an OBS rect (the OBS mask wins), B repeats A's
-        # rect, and A draws one rect in two PORTs: each is one shape.
+        # rect with its mask, and A draws one rect in two PORTs, the second
+        # on the bare layer: each is one shape.
         port = "    PORT\n      LAYER {} ;\n      RECT {} ;\n    END\n"
         pins = "".join(
             f"  PIN {name}\n" + "".join(port.format(*p) for p in ports)
@@ -121,7 +134,7 @@ class TestParseLibrary:
                        ("M1", "0.01 0.05 0.04 0.3"),
                        ("M2", "0.01 0.05 0.04 0.3")]),
                 ("Z", [("M1", "0.06 0.06 0.1 0.5")]),
-                ("B", [("M1_E1", "0.01 0.05 0.04 0.3")])))
+                ("B", [("M1_E2", "0.01 0.05 0.04 0.3")])))
         text = MINIMAL.replace(MINIMAL[MINIMAL.index("  PIN A"):
                                       MINIMAL.index("  OBS")], pins, 1)
         inv = parse_library(text).cell("INV")
@@ -131,6 +144,28 @@ class TestParseLibrary:
             ("M1", Mask.E2, Rect(10, 50, 40, 300)),
             ("M2", Mask.NONE, Rect(10, 50, 40, 300)),
         ]
+
+    @pytest.mark.parametrize("obs, ports, line, kept", [
+        ("M1_E1", ["M1_E2"], 8, "M1_E1"),
+        ("M2", ["M1_E2", "M1", "M1_E1"], 20, "M1_E2")],
+        ids=["obs-twin", "port-twin"])
+    def test_port_twin_naming_the_other_mask_rejected(self, obs, ports,
+                                                      line, kept):
+        # The last port twins an OBS shape or an earlier port on the other
+        # mask; the bare port between two ports collapses as usual.
+        rect = "0.01 0.05 0.04 0.3"
+        pins = "".join(f"  PIN P{i}\n    PORT\n      LAYER {layer} ;\n"
+                       f"      RECT {rect} ;\n    END\n  END P{i}\n"
+                       for i, layer in enumerate(ports))
+        text = MINIMAL.replace(MINIMAL[MINIMAL.index("  PIN A"):
+                                      MINIMAL.index("  OBS")], pins, 1)
+        text = text.replace("  OBS\n", f"  OBS\n    LAYER {obs} ;\n"
+                            f"    RECT {rect} ;\n", 1)
+        last = len(ports) - 1
+        with pytest.raises(ParseError, match=(
+                rf"^line {line}, col 7: pin P{last} of MACRO INV: port rect "
+                rf"on {ports[-1]} twins a shape on {kept}$")):
+            parse_library(text)
 
     def test_seamdemo_pins_twin_their_obs_shapes(self, seam_library):
         # Every pin of seamdemo.lef repeats an OBS rect on a bare layer,

@@ -3,7 +3,6 @@
 import json
 import random
 import xml.dom.minidom
-from collections import Counter
 
 from seamcheck import (
     DptOption,
@@ -13,7 +12,6 @@ from seamcheck import (
     attribute_to_seams,
     case_layout,
     enumerate_library,
-    global_seams,
     plan_floorplan,
     render_jsonl,
     render_svg,
@@ -31,8 +29,15 @@ OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
 
 def seam_setup(library, rules):
     cases = enumerate_library(library)
-    plan = plan_floorplan(cases, rules)
-    return cases, plan, global_seams(cases, plan)
+    return cases, plan_floorplan(cases, rules)
+
+
+def die_seams(cases, plan, idx):
+    """The seams of case ``idx`` with x moved to the die (the case's x
+    origin plus each ``case.seams[j].x``), built here apart from
+    report.py."""
+    ox, _ = plan.origin_of(idx)
+    return [s._replace(x=ox + s.x) for s in cases[idx].seams]
 
 
 def vio(kind, bbox, case_index, shape_ids=(0,), layer="M1", pattern=None):
@@ -40,73 +45,78 @@ def vio(kind, bbox, case_index, shape_ids=(0,), layer="M1", pattern=None):
                      pattern_name=pattern, case_index=case_index)
 
 
-class TestGlobalSeams:
+class TestDieSeams:
     def test_seams_carry_die_coordinates(self, seam_library, demo_rules):
-        cases, plan, seams = seam_setup(seam_library, demo_rules)
-        per_case = Counter(s.case_index for s in seams)
-        assert per_case == {0: 3, 1: 3, 2: 4}
-        for s in seams:
-            ox, oy = plan.origin_of(s.case_index)
-            local = cases[s.case_index].seams[s.seam_index]
-            assert s.x == ox + local.x
-            assert s.y_lo == oy
-            assert s.y_hi == (oy + cases[s.case_index].height_rows
-                              * plan.row_height)
+        cases, plan = seam_setup(seam_library, demo_rules)
+        everywhere = [vio(ViolationKind.WIDTH, plan.die_area, idx)
+                      for idx in range(len(cases))]
+        per_case = seams_per_violation(everywhere, cases, plan, 0)
+        assert [len(seams) for seams in per_case] == [3, 3, 4]
+        assert per_case == [die_seams(cases, plan, idx)
+                            for idx in range(len(cases))]
+        assert any(plan.origin_of(idx)[0] for idx in range(len(cases)))
 
-    def test_band_window(self, seam_library, demo_rules):
-        _, _, seams = seam_setup(seam_library, demo_rules)
-        s = seams[0]
-        band = s.band(200)
-        assert band == Rect(s.x - 200, s.y_lo - 200, s.x + 200, s.y_hi + 200)
+    def test_band_edges_count(self, seam_library, demo_rules):
+        cases, plan = seam_setup(seam_library, demo_rules)
+        idx, w = 2, 10
+        s = die_seams(cases, plan, idx)[1]
+        _, y_lo = plan.origin_of(idx)
+        y_hi = y_lo + cases[idx].height_rows * plan.row_height
+        mid = y_lo + 100
+        touching = [Rect(s.x + w, mid, s.x + w + 5, mid + 20),
+                    Rect(s.x - w - 5, mid, s.x - w, mid + 20),
+                    Rect(s.x - 1, y_hi + w, s.x + 1, y_hi + w + 5),
+                    Rect(s.x - 1, y_lo - w - 5, s.x + 1, y_lo - w)]
+        beyond = [Rect(s.x + w + 1, mid, s.x + w + 5, mid + 20),
+                  Rect(s.x - w - 5, mid, s.x - w - 1, mid + 20),
+                  Rect(s.x - 1, y_hi + w + 1, s.x + 1, y_hi + w + 5),
+                  Rect(s.x - 1, y_lo - w - 5, s.x + 1, y_lo - w - 1)]
+        charged = seams_per_violation(
+            [vio(ViolationKind.WIDTH, b, idx) for b in touching + beyond],
+            cases, plan, w)
+        assert charged == [[s]] * len(touching) + [[]] * len(beyond)
 
 
 class TestAttribution:
     def test_violation_on_seam_is_attributed(self, seam_library, demo_rules):
-        cases, plan, seams = seam_setup(seam_library, demo_rules)
-        s = seams[0]
+        cases, plan = seam_setup(seam_library, demo_rules)
+        s = die_seams(cases, plan, 0)[0]
+        _, oy = plan.origin_of(0)
         v = vio(ViolationKind.SPACING_SAME_MASK,
-                Rect(s.x - 10, s.y_lo + 100, s.x + 10, s.y_lo + 200),
-                s.case_index)
-        reports, residual = attribute_to_seams([v], cases, plan, 200)
-        assert residual == []
-        hit = [r for r in reports if r.violations]
-        assert len(hit) >= 1
-        assert any(r.seam == s for r in hit)
+                Rect(s.x - 10, oy + 100, s.x + 10, oy + 200), 0)
+        charged, = seams_per_violation([v], cases, plan, 200)
+        assert s in charged
 
     def test_far_violation_lands_in_residual(self, seam_library, demo_rules):
-        cases, plan, _ = seam_setup(seam_library, demo_rules)
+        cases, plan = seam_setup(seam_library, demo_rules)
         # With a 10 DBU window, a box 20 DBU from the nearest seam of its
         # case cannot be attributed.
         ox, _ = plan.origin_of(0)
         far = vio(ViolationKind.WIDTH,
                   Rect(ox + 230, 100, ox + 240, 120), 0)
-        reports, residual = attribute_to_seams([far], cases, plan, 10)
-        assert residual == [far]
-        assert reports == []
+        assert seams_per_violation([far], cases, plan, 10) == [[]]
 
     def test_straddling_violation_hits_both_seams(self, seam_library,
                                                   demo_rules):
-        cases, plan, seams = seam_setup(seam_library, demo_rules)
-        case0 = [s for s in seams if s.case_index == 0]
+        cases, plan = seam_setup(seam_library, demo_rules)
+        case0 = die_seams(cases, plan, 0)
         mid = (case0[0].x + case0[1].x) // 2
         v = vio(ViolationKind.SPACING_ANY_MASK,
                 Rect(mid - 5, 100, mid + 5, 200), 0)
-        reports, residual = attribute_to_seams([v], cases, plan, 200)
-        assert residual == []
-        hits = [r.seam.x for r in reports if v in r.violations]
-        assert case0[0].x in hits and case0[1].x in hits
+        charged, = seams_per_violation([v], cases, plan, 200)
+        assert case0[0] in charged and case0[1] in charged
 
     def test_violation_never_crosses_cases(self, seam_library, demo_rules):
-        cases, plan, seams = seam_setup(seam_library, demo_rules)
-        other = [s for s in seams if s.case_index == 1][0]
+        cases, plan = seam_setup(seam_library, demo_rules)
+        other = die_seams(cases, plan, 1)[0]
+        _, oy = plan.origin_of(1)
         # A violation in case 0 placed x-near a case-1 seam still only
         # attributes to case-0 seams.
         v = vio(ViolationKind.WIDTH,
-                Rect(other.x - 5, other.y_lo, other.x + 5, other.y_lo + 50), 0)
-        reports, _ = attribute_to_seams([v], cases, plan, 200)
-        for r in reports:
-            if v in r.violations:
-                assert r.seam.case_index == 0
+                Rect(other.x - 5, oy, other.x + 5, oy + 50), 0)
+        charged, = seams_per_violation([v], cases, plan, 200)
+        assert other not in charged
+        assert all(s in die_seams(cases, plan, 0) for s in charged)
 
     def test_conservation_on_fixture_runs(self, seam_library, odd_library,
                                            demo_rules):
@@ -122,54 +132,56 @@ class TestAttribution:
     def test_all_seam_fixture_violations_attributed(self, seam_library,
                                                     demo_rules):
         res = run_all(seam_library, demo_rules, OPT_I)
-        _, residual = attribute_to_seams(res.violations, res.cases,
-                                         res.floorplan,
-                                         demo_rules.interaction_distance)
-        assert residual == []
+        assert [] not in seams_per_violation(res.violations, res.cases,
+                                             res.floorplan,
+                                             demo_rules.interaction_distance)
 
 
 class TestAttributionOracle:
-    """attribute_to_seams, which builds only the seams of the cases its
-    violations name, against a scan of every seam of the library."""
+    """seams_per_violation, which builds only the seams of the cases its
+    violations name, against a scan of every seam band of the library."""
 
     @staticmethod
-    def scan(violations, seams, window):
-        hits, residual = {}, []
-        for v in violations:
-            found = [s for s in seams
-                     if v.case_index == s.case_index
-                     and s.band(window).intersects(v.bbox)]
-            for s in found:
-                hits.setdefault(s, []).append(v)
-            if not found:
-                residual.append(v)
-        return ([(s, tuple(hits[s])) for s in seams if s in hits],
-                residual)
+    def scan(violations, cases, plan, window):
+        bands = []
+        for idx, case in enumerate(cases):
+            _, y_lo = plan.origin_of(idx)
+            y_hi = y_lo + case.height_rows * plan.row_height
+            for s in die_seams(cases, plan, idx):
+                bands.append((idx, s, Rect(s.x - window, y_lo - window,
+                                           s.x + window, y_hi + window)))
+        return [[s for idx, s, band in bands
+                 if idx == v.case_index and band.intersects(v.bbox)]
+                for v in violations]
 
     def test_matches_scan_of_global_seams(self, demo_rules):
-        library = synth_library(6)
-        cases, plan, seams = seam_setup(library, demo_rules)
-        die = plan.die_area
+        cases = enumerate_library(synth_library(6))
         rng = random.Random(77)
         choices = list(range(len(cases))) + [None, -1, len(cases)]
-        attributed = residual_total = 0
-        for _ in range(40):
-            violations = []
-            for _ in range(rng.randrange(0, 12)):
-                x, y = rng.randrange(die.x2), rng.randrange(die.y2)
-                bbox = Rect(x, y, x + rng.randrange(1, 400),
-                            y + rng.randrange(1, 400))
-                violations.append(vio(ViolationKind.WIDTH, bbox,
-                                      rng.choice(choices)))
-            window = rng.choice((10, 200))
-            reports, residual = attribute_to_seams(violations, cases, plan,
-                                                   window)
-            expect, expect_residual = self.scan(violations, seams, window)
-            assert [(r.seam, r.violations) for r in reports] == expect
-            assert residual == expect_residual
-            attributed += len(reports)
-            residual_total += len(residual)
-        assert attributed > 0 and residual_total > 0
+        # The default row width packs every case into one shelf, so each
+        # box meets its case's rows; 4,000 DBU stacks the cases in several
+        # shelves, and most boxes then miss the rows of the case they name.
+        plans = (plan_floorplan(cases, demo_rules),
+                 plan_floorplan(cases, demo_rules, 4000))
+        assert plans[1].die_area.y2 > 4 * plans[1].row_height
+        for plan in plans:
+            die = plan.die_area
+            attributed = residual = 0
+            for _ in range(40):
+                violations = []
+                for _ in range(rng.randrange(0, 12)):
+                    x, y = rng.randrange(die.x2), rng.randrange(die.y2)
+                    bbox = Rect(x, y, x + rng.randrange(1, 400),
+                                y + rng.randrange(1, 400))
+                    violations.append(vio(ViolationKind.WIDTH, bbox,
+                                          rng.choice(choices)))
+                window = rng.choice((10, 200))
+                charged = seams_per_violation(violations, cases, plan,
+                                              window)
+                assert charged == self.scan(violations, cases, plan, window)
+                attributed += sum(map(len, charged))
+                residual += charged.count([])
+            assert attributed > 0 and residual > 0
 
 
 def library_entry(library, results):

@@ -130,6 +130,12 @@ class TestParseRules:
                            r"so the rule must be keyed M1$"):
             parse_rules(bad)
 
+    def test_other_mask_suffixed_layer_key_rejected(self):
+        bad = VALID.replace("  M2:", "  M2_E3:")
+        with pytest.raises(ParseError, match=r"^layer M2_E3: unknown mask "
+                           r"suffix, expected _E1 or _E2$"):
+            parse_rules(bad)
+
     @pytest.mark.parametrize("value, shown", [("NO", "False"),
                                               ("{q: 1}", "{'q': 1}"),
                                               ("7", "7"), ("null", "None")])
