@@ -16,10 +16,14 @@ far fewer placements than the exhaustive pairing, in three patterns:
 
 Total placements for N single-height cells: 4N + 5*N*(N-1)/2, versus
 8N + 8*N*(N-1) for one-pair-per-case enumeration (about 3.2x less).
-A case stores its placements only; its seams are derived from them.
-coverage_check() is the independent proof: it marks each realized class
-in a bitmap of 4N^2 entries, read straight off adjacent base-row
-placements, and compares the marked count with the size of the class
+A case stores its kind, its cells, its width, its row count and its
+module name. Each (kind, row count) has one instance pattern
+(``_pattern``), and a case's placements and seams are derived from it
+and the cell widths on access; the Verilog and DEF writers read the
+pattern directly and build no placement. coverage_check() is the
+independent proof: it marks each realized class in a bitmap of 4N^2
+entries, read off the adjacent base-row instances of each case's
+pattern, and compares the marked count with the size of the class
 universe; only when the count is short does it scan the bitmap to name
 the missing classes.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, NamedTuple
 
 from .geometry import Orientation
@@ -63,31 +67,109 @@ class CaseKind(enum.Enum):
     AB_SINGLE = "AB_single"
     AB_SINGLE_MULTI = "AB_single_multi"
 
+    __hash__ = object.__hash__  # as for Mask: members are singletons
+
+
+_R0, _MY = Orientation.R0, Orientation.MY
+# (cell slot, orientation) of each column, left to right; slot 0 holds
+# cell A, slot 1 cell B.
+_AA_COLUMNS = ((0, _MY), (0, _R0), (0, _R0), (0, _MY))
+_AB_COLUMNS = ((1, _R0), (0, _R0), (1, _MY), (0, _MY), (1, _R0))
+_COLUMNS = {CaseKind.AA_SINGLE: _AA_COLUMNS, CaseKind.AA_MULTI: _AA_COLUMNS,
+            CaseKind.AB_SINGLE: _AB_COLUMNS,
+            CaseKind.AB_SINGLE_MULTI: _AB_COLUMNS}
+
+
+@functools.cache
+def _pattern(kind: CaseKind, rows: int
+             ) -> tuple[tuple[str, int, int, int, Orientation], ...]:
+    """The instances of every ``kind`` case ``rows`` rows tall, in
+    placement order, as (instance name, cell slot, column, row,
+    orientation). Each column holds one instance, except that a column of
+    cell B, which is one row tall, stacks ``rows`` instances, flipped
+    vertically on odd rows. Instances are named U1, U2, ..."""
+    instances = []
+    for column, (slot, o) in enumerate(_COLUMNS[kind]):
+        for row in range(rows if slot else 1):
+            instances.append((f"U{len(instances) + 1}", slot, column, row,
+                              o.flipped_ud if row % 2 else o))
+    return tuple(instances)
+
+
+@functools.cache
+def _base_pairs(kind: CaseKind,
+                rows: int) -> tuple[tuple[int, Orientation, int,
+                                          Orientation, int], ...]:
+    """One entry per seam of a ``kind`` case ``rows`` rows tall: the
+    adjacent base-row (row 0) instances of its pattern, as (left slot,
+    left orientation, right slot, right orientation, right column)."""
+    base = [(slot, column, o)
+            for _, slot, column, row, o in _pattern(kind, rows) if row == 0]
+    return tuple((ls, lo, rs, ro, rc)
+                 for (ls, _, lo), (rs, rc, ro) in zip(base, base[1:]))
+
+
+def placement_count(cases: Iterable[AbutmentCase]) -> int:
+    """Number of instances the cases place."""
+    return sum(len(_pattern(c.kind, c.height_rows)) for c in cases)
+
 
 @dataclass(frozen=True, slots=True)
 class AbutmentCase:
+    """Cell ``a``, and cell ``b`` for an A-B kind, abutted in the columns
+    of the kind's pattern (``_pattern``). The placements and the seams
+    are derived from the pattern and the cell widths on each access."""
+
     kind: CaseKind
-    cell_a: str
-    cell_b: str | None
-    placements: tuple[Placement, ...]
+    a: CellProfile = field(repr=False)
+    b: CellProfile | None = field(repr=False)
     width: int
     height_rows: int
     module_name: str
 
     @property
+    def cell_a(self) -> str:
+        return self.a.name
+
+    @property
+    def cell_b(self) -> str | None:
+        return None if self.b is None else self.b.name
+
+    @property
+    def cells(self) -> tuple[CellProfile, ...]:
+        """The case's cells by slot: (A,) or (A, B)."""
+        return (self.a,) if self.b is None else (self.a, self.b)
+
+    def column_x(self) -> list[int]:
+        """Case-local x of each column of the pattern."""
+        cells = self.cells
+        xs, x = [], 0
+        for slot, _ in _COLUMNS[self.kind]:
+            xs.append(x)
+            x += cells[slot].width
+        return xs
+
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        """The instances in placement order at case-local origins; a row
+        is as tall as A's rows."""
+        names = [c.name for c in self.cells]
+        xs = self.column_x()
+        row_h = self.a.height // self.height_rows
+        return tuple(Placement(name, names[slot], (xs[column], row * row_h),
+                               o)
+                     for name, slot, column, row, o
+                     in _pattern(self.kind, self.height_rows))
+
+    @property
     def seams(self) -> tuple[Seam, ...]:
-        """One seam per adjacent pair of base-row placements, at the right
+        """One seam per adjacent pair of base-row instances, at the right
         instance's x."""
-        return tuple(Seam(r.origin[0], (l.cell_ref, l.orientation),
-                          (r.cell_ref, r.orientation))
-                     for l, r in _base_pairs(self.placements))
-
-
-def _base_pairs(placements) -> Iterable[tuple[Placement, Placement]]:
-    """Adjacent pairs of base-row placements (case-local y = 0), in
-    placement order: the (left, right) instances of each seam."""
-    base = [p for p in placements if p.origin[1] == 0]
-    return zip(base, base[1:])
+        names = [c.name for c in self.cells]
+        xs = self.column_x()
+        return tuple(Seam(xs[rc], (names[ls], lo), (names[rs], ro))
+                     for ls, lo, rs, ro, rc
+                     in _base_pairs(self.kind, self.height_rows))
 
 
 _NOT_IDENT = re.compile(r"[^A-Za-z0-9_]")
@@ -103,55 +185,26 @@ def _sanitize(name: str) -> str:
     return out
 
 
-@functools.cache
-def _instance_names(count: int) -> tuple[str, ...]:
-    """U1..U<count>, built once per count and shared by every case."""
-    return tuple(f"U{n}" for n in range(1, count + 1))
-
-
 def instance_path(module: str, instance: str) -> str:
     """Hierarchical name of a case's instance on the die:
     <module>/<instance>."""
     return f"{module}/{instance}"
 
 
-_AA_ORIENTS = (Orientation.MY, Orientation.R0, Orientation.R0, Orientation.MY)
-_AB_ORIENTS = (Orientation.R0, Orientation.R0, Orientation.MY,
-               Orientation.MY, Orientation.R0)
-
-
-def _chain(cell_a: CellProfile, cell_b: CellProfile | None,
-           shared: dict[Placement, Placement]) -> AbutmentCase:
-    """Abut one column per (cell, orientation), left to right: the A-A
-    pattern when ``cell_b`` is None, the A-B pattern otherwise; the kind
-    is the multi-height one when A is. The case is as tall as A (k rows);
-    a column whose cell is shorter stacks k instances, flipped vertically
-    on odd rows. Instances are numbered U1.. in placement order. A
-    placement equal to one already in ``shared`` is that object."""
-    if cell_b is None:
-        kind = CaseKind.AA_MULTI if cell_a.is_multi else CaseKind.AA_SINGLE
-        columns = zip((cell_a,) * 4, _AA_ORIENTS)
-        module = f"scell_{_sanitize(cell_a.name)}"
+def _case(a: CellProfile, b: CellProfile | None) -> AbutmentCase:
+    """The A-A case of ``a`` when ``b`` is None, else the A-B case of the
+    pair; the kind is the multi-height one when A is. The case is as tall
+    as A."""
+    if b is None:
+        return AbutmentCase(
+            CaseKind.AA_MULTI if a.is_multi else CaseKind.AA_SINGLE, a, None,
+            4 * a.width, a.height_rows, f"scell_{_sanitize(a.name)}")
+    if a.is_multi:
+        kind, prefix = CaseKind.AB_SINGLE_MULTI, "mcell"
     else:
-        kind = (CaseKind.AB_SINGLE_MULTI if cell_a.is_multi
-                else CaseKind.AB_SINGLE)
-        columns = zip((cell_b, cell_a, cell_b, cell_a, cell_b), _AB_ORIENTS)
-        prefix = "mcell" if cell_a.is_multi else "scell"
-        module = f"{prefix}_{_sanitize(cell_a.name)}_{_sanitize(cell_b.name)}"
-    k = cell_a.height_rows
-    row_h = cell_a.height // k
-    names = _instance_names(3 * k + 2)  # no case places more instances
-    placements: list[Placement] = []
-    x = 0
-    for c, o in columns:
-        for row in range(1 if c.height_rows == k else k):
-            p = Placement(names[len(placements)], c.name, (x, row * row_h),
-                          o.flipped_ud if row % 2 else o)
-            placements.append(shared.setdefault(p, p))
-        x += c.width
-    return AbutmentCase(kind, cell_a.name,
-                        None if cell_b is None else cell_b.name,
-                        tuple(placements), x, k, module)
+        kind, prefix = CaseKind.AB_SINGLE, "scell"
+    return AbutmentCase(kind, a, b, 2 * a.width + 3 * b.width, a.height_rows,
+                        f"{prefix}_{_sanitize(a.name)}_{_sanitize(b.name)}")
 
 
 def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
@@ -160,16 +213,13 @@ def enumerate_library(library: CellLibrary) -> list[AbutmentCase]:
     in index order; the multi-height cell of a pair, if any, is A. Pairs
     of two multi-height cells are out of scope and skipped. Module names
     are unique: a case whose sanitized name is taken by an earlier case
-    gets the first free suffix _2, _3, ... Equal placements of different
-    cases are one object."""
-    shared: dict[Placement, Placement] = {}
+    gets the first free suffix _2, _3, ..."""
     cells = library.cells
-    cases = [_chain(c, None, shared) for c in cells]
+    cases = [_case(c, None) for c in cells]
     for i, a in enumerate(cells):
         for b in cells[i + 1:]:
             if not (a.is_multi and b.is_multi):
-                pair = (b, a) if b.is_multi else (a, b)
-                cases.append(_chain(*pair, shared))
+                cases.append(_case(b, a) if b.is_multi else _case(a, b))
     taken: set[str] = set()
     for k, case in enumerate(cases):
         name, n = case.module_name, 1
@@ -230,8 +280,10 @@ def coverage_check(cases: Iterable[AbutmentCase],
     ordered (cell, orientation) pair over {R0, MY}, except pairs of two
     distinct multi-height cells. A topology is (left index, left side,
     right index, right side) over library order; its class is the smaller
-    of it and its left-right mirror. Each realized class inside the
-    universe is marked in a bitmap of 4N^2 entries; a marked count that
+    of it and its left-right mirror. A case realizes the topologies of
+    its pattern's adjacent base-row instances (``_base_pairs``) with its
+    own cells in the slots. Each realized class inside the universe is
+    marked in a bitmap of 4N^2 entries; a marked count that
     reaches the universe size proves completeness. Complete iff nothing
     is missing; ``missing`` is sorted by (left cell, right cell, left
     orientation, right orientation)."""
@@ -243,9 +295,11 @@ def coverage_check(cases: Iterable[AbutmentCase],
     multi = [c.is_multi for c in cells]
     bits = bytearray(4 * n * n)
     for case in cases:
-        for left, right in _base_pairs(case.placements):
-            u = node[left.cell_ref] + _SIDE[left.orientation]
-            v = node[right.cell_ref] + _SIDE[right.orientation]
+        a, b = node[case.cell_a], case.cell_b
+        nodes = (a,) if b is None else (a, node[b])
+        for ls, lo, rs, ro, _ in _base_pairs(case.kind, case.height_rows):
+            u = nodes[ls] + _SIDE[lo]
+            v = nodes[rs] + _SIDE[ro]
             x, y = u >> 1, v >> 1
             if x != y and multi[x] and multi[y]:
                 continue

@@ -446,10 +446,12 @@ def _alone(cell: CellProfile, orientation, rules: RuleDeck,
     return found, recolor.get(cell.name, 0), len(cell.shapes)
 
 
-def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
+def _compose(case_index: int, case: AbutmentCase, placements,
+             origin: tuple[int, int],
              alone) -> tuple[list[Violation], dict[str, int]]:
     """A case's violations and recolour counts as the union of its
-    instances' standalone results (``alone``, one per placement): each
+    instances' standalone results (``alone``, one per placement of
+    ``placements``, the case's own): each
     violation moves by its instance's die origin (the case's ``origin``
     plus the case-local one) and its shape ids by the shapes placed
     before it."""
@@ -457,7 +459,7 @@ def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
     recolor: dict[str, int] = {}
     ox, oy = origin
     offset = 0
-    for p, (violations, recoloured, n_shapes) in zip(case.placements, alone):
+    for p, (violations, recoloured, n_shapes) in zip(placements, alone):
         if violations:
             dx, dy = p.origin[0] + ox, p.origin[1] + oy
             for v in violations:
@@ -488,20 +490,22 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
     for idx, case in enumerate(cases):
+        placements = case.placements
         alone = []
-        for p in case.placements:
+        for p in placements:
             key = (p.cell_ref, p.orientation)
             if key not in standalone:
                 standalone[key] = _alone(cells[p.cell_ref], p.orientation,
                                          rules, option)
             alone.append(standalone[key])
         if None in alone:
-            layout = flatten(cells, floorplan.case_placements(idx, case),
+            layout = flatten(cells,
+                             floorplan.case_placements(idx, case, placements),
                              floorplan.die_area)
             found, case_recolor = _check_layout(layout, rules, option)
             found = [replace(v, case_index=idx) for v in found]
         else:
-            found, case_recolor = _compose(idx, case,
+            found, case_recolor = _compose(idx, case, placements,
                                            floorplan.origin_of(idx), alone)
         violations.extend(found)
         recolor.update(case_recolor)

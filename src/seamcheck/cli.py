@@ -22,7 +22,7 @@ from itertools import islice
 import yaml
 
 from . import defio, netlist, report
-from .abutment import coverage_check, expected_count
+from .abutment import coverage_check, expected_count, placement_count
 from .checks import DptOption, ViolationKind, case_layout, run_all
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, plan_library
 from .geometry import Rect
@@ -185,7 +185,7 @@ def cmd_generate(args) -> int:
                                   f"testcases_{lib.name}.def")) as fh:
             defio.write_def(fh, cases, lib, fp)
         stats = profile(lib)
-        placements = sum(len(c.placements) for c in cases)
+        placements = placement_count(cases)
         expected = (expected_count(stats.n_single, "proposed")
                     if stats.n_multi == 0 else None)
         coverage = coverage_check(cases, lib)
@@ -263,8 +263,10 @@ def cmd_verify(args) -> int:
     _write(os.path.join(out_dir, "summary.txt"), table.render())
     _write(os.path.join(out_dir, "summary.json"),
            json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n")
-    _write(os.path.join(out_dir, "results.json"),
-           json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Streamed: the encoder's chunks, joined, would be the run's peak.
+    with _create(os.path.join(out_dir, "results.json")) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     sys.stdout.write(table.render())
     return 1 if any(run["violations"] for entry in payload["libraries"]
                     for run in entry["runs"]) else 0

@@ -11,9 +11,10 @@ Emitted files carry exactly the placement data the testcases need:
     END COMPONENTS
     END DESIGN
 
-write_def() streams a case list's DEF to a file, one component line at
-a time, with the count taken from the cases up front; emit_def() returns
-the same text as a string, and render_def() formats any placements.
+write_def() streams a case list's DEF to a file, one case at a time,
+formatting each line from the case's instance pattern, with the count
+taken from the patterns up front; emit_def() returns the same text as a
+string, and render_def() formats any placements.
 parse_def() inverts emission exactly: integers are canonical (no leading
 zeros, no ``-0``), so re-emitting a parsed design reproduces the original
 bytes.
@@ -24,9 +25,9 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import TextIO
 
-from .abutment import AbutmentCase, Placement, instance_path
+from .abutment import AbutmentCase, Placement, _pattern, placement_count
 from .errors import ParseError
 from .floorplan import Floorplan
 from .geometry import Orientation, Rect, UnknownCellRefError
@@ -43,51 +44,54 @@ class DefDesign:
     die_area: Rect
 
 
-def _write_document(out: TextIO, placements: Iterable, count: int,
-                    die_area: Rect, design: str = "TOP") -> None:
-    """Write a DEF document of ``count`` components, one line per
-    (instance, cell, (x, y), orientation) of ``placements``."""
-    out.write(f"VERSION 5.6 ;\nDESIGN {design} ;\n"
-              f"UNITS DISTANCE MICRONS 1000 ;\n"
-              f"DIEAREA ( {die_area.x1} {die_area.y1} ) "
-              f"( {die_area.x2} {die_area.y2} ) ;\n"
-              f"COMPONENTS {count} ;\n")
-    for name, cell_ref, (x, y), orientation in placements:
-        out.write(f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
-                  f"{orientation.def_code} ;\n")
-    out.write("END COMPONENTS\nEND DESIGN\n")
+def _header(count: int, die_area: Rect, design: str) -> str:
+    return (f"VERSION 5.6 ;\nDESIGN {design} ;\n"
+            f"UNITS DISTANCE MICRONS 1000 ;\n"
+            f"DIEAREA ( {die_area.x1} {die_area.y1} ) "
+            f"( {die_area.x2} {die_area.y2} ) ;\n"
+            f"COMPONENTS {count} ;\n")
+
+
+_TRAILER = "END COMPONENTS\nEND DESIGN\n"
 
 
 def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
     """DEF text for an iterable of (instance, cell, (x, y), orientation)
     tuples, e.g. ``Placement``s, in the given order."""
-    placements = list(placements)
-    out = io.StringIO()
-    _write_document(out, placements, len(placements), die_area, design)
-    return out.getvalue()
+    lines = [f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
+             f"{orientation.def_code} ;\n"
+             for name, cell_ref, (x, y), orientation in placements]
+    return _header(len(lines), die_area, design) + "".join(lines) + _TRAILER
 
 
 def write_def(out: TextIO, cases: list[AbutmentCase], library: CellLibrary,
               floorplan: Floorplan) -> None:
     """Write the placed-design DEF of the case list under the given
-    floorplan to ``out``. Each component line is written from the
-    case-local placement shifted by the case's die origin. A name
-    collision raises before anything is written; a cell the library lacks
-    raises where its line would be."""
+    floorplan to ``out``, one case at a time. Each component line is
+    formatted from a row of the case's instance pattern, its cells and
+    column offsets, and its die origin. A name collision raises before
+    anything is written; a cell the library lacks raises before the
+    first line of the first case that names it."""
     module_names(cases)
-
-    def placed():
-        for idx, case in enumerate(cases):
-            ox, oy = floorplan.origin_of(idx)
-            module = case.module_name
-            for name, cell_ref, (x, y), orientation in case.placements:
-                if cell_ref not in library:
-                    raise UnknownCellRefError(cell_ref)
-                yield (instance_path(module, name), cell_ref,
-                       (x + ox, y + oy), orientation)
-
-    _write_document(out, placed(), sum(len(c.placements) for c in cases),
-                    floorplan.die_area)
+    out.write(_header(placement_count(cases), floorplan.die_area, "TOP"))
+    known: set[str] = set()
+    for idx, case in enumerate(cases):
+        names = [cell.name for cell in case.cells]
+        for name in names:
+            if name not in known:
+                if name not in library:
+                    raise UnknownCellRefError(name)
+                known.add(name)
+        ox, oy = floorplan.origin_of(idx)
+        xs = case.column_x()
+        row_h = case.a.height // case.height_rows
+        prefix = f"- {case.module_name}/"
+        out.write("".join([
+            f"{prefix}{instance} {names[slot]} + PLACED ( {xs[column] + ox} "
+            f"{row * row_h + oy} ) {o.def_code} ;\n"
+            for instance, slot, column, row, o
+            in _pattern(case.kind, case.height_rows)]))
+    out.write(_TRAILER)
 
 
 def emit_def(cases: list[AbutmentCase], library: CellLibrary,

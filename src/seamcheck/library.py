@@ -242,6 +242,7 @@ def _parse_macro(p: _Parser, row_height: int,
     width = height = None
     pins: list[tuple[str, list[tuple[_Tok, ColoredRect]]]] = []
     shapes: list[ColoredRect] = []
+    obs_masks: dict = {}  # (layer, rect) -> its first coloured OBS mask
     while True:
         tok = p.peek()
         if tok is None:
@@ -259,7 +260,16 @@ def _parse_macro(p: _Parser, row_height: int,
             pins.append(_parse_pin(p, name))
         elif tok.text == "OBS":
             p.expect("OBS")
-            shapes.extend(s for _, s in _parse_layer_shapes(p, {"END"}))
+            for rect_tok, s in _parse_layer_shapes(p, {"END"}):
+                if s.mask is not Mask.NONE:
+                    mask = obs_masks.setdefault((s.layer, s.rect), s.mask)
+                    if mask is not s.mask:
+                        raise ParseError(
+                            f"OBS of MACRO {name}: rect on "
+                            f"{s.layer}_{s.mask.value} twins a shape on "
+                            f"{s.layer}_{mask.value}",
+                            rect_tok.line, rect_tok.col)
+                shapes.append(s)
             p.expect("END")
         elif tok.text == "END":
             p.expect("END")

@@ -15,7 +15,7 @@ import io
 import re
 from typing import TextIO
 
-from .abutment import AbutmentCase
+from .abutment import AbutmentCase, _pattern
 from .errors import NameCollisionError
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
@@ -53,20 +53,24 @@ def module_names(cases) -> list[str]:
 
 def write_verilog(out: TextIO, cases: list[AbutmentCase]) -> None:
     """Write the netlist of the case list to ``out``, one module at a
-    time. A name collision raises before anything is written."""
+    time, each module body from its case's instance pattern. A name
+    collision raises before anything is written."""
     names = module_names(cases)
     refs: dict[str, str] = {}  # cell name -> its Verilog reference
     for case, name in zip(cases, names):
-        lines = [f"module {name} ();"]
-        for p in case.placements:
-            ref = refs.get(p.cell_ref)
+        cell_refs = []
+        for cell in case.cells:
+            ref = refs.get(cell.name)
             if ref is None:
-                ref = refs[p.cell_ref] = (
-                    p.cell_ref if _IDENTIFIER.fullmatch(p.cell_ref)
-                    and p.cell_ref not in _KEYWORDS else "\\" + p.cell_ref)
-            lines.append(f"  {ref} {p.instance_name} ();")
-        lines.append("endmodule\n\n")
-        out.write("\n".join(lines))
+                ref = refs[cell.name] = (
+                    cell.name if _IDENTIFIER.fullmatch(cell.name)
+                    and cell.name not in _KEYWORDS else "\\" + cell.name)
+            cell_refs.append(ref)
+        out.write(f"module {name} ();\n")
+        out.write("".join([f"  {cell_refs[slot]} {instance} ();\n"
+                           for instance, slot, _, _, _
+                           in _pattern(case.kind, case.height_rows)]))
+        out.write("endmodule\n\n")
     out.write("module TOP ();\n")
     for name in names:
         out.write(f"  {name} {name} ();\n")

@@ -6,8 +6,10 @@ the eager column walk that a case's derived seams must equal."""
 
 from collections import defaultdict
 from dataclasses import replace
+from typing import NamedTuple
 
 from seamcheck import (
+    CaseKind,
     ConflictGraph,
     DptOption,
     FlatLayout,
@@ -16,6 +18,7 @@ from seamcheck import (
     LayerRule,
     Mask,
     Orientation,
+    Placement,
     Rect,
     RuleDeck,
     Seam,
@@ -282,3 +285,44 @@ def oracle_seams(case, library):
         x += lc.width
         seams.append(Seam(x, (lc.name, lo), (rc.name, ro)))
     return tuple(seams)
+
+
+class OracleCase(NamedTuple):
+    kind: CaseKind
+    placements: tuple[Placement, ...]
+    seams: tuple[Seam, ...]
+    width: int
+    height_rows: int
+
+
+def oracle_chain(cell_a, cell_b):
+    """Abut one column per (cell, orientation), left to right: the A-A
+    pattern when ``cell_b`` is None, the A-B pattern otherwise; the kind
+    is the multi-height one when A is. The case is as tall as A (k rows);
+    a column whose cell is shorter stacks k instances, flipped vertically
+    on odd rows. Instances are numbered U1.. in placement order. Seams
+    join adjacent base-row placements, at the right one's x. Builds every
+    placement eagerly, with no pattern table; module names are left to
+    ``enumerate_library``."""
+    if cell_b is None:
+        kind = CaseKind.AA_MULTI if cell_a.is_multi else CaseKind.AA_SINGLE
+        columns = zip((cell_a,) * 4, _AA_COLUMNS)
+    else:
+        kind = (CaseKind.AB_SINGLE_MULTI if cell_a.is_multi
+                else CaseKind.AB_SINGLE)
+        columns = zip((cell_b, cell_a, cell_b, cell_a, cell_b), _AB_COLUMNS)
+    k = cell_a.height_rows
+    row_h = cell_a.height // k
+    placements = []
+    x = 0
+    for c, o in columns:
+        for row in range(1 if c.height_rows == k else k):
+            placements.append(Placement(f"U{len(placements) + 1}", c.name,
+                                        (x, row * row_h),
+                                        o.flipped_ud if row % 2 else o))
+        x += c.width
+    base = [p for p in placements if p.origin[1] == 0]
+    seams = tuple(Seam(r.origin[0], (l.cell_ref, l.orientation),
+                       (r.cell_ref, r.orientation))
+                  for l, r in zip(base, base[1:]))
+    return OracleCase(kind, tuple(placements), seams, x, k)

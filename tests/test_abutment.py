@@ -21,15 +21,25 @@ from seamcheck import (
     CaseKind,
     CellLibrary,
     Orientation,
+    Placement,
     coverage_check,
+    emit_def,
+    emit_verilog,
     enumerate_library,
     expected_count,
+    parse_rules,
+    plan_floorplan,
+    render_def,
 )
+from seamcheck import abutment
 from seamcheck.abutment import _universe_size
+from seamcheck.netlist import _KEYWORDS
 
-from brute import oracle_seams
-from conftest import (ROW_HEIGHT, SITE_WIDTH, last_case, synth_cell,
-                      synth_library)
+from brute import oracle_chain, oracle_seams
+from conftest import (ROW_HEIGHT, SITE_WIDTH, last_case, read_testdata,
+                      synth_cell, synth_library)
+
+DECK = parse_rules(read_testdata("rules.yaml"))
 
 R0, R180, MX, MY = (Orientation.R0, Orientation.R180,
                     Orientation.MX, Orientation.MY)
@@ -221,8 +231,9 @@ def sized_library(spec):
 
 
 class TestDerivedSeams:
-    """A case stores placements only; its seams must equal the eager
-    column walk of tests/brute.py."""
+    """A case stores its cells only; its seams must equal the eager
+    column walk of tests/brute.py, and its placements and both writers'
+    text the eager instance walk there."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 40)),
@@ -231,6 +242,48 @@ class TestDerivedSeams:
         lib = sized_library(spec)
         for case in enumerate_library(lib):
             assert case.seams == oracle_seams(case, lib), case
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.text("AXY_9-$\u00c9", min_size=1,
+                                                max_size=4),
+                                        st.sampled_from(("module", "wire"))),
+                              st.integers(1, 3), st.integers(1, 40)),
+                    min_size=1, max_size=6, unique_by=lambda c: c[0]))
+    def test_match_eager_chain(self, spec):
+        lib = CellLibrary("eager", ROW_HEIGHT, SITE_WIDTH, tuple(
+            dataclasses.replace(synth_cell(i, rows, with_shape=False),
+                                name=name, width=SITE_WIDTH * sites)
+            for i, (name, rows, sites) in enumerate(spec)))
+        cells = lib.cells
+        pairs = [(c, None) for c in cells] + [
+            (b, a) if b.is_multi else (a, b)
+            for i, a in enumerate(cells) for b in cells[i + 1:]
+            if not (a.is_multi and b.is_multi)]
+        want = [oracle_chain(*pair) for pair in pairs]
+        cases = enumerate_library(lib)
+        assert len(cases) == len(want)
+        for case, w in zip(cases, want):
+            assert (case.kind, case.placements, case.seams, case.width,
+                    case.height_rows) == w, case
+        plan = plan_floorplan(cases, DECK)
+        die = [Placement(f"{case.module_name}/{p.instance_name}", p.cell_ref,
+                         (p.origin[0] + ox, p.origin[1] + oy), p.orientation)
+               for idx, (case, w) in enumerate(zip(cases, want))
+               for ox, oy in [plan.origin_of(idx)] for p in w.placements]
+        assert emit_def(cases, lib, plan) == render_def(die, plan.die_area)
+
+        def ref(name):
+            plain = (re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", name)
+                     and name not in _KEYWORDS)
+            return name if plain else "\\" + name
+
+        modules = [case.module_name for case in cases]
+        assert emit_verilog(cases) == "".join(
+            f"module {m} ();\n" + "".join(
+                f"  {ref(p.cell_ref)} {p.instance_name} ();\n"
+                for p in w.placements) + "endmodule\n\n"
+            for m, w in zip(modules, want)) + "module TOP ();\n" + "".join(
+            f"  {m} {m} ();\n" for m in modules) + "endmodule\n"
 
     def test_fixed_library_reaches_every_kind(self):
         lib = sized_library([(1, 20), (2, 21), (3, 5), (1, 7)])
@@ -286,10 +339,14 @@ class TestEnumerateLibrary:
         lib = synth_library(5, multi_every=3, with_shapes=False)
         assert enumerate_library(lib) == enumerate_library(lib)
 
-    def test_equal_placements_are_one_object(self):
-        cases = enumerate_library(synth_library(60, multi_every=4))
-        placements = [p for c in cases for p in c.placements]
-        assert len({id(p) for p in placements}) == len(set(placements))
+    def test_no_case_field_holds_a_placement(self):
+        cases = enumerate_library(synth_library(12, multi_every=4))
+        assert {c.kind for c in cases} == set(CaseKind)
+        for case in cases:
+            for f in dataclasses.fields(case):
+                value = getattr(case, f.name)
+                items = value if isinstance(value, tuple) else (value,)
+                assert not any(isinstance(v, Placement) for v in items), f
 
     def test_few_tracked_objects_per_case(self):
         lib = synth_library(60, multi_every=4)
@@ -441,17 +498,20 @@ class TestCoverage:
             assert missing == sorted(missing, key=lambda t: (
                 order[t[0][0]], order[t[1][0]], t[0][1], t[1][1]))
 
-    def test_odd_row_seams_count_as_base_row_classes(self):
+    def test_odd_row_seams_count_as_base_row_classes(self, monkeypatch):
         lib = synth_library(3, with_shapes=False)
         cases = enumerate_library(lib)[:4]
-        # coverage_check reads only .placements, so stand-ins carry each
-        # case's base row with every instance in its odd-row orientation.
-        flipped = [types.SimpleNamespace(placements=tuple(
-            p._replace(orientation=p.orientation.flipped_ud)
-            for p in c.placements)) for c in cases]
+        expected = coverage_check(cases, lib)
+        # coverage_check reads each case's seam topologies off the base-row
+        # pairs of its pattern, so a stand-in table carries each case's
+        # base row with every instance in its odd-row orientation.
+        base_pairs = abutment._base_pairs
+        monkeypatch.setattr(abutment, "_base_pairs", lambda kind, rows: tuple(
+            (ls, lo.flipped_ud, rs, ro.flipped_ud, rc)
+            for ls, lo, rs, ro, rc in base_pairs(kind, rows)))
         assert all(p.origin[1] == 0 for c in cases for p in c.placements)
-        report = coverage_check(flipped, lib)
-        assert report.missing and report == coverage_check(cases, lib)
+        report = coverage_check(cases, lib)
+        assert report.missing and report == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.booleans(), max_size=12))
@@ -475,9 +535,10 @@ class TestCoverage:
         dropped = next(c for c in cases if c.kind is CaseKind.AB_SINGLE)
         tall = [c.name for c in lib.cells if c.is_multi]
         rename = dict(zip((dropped.cell_a, dropped.cell_b), tall))
-        stray = types.SimpleNamespace(placements=tuple(
-            p._replace(cell_ref=rename[p.cell_ref])
-            for p in dropped.placements))
+        # coverage_check reads only a case's kind, row count and cells.
+        stray = types.SimpleNamespace(
+            kind=dropped.kind, height_rows=dropped.height_rows,
+            cell_a=rename[dropped.cell_a], cell_b=rename[dropped.cell_b])
         report = coverage_check(
             [c for c in cases if c is not dropped] + [stray], lib)
         missing = [((a, oa.name), (b, ob.name))

@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import seamcheck.cli as climod
-from seamcheck import parse_def
+from seamcheck import abutment, enumerate_library, parse_def, parse_library
 from seamcheck.cli import main
 
 from conftest import PIN_ONLY_LEF, TESTDATA, synth_lef
@@ -113,6 +113,18 @@ class TestGenerate:
         assert m["expected_placements"] is None
         assert m["coverage_complete"] is True
 
+
+    def test_generate_constructs_no_placement(self, tmp_path, monkeypatch):
+        class NoPlacement:
+            def __init__(self, *args):
+                raise AssertionError("a Placement was constructed")
+
+        lib = parse_library((TESTDATA / "mixed.lef").read_text())
+        monkeypatch.setattr(abutment, "Placement", NoPlacement)
+        with pytest.raises(AssertionError, match="Placement was constructed"):
+            enumerate_library(lib)[0].placements
+        assert run(["generate", "--libs", str(TESTDATA / "mixed.lef"),
+                    "--rules", RULES, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("lef, name", [("seamdemo.lef", "seamdemo"),
                                            ("mixed.lef", "mixeddemo")])
@@ -276,6 +288,22 @@ class TestVerify:
         assert run(["verify", "--libs", str(lef), "--rules", RULES,
                     "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {lef}: {message}\n"
+
+    def test_obs_twin_on_the_other_mask_exits_two(self, tmp_path, capsys):
+        # The cell's only OBS draws one rect under both masks: an input
+        # error, not an E1 and an E2 copy of the rect.
+        rect = "    RECT 0.08 0.1 0.12 0.476 ;\n"
+        lef = tmp_path / "obstwin.lef"
+        lef.write_text(PIN_ONLY_LEF.replace(
+            PIN_ONLY_LEF[PIN_ONLY_LEF.index("  PIN A"):
+                         PIN_ONLY_LEF.index("END PINV")],
+            "  OBS\n    LAYER M1_E1 ;\n" + rect + "    LAYER M1_E2 ;\n"
+            + rect + "  END\n"))
+        assert run(["verify", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {lef}: line 9, col 5: OBS of MACRO PINV: rect on M1_E2 "
+            f"twins a shape on M1_E1\n")
 
     def test_one_run_is_held_at_a_time(self, tmp_path, monkeypatch):
         real = climod.run_all

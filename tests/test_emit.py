@@ -1,6 +1,7 @@
 """Netlist and placement-file emission, parsing, and floorplanning tests."""
 
 import dataclasses
+import io
 import os
 import random
 import re
@@ -172,8 +173,15 @@ class TestDefEmission:
         bad = cases + [last_case(ghost)]
         rules = parse_rules(RULES_TEXT)
         plan_bad = plan_floorplan(bad, rules)
+        out = io.StringIO()
         with pytest.raises(UnknownCellRefError):
-            emit_def(bad, lib, plan_bad)
+            write_def(out, bad, lib, plan_bad)
+        # Raised before the first line of the case that names the cell,
+        # after every line of the cases before it.
+        lines = out.getvalue().splitlines()
+        assert sum(l.startswith("- ") for l in lines) == sum(
+            len(c.placements) for c in cases)
+        assert not any("GHOST" in l for l in lines)
 
 
 def written(writer, *args) -> bytes:

@@ -167,6 +167,28 @@ class TestParseLibrary:
                 rf"on {ports[-1]} twins a shape on {kept}$")):
             parse_library(text)
 
+    def test_obs_twin_on_the_other_mask_rejected(self):
+        # One OBS rect drawn twice: on the same mask or with a bare layer
+        # it stays two shapes; on the other mask it is a contradiction,
+        # located at the second RECT.
+        rect = "    RECT 0.06 0.06 0.1 0.5 ;\n"
+        drawn = "    LAYER M1_E1 ;\n" + rect
+
+        def inv_shapes(layer):
+            text = MINIMAL.replace(drawn, drawn + f"    LAYER {layer} ;\n"
+                                   + rect, 1)
+            return [(s.layer, s.mask, s.rect)
+                    for s in parse_library(text).cell("INV").shapes]
+
+        e1, bare = (("M1", mask, Rect(60, 60, 100, 500))
+                    for mask in (Mask.E1, Mask.NONE))
+        assert inv_shapes("M1_E1")[:2] == [e1, e1]
+        assert inv_shapes("M1")[:2] == [e1, bare]
+        with pytest.raises(ParseError, match=(
+                r"^line 15, col 5: OBS of MACRO INV: rect on M1_E2 twins a "
+                r"shape on M1_E1$")):
+            inv_shapes("M1_E2")
+
     def test_seamdemo_pins_twin_their_obs_shapes(self, seam_library):
         # Every pin of seamdemo.lef repeats an OBS rect on a bare layer,
         # so the shapes, their masks and their ids are the OBS ones.
