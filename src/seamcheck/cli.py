@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from itertools import islice
 
 import yaml
@@ -48,6 +49,22 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+@contextmanager
+def _naming(path: str):
+    """Prefix ``path`` to the message of a ValueError raised in the
+    block, so an input error names the file it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_rules(path: str):
+    text = _read(path)
+    with _naming(path):
+        return parse_rules(text)
+
+
 def _load_libraries(paths):
     """(path, library) per path; a parse error names its file. Output
     files are named after the LIBRARY name, so two libraries with one name,
@@ -56,10 +73,8 @@ def _load_libraries(paths):
     seen: dict[str, str] = {}
     for path in paths:
         text = _read(path)
-        try:
+        with _naming(path):
             lib = parse_library(text)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
         if "/" in lib.name or "\\" in lib.name:
             raise ValueError(f"{path}: library name {lib.name!r} contains a "
                              f"path separator; output files are named "
@@ -174,11 +189,12 @@ def cmd_generate(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    rules = parse_rules(_read(opt.path("rules", required=True)))
+    rules = _load_rules(opt.path("rules", required=True))
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     status = 0
     for path, lib in _load_libraries(opt.libs()):
-        cases, fp = plan_library(lib, rules, max_row_width)
+        with _naming(path):
+            cases, fp = plan_library(lib, rules, max_row_width)
         with _create(os.path.join(out_dir, f"testcases_{lib.name}.v")) as fh:
             netlist.write_verilog(fh, cases)
         with _create(os.path.join(out_dir,
@@ -243,7 +259,7 @@ def cmd_verify(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    rules = parse_rules(_read(opt.path("rules", required=True)))
+    rules = _load_rules(opt.path("rules", required=True))
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     payload = {"rules": opt.path("rules"), "max_row_width": max_row_width,
                "window": rules.interaction_distance, "libraries": []}
@@ -251,7 +267,8 @@ def cmd_verify(args) -> int:
     for path, lib in _load_libraries(opt.libs()):
         runs = []
         for option in _dpt_options(opt):
-            run, text = _verify_run(lib, rules, option, max_row_width)
+            with _naming(path):
+                run, text = _verify_run(lib, rules, option, max_row_width)
             runs.append(run)
             jsonl[f"violations_{lib.name}_opt{option.value}.jsonl"] = text
         payload["libraries"].append(
@@ -348,8 +365,8 @@ def cmd_report(args) -> int:
     svg_cap = opt.integer("svg_cap", 50)
     margin = 200
 
-    rules = parse_rules(_read(opt.path("rules", payload.get("rules"),
-                                       required=True)))
+    rules = _load_rules(opt.path("rules", payload.get("rules"),
+                                 required=True))
     lib_paths = opt.libs(required=False) or [
         entry["path"] for entry in payload["libraries"]]
     libs = {lib.name: lib for _, lib in _load_libraries(lib_paths)}

@@ -16,15 +16,15 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-class DuplicateCellError(ValueError):
+class DuplicateCellError(ParseError):
     """Two MACRO blocks share one cell name."""
 
 
-class NonIntegerHeightError(ValueError):
+class NonIntegerHeightError(ParseError):
     """Cell height is not an integer multiple of the row height."""
 
 
-class ShapeOutOfBoundsError(ValueError):
+class ShapeOutOfBoundsError(ParseError):
     """A shape or pin rectangle leaves the cell outline."""
 
 

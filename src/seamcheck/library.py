@@ -1,15 +1,18 @@
 """Standard-cell library parsing and profiling.
 
 The library file is a small LEF-like subset: a LIBRARY header, one SITE
-statement carrying the row/site grid, then MACRO blocks with SIZE, PIN/PORT
-and OBS geometry. Dimensions are microns with at most three decimal places
-and convert exactly to integer DBU (1000 per micron).
+statement carrying the row/site grid, then MACRO blocks that open with
+SIZE, as in LEF, followed by PIN/PORT and OBS geometry. Dimensions are
+microns with at most three decimal places and convert exactly to integer
+DBU (1000 per micron). Every error parse_library raises is a ParseError
+located at a token.
 
 Pre-assigned mask colors are encoded in layer names: ``M1_E1`` and ``M1_E2``
-are the two masks of layer M1, a bare ``M1`` is uncolored. A cell's checked
-shapes are its OBS rectangles, then its PIN/PORT rectangles; a port rect
-that repeats the base layer and rect of a kept shape is that shape, and
-may not name the other mask. Any other ``_E<digits>`` suffix is an error.
+are the two masks of layer M1, a bare ``M1`` is uncolored. Any other
+``_E<digits>`` suffix is an error. A cell's checked shapes are its OBS
+rectangles, then its PIN/PORT rectangles; a port rect that repeats the
+base layer and rect of a kept shape is that shape. No two rects on one
+base layer and rect may name both masks.
 """
 
 from __future__ import annotations
@@ -175,14 +178,12 @@ def _parse_rect(p: _Parser) -> Rect:
     return Rect(x1, y1, x2, y2)
 
 
-def _parse_layer_shapes(p: _Parser, end_words: set[str]
-                        ) -> Iterator[tuple[_Tok, ColoredRect]]:
-    """LAYER <name> ; followed by RECT lines, repeated until an end word.
-    Yields each rect with its RECT token."""
-    while True:
-        tok = p.peek()
-        if tok is None or tok.text in end_words:
-            return
+def _parse_layer_shapes(p: _Parser, outline: Rect, owner: str,
+                        cell_name: str) -> Iterator[tuple[_Tok, ColoredRect]]:
+    """LAYER <name> ; followed by RECT lines, repeated until END. Yields
+    each rect with its RECT token; a rect that leaves ``outline`` is an
+    error located at that token, naming its ``owner``."""
+    while (tok := p.peek()) is not None and tok.text != "END":
         p.expect("LAYER")
         name_tok = p.take("layer name")
         lname = name_tok.text
@@ -193,7 +194,13 @@ def _parse_layer_shapes(p: _Parser, end_words: set[str]
             raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         saw_rect = False
         while (rect_tok := p.peek()) is not None and rect_tok.text == "RECT":
-            yield rect_tok, ColoredRect(layer, mask, _parse_rect(p))
+            rect = _parse_rect(p)
+            if not outline.contains(rect):
+                raise ShapeOutOfBoundsError(
+                    f"{owner} rect {tuple(rect)} of cell {cell_name} leaves "
+                    f"the outline 0 0 {outline.x2} {outline.y2}",
+                    rect_tok.line, rect_tok.col)
+            yield rect_tok, ColoredRect(layer, mask, rect)
             saw_rect = True
         if not saw_rect:
             nxt = p.peek()
@@ -202,85 +209,39 @@ def _parse_layer_shapes(p: _Parser, end_words: set[str]
                              nxt.col if nxt else tok.col)
 
 
-def _parse_pin(p: _Parser, cell_name: str
-               ) -> tuple[str, list[tuple[_Tok, ColoredRect]]]:
-    p.expect("PIN")
-    name_tok = p.take("pin name")
-    shapes: list[tuple[_Tok, ColoredRect]] = []
-    while True:
-        tok = p.peek()
-        if tok is None:
-            p.take(f"END {name_tok.text}")
-        if tok.text == "PORT":
-            p.expect("PORT")
-            shapes.extend(_parse_layer_shapes(p, {"END"}))
-            p.expect("END")
-        elif tok.text == "END":
-            p.expect("END")
-            p.expect(name_tok.text)
-            return name_tok.text, shapes
-        else:
-            raise ParseError(
-                f"unexpected {tok.text!r} in PIN {name_tok.text} of {cell_name}",
-                tok.line, tok.col)
-
-
-def _check_bounds(cell_name: str, kind: str, shape: ColoredRect,
-                  width: int, height: int):
-    r = shape.rect
-    if r.x1 < 0 or r.y1 < 0 or r.x2 > width or r.y2 > height:
-        raise ShapeOutOfBoundsError(
-            f"{kind} rect {tuple(r)} of cell {cell_name} leaves the "
-            f"outline 0 0 {width} {height}")
+def _name_mask(masks: dict, tok: _Tok, shape: ColoredRect, what: str):
+    """Record the mask ``shape`` names at its base layer and rect. The
+    first mask named there stays; naming the other one is an error
+    located at ``tok``."""
+    key = (shape.layer, shape.rect)
+    mask = masks.setdefault(key, shape.mask)
+    if mask is Mask.NONE:
+        masks[key] = shape.mask
+    elif shape.mask not in (mask, Mask.NONE):
+        raise ParseError(f"{what} on {shape.layer}_{shape.mask.value} twins "
+                         f"a shape on {shape.layer}_{mask.value}",
+                         tok.line, tok.col)
 
 
 def _parse_macro(p: _Parser, row_height: int,
                  site_width: int) -> CellProfile:
+    """One MACRO, read in one pass. SIZE comes first, as in LEF, so the
+    grid checks run before any geometry and every rect is checked against
+    the outline as it is read; the first error in file order is reported.
+    OBS rects are kept, and checked against ``masks``, as they are read.
+    Port rects wait for END, because a port may repeat an OBS rect written
+    below it: then, in pin order, a port that repeats a kept rect is that
+    shape, and every port is checked against ``masks``. ``masks`` holds
+    the first mask named at each base layer and rect, so no rect may name
+    both, whether a bare copy sits between them or not."""
     p.expect("MACRO")
     name_tok = p.take("macro name")
     name = name_tok.text
-    width = height = None
-    pins: list[tuple[str, list[tuple[_Tok, ColoredRect]]]] = []
-    shapes: list[ColoredRect] = []
-    obs_masks: dict = {}  # (layer, rect) -> its first coloured OBS mask
-    while True:
-        tok = p.peek()
-        if tok is None:
-            p.take(f"END {name}")
-        if tok.text == "SIZE":
-            if width is not None:
-                raise ParseError(f"duplicate SIZE in MACRO {name}",
-                                 tok.line, tok.col)
-            p.expect("SIZE")
-            width = p.number()
-            p.expect("BY")
-            height = p.number()
-            p.expect(";")
-        elif tok.text == "PIN":
-            pins.append(_parse_pin(p, name))
-        elif tok.text == "OBS":
-            p.expect("OBS")
-            for rect_tok, s in _parse_layer_shapes(p, {"END"}):
-                if s.mask is not Mask.NONE:
-                    mask = obs_masks.setdefault((s.layer, s.rect), s.mask)
-                    if mask is not s.mask:
-                        raise ParseError(
-                            f"OBS of MACRO {name}: rect on "
-                            f"{s.layer}_{s.mask.value} twins a shape on "
-                            f"{s.layer}_{mask.value}",
-                            rect_tok.line, rect_tok.col)
-                shapes.append(s)
-            p.expect("END")
-        elif tok.text == "END":
-            p.expect("END")
-            p.expect(name)
-            break
-        else:
-            raise ParseError(f"unexpected {tok.text!r} in MACRO {name}",
-                             tok.line, tok.col)
-    if width is None:
-        raise ParseError(f"MACRO {name} has no SIZE statement",
-                         name_tok.line, name_tok.col)
+    p.expect("SIZE")
+    width = p.number()
+    p.expect("BY")
+    height = p.number()
+    p.expect(";")
     if width <= 0 or height <= 0:
         raise ParseError(f"MACRO {name} has non-positive SIZE",
                          name_tok.line, name_tok.col)
@@ -291,30 +252,42 @@ def _parse_macro(p: _Parser, row_height: int,
     if height % row_height != 0:
         raise NonIntegerHeightError(
             f"cell {name} height {height} DBU is not a multiple of the row "
-            f"height {row_height} DBU")
-    seen_pins = set()
-    for pin, rects in pins:
-        if pin in seen_pins:
-            raise ParseError(f"duplicate pin {pin} in MACRO {name}",
-                             name_tok.line, name_tok.col)
-        seen_pins.add(pin)
-        for _, s in rects:
-            _check_bounds(name, f"pin {pin}", s, width, height)
-    for s in shapes:
-        _check_bounds(name, "OBS", s, width, height)
-    kept = {(s.layer, s.rect): s.mask for s in shapes} if pins else None
-    for pin, rects in pins:
-        for rect_tok, s in rects:
-            mask = kept.get((s.layer, s.rect))
-            if mask is None:
-                kept[(s.layer, s.rect)] = s.mask
+            f"height {row_height} DBU", name_tok.line, name_tok.col)
+    outline = Rect(0, 0, width, height)
+    shapes: list[ColoredRect] = []
+    masks: dict = {}  # (layer, rect) -> the first mask named there
+    ports: list[tuple[str, _Tok, ColoredRect]] = []  # in file order
+    pins: set[str] = set()
+    while (tok := p.take(f"END {name}")).text != "END":
+        if tok.text == "PIN":
+            pin_tok = p.take("pin name")
+            pin = pin_tok.text
+            if pin in pins:
+                raise ParseError(f"duplicate pin {pin} in MACRO {name}",
+                                 pin_tok.line, pin_tok.col)
+            pins.add(pin)
+            while (tok := p.take(f"END {pin}")).text == "PORT":
+                ports.extend((pin, *port) for port in _parse_layer_shapes(
+                    p, outline, f"pin {pin}", name))
+                p.expect("END")
+            if tok.text != "END":
+                raise ParseError(f"unexpected {tok.text!r} in PIN {pin} of "
+                                 f"{name}", tok.line, tok.col)
+            p.expect(pin)
+        elif tok.text == "OBS":
+            for rect_tok, s in _parse_layer_shapes(p, outline, "OBS", name):
+                _name_mask(masks, rect_tok, s, f"OBS of MACRO {name}: rect")
                 shapes.append(s)
-            elif mask is not s.mask and Mask.NONE not in (mask, s.mask):
-                raise ParseError(
-                    f"pin {pin} of MACRO {name}: port rect on "
-                    f"{s.layer}_{s.mask.value} twins a shape on "
-                    f"{s.layer}_{mask.value}",
-                    rect_tok.line, rect_tok.col)
+            p.expect("END")
+        else:
+            raise ParseError(f"unexpected {tok.text!r} in MACRO {name}",
+                             tok.line, tok.col)
+    p.expect(name)
+    for pin, rect_tok, s in ports:
+        if (s.layer, s.rect) not in masks:
+            shapes.append(s)
+        _name_mask(masks, rect_tok, s,
+                   f"pin {pin} of MACRO {name}: port rect")
     return CellProfile(name, width, height, height // row_height,
                        tuple(shapes))
 
@@ -328,8 +301,7 @@ def parse_library(text: str) -> CellLibrary:
     p.expect(";")
 
     site_width = row_height = None
-    cells: list[CellProfile] = []
-    names: set[str] = set()
+    cells: dict[str, CellProfile] = {}
     while True:
         tok = p.peek()
         if tok is None:
@@ -352,10 +324,9 @@ def parse_library(text: str) -> CellLibrary:
                 raise ParseError("MACRO before SITE statement (row height "
                                  "unknown)", tok.line, tok.col)
             cell = _parse_macro(p, row_height, site_width)
-            if cell.name in names:
-                raise DuplicateCellError(f"duplicate MACRO {cell.name}")
-            names.add(cell.name)
-            cells.append(cell)
+            if cells.setdefault(cell.name, cell) is not cell:
+                raise DuplicateCellError(f"duplicate MACRO {cell.name}",
+                                         tok.line, tok.col)
         elif tok.text == "END":
             p.expect("END")
             p.expect("LIBRARY")
@@ -369,7 +340,8 @@ def parse_library(text: str) -> CellLibrary:
                          tok.line, tok.col)
     if row_height is None:
         raise ParseError("library has no SITE statement", 1, 1)
-    return CellLibrary(lib_name, row_height, site_width, tuple(cells))
+    return CellLibrary(lib_name, row_height, site_width,
+                       tuple(cells.values()))
 
 
 def profile(library: CellLibrary) -> LibraryStats:

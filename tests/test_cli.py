@@ -16,6 +16,7 @@ from conftest import PIN_ONLY_LEF, TESTDATA, synth_lef
 RULES = str(TESTDATA / "rules.yaml")
 SEAM = str(TESTDATA / "seamdemo.lef")
 CLEAN = str(TESTDATA / "clean.lef")
+MIXED = str(TESTDATA / "mixed.lef")
 
 
 def run(args):
@@ -175,7 +176,7 @@ class TestGenerate:
         assert run(["generate", "--libs", str(lef), "--rules", RULES,
                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: library row height 600")
+        assert err.startswith(f"error: {lef}: library row height 600")
         assert not (out / "testcases_seamdemo.def").exists()
 
     def test_names_that_sanitize_alike_get_distinct_modules(self, tmp_path):
@@ -274,17 +275,29 @@ class TestVerify:
         row = capsys.readouterr().out.splitlines()[-1].split()
         assert row == ["pinonly", "2", "Clean", "1", "Clean"]
 
-    @pytest.mark.parametrize("edit, message", [
-        (("LAYER M1_E1", "LAYER M1_E3"),
+    @pytest.mark.parametrize("edits, message", [
+        ([("LAYER M1_E1", "LAYER M1_E3")],
          "line 7, col 13: layer M1_E3: unknown mask suffix, expected _E1 "
          "or _E2"),
-        (("END PINV", "OBS\n    LAYER M1_E2 ;\n"
-          "    RECT 0.004 0.1 0.036 0.476 ;\n  END\nEND PINV"),
+        ([("END PINV", "OBS\n    LAYER M1_E2 ;\n"
+           "    RECT 0.004 0.1 0.036 0.476 ;\n  END\nEND PINV")],
          "line 8, col 7: pin A of MACRO PINV: port rect on M1_E1 twins a "
-         "shape on M1_E2")], ids=["mask-suffix", "twin-mask"])
-    def test_bad_pin_mask_exits_two(self, tmp_path, capsys, edit, message):
+         "shape on M1_E2"),
+        # The bare copy between them names no mask, so the port still
+        # twins the E1 rect.
+        ([("LAYER M1_E1", "LAYER M1_E2"),
+          ("END PINV", "OBS\n    LAYER M1_E1 ;\n"
+           "    RECT 0.004 0.1 0.036 0.476 ;\n    LAYER M1 ;\n"
+           "    RECT 0.004 0.1 0.036 0.476 ;\n  END\nEND PINV")],
+         "line 8, col 7: pin A of MACRO PINV: port rect on M1_E2 twins a "
+         "shape on M1_E1")],
+        ids=["mask-suffix", "twin-mask", "twin-mask-after-bare"])
+    def test_bad_pin_mask_exits_two(self, tmp_path, capsys, edits, message):
+        text = PIN_ONLY_LEF
+        for edit in edits:
+            text = text.replace(*edit)
         lef = tmp_path / "pinonly.lef"
-        lef.write_text(PIN_ONLY_LEF.replace(*edit))
+        lef.write_text(text)
         assert run(["verify", "--libs", str(lef), "--rules", RULES,
                     "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {lef}: {message}\n"
@@ -330,7 +343,7 @@ class TestVerify:
         assert run(["verify", "--libs", SEAM, str(tall), "--rules", RULES,
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: library row height 600")
+            f"error: {tall}: library row height 600")
         assert list(out.iterdir()) == []
 
     def test_non_boolean_dpt_exits_two(self, tmp_path, capsys):
@@ -340,7 +353,7 @@ class TestVerify:
         assert run(["verify", "--libs", SEAM, "--rules", str(deck),
                     "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: layer M1: dpt must be true or false, got 'no'\n")
+            f"error: {deck}: layer M1: dpt must be true or false, got 'no'\n")
 
     def test_mask_suffixed_layer_key_exits_two(self, tmp_path, capsys):
         deck = tmp_path / "rules.yaml"
@@ -351,8 +364,8 @@ class TestVerify:
                     "--dpt-option", "both", "--out",
                     str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: layer M1_E1: the library folds M1_E1 shapes onto layer "
-            "M1, so the rule must be keyed M1\n")
+            f"error: {deck}: layer M1_E1: the library folds M1_E1 shapes "
+            f"onto layer M1, so the rule must be keyed M1\n")
 
     def test_non_string_pattern_name_exits_two(self, tmp_path, capsys):
         deck = tmp_path / "rules.yaml"
@@ -362,8 +375,28 @@ class TestVerify:
         assert run(["verify", "--libs", str(TESTDATA / "hotdemo.lef"),
                     "--rules", str(deck), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: hotspot pattern #1: name must be a string, got False\n")
+            f"error: {deck}: hotspot pattern #1: name must be a string, got "
+            f"False\n")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    @pytest.mark.parametrize("case", ["row-height", "row-width"])
+    def test_library_error_names_the_library(self, tmp_path, capsys,
+                                             command, case):
+        # The error belongs to the second library, not to the first.
+        if case == "row-height":
+            bad = tmp_path / "tall.lef"
+            bad.write_text((TESTDATA / "seamdemo.lef").read_text()
+                           .replace("BY 0.576", "BY 0.600"))
+            argv, message = [str(bad)], (
+                "library row height 600 != rule deck row height 576")
+        else:
+            bad, argv = MIXED, [MIXED, "--max-row-width", "1000"]
+            message = ("case scell_MULTI3 is 1280 DBU wide, above the 1000 "
+                       "DBU row limit")
+        assert run([command, "--rules", RULES, "--out", str(tmp_path / "o"),
+                    "--libs", CLEAN] + argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_single_option_run(self, tmp_path):
         out = tmp_path / "out"
@@ -522,6 +555,28 @@ class TestVerify:
                     "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "rules" in err
+
+
+class TestRuleDeckErrors:
+    @pytest.mark.parametrize("command", ["generate", "verify", "report"])
+    def test_deck_error_names_the_deck(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "report":
+            run(["verify", "--libs", SEAM, "--rules", RULES,
+                 "--out", str(out)])
+        deck = tmp_path / "rules.yaml"
+        text = (TESTDATA / "rules.yaml").read_text()
+        for bad, message in (
+                (text.replace("min_width: 32", "min_width: -1", 1),
+                 "layer M1: min_width must be a positive integer DBU, "
+                 "got -1\n"),
+                ("layers: [1,\n", "rule deck is not valid YAML: ")):
+            deck.write_text(bad)
+            capsys.readouterr()
+            assert run([command, "--libs", SEAM, "--rules", str(deck),
+                        "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {deck}: {message}"), err
 
 
 class TestReport:

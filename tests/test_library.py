@@ -146,21 +146,25 @@ class TestParseLibrary:
         ]
 
     @pytest.mark.parametrize("obs, ports, line, kept", [
-        ("M1_E1", ["M1_E2"], 8, "M1_E1"),
-        ("M2", ["M1_E2", "M1", "M1_E1"], 20, "M1_E2")],
-        ids=["obs-twin", "port-twin"])
+        (["M1_E1"], ["M1_E2"], 8, "M1_E1"),
+        (["M1_E1", "M1"], ["M1_E2"], 8, "M1_E1"),
+        (["M2"], ["M1_E2", "M1", "M1_E1"], 20, "M1_E2"),
+        (["M2"], ["M1", "M1_E2", "M1_E1"], 20, "M1_E2")],
+        ids=["obs-twin", "obs-twin-then-bare", "port-twin",
+             "bare-port-then-twin"])
     def test_port_twin_naming_the_other_mask_rejected(self, obs, ports,
                                                       line, kept):
         # The last port twins an OBS shape or an earlier port on the other
-        # mask; the bare port between two ports collapses as usual.
+        # mask. A bare copy of the rect, drawn before or between, names no
+        # mask: the first mask named at the rect is the one compared.
         rect = "0.01 0.05 0.04 0.3"
         pins = "".join(f"  PIN P{i}\n    PORT\n      LAYER {layer} ;\n"
                        f"      RECT {rect} ;\n    END\n  END P{i}\n"
                        for i, layer in enumerate(ports))
         text = MINIMAL.replace(MINIMAL[MINIMAL.index("  PIN A"):
                                       MINIMAL.index("  OBS")], pins, 1)
-        text = text.replace("  OBS\n", f"  OBS\n    LAYER {obs} ;\n"
-                            f"    RECT {rect} ;\n", 1)
+        text = text.replace("  OBS\n", "  OBS\n" + "".join(
+            f"    LAYER {layer} ;\n    RECT {rect} ;\n" for layer in obs), 1)
         last = len(ports) - 1
         with pytest.raises(ParseError, match=(
                 rf"^line {line}, col 7: pin P{last} of MACRO INV: port rect "
@@ -207,7 +211,9 @@ class TestParseLibrary:
 
     def test_non_integer_row_height_rejected(self):
         text = MINIMAL.replace("SIZE 0.4 BY 1.152", "SIZE 0.4 BY 0.8")
-        with pytest.raises(NonIntegerHeightError):
+        with pytest.raises(NonIntegerHeightError, match=(
+                r"^line 18, col 7: cell DFF2 height 800 DBU is not a "
+                r"multiple of the row height 576 DBU$")):
             parse_library(text)
 
     def test_off_grid_width_rejected(self):
@@ -220,12 +226,15 @@ class TestParseLibrary:
 
     def test_duplicate_macro_rejected(self):
         text = MINIMAL.replace("MACRO DFF2", "MACRO INV").replace("END DFF2", "END INV")
-        with pytest.raises(DuplicateCellError):
+        with pytest.raises(DuplicateCellError,
+                           match=r"^line 18, col 1: duplicate MACRO INV$"):
             parse_library(text)
 
     def test_shape_out_of_bounds_rejected(self):
         text = MINIMAL.replace("RECT 0.06 0.06 0.1 0.5", "RECT 0.06 0.06 0.21 0.5")
-        with pytest.raises(ShapeOutOfBoundsError):
+        with pytest.raises(ShapeOutOfBoundsError, match=(
+                r"^line 13, col 5: OBS rect \(60, 60, 210, 500\) of cell INV "
+                r"leaves the outline 0 0 200 576$")):
             parse_library(text)
 
     def test_degenerate_rect_rejected(self):
@@ -249,14 +258,39 @@ class TestParseLibrary:
                                "  SIZE 0.4 BY 0.576 ;\n")
         with pytest.raises(ParseError) as info:
             parse_library(text)
-        assert "duplicate SIZE in MACRO INV" in str(info.value)
+        assert "unexpected 'SIZE' in MACRO INV" in str(info.value)
         assert (info.value.line, info.value.col) == (5, 3)
+
+    @pytest.mark.parametrize("cell, found, line", [
+        ("INV", "PIN", 4), ("DFF2", "OBS", 19)])
+    def test_size_must_come_first(self, cell, found, line):
+        # SIZE written after the cell's first PIN or OBS block.
+        size = {"INV": "  SIZE 0.2 BY 0.576 ;\n",
+                "DFF2": "  SIZE 0.4 BY 1.152 ;\n"}[cell]
+        text = MINIMAL.replace(size, "", 1).replace(
+            f"END {cell}\n", size + f"END {cell}\n", 1)
+        with pytest.raises(ParseError, match=(
+                rf"^line {line}, col 3: expected 'SIZE', found '{found}'$")):
+            parse_library(text)
 
     def test_pin_bounds_checked_before_obs_bounds(self):
         text = (MINIMAL.replace("RECT 0.01 0.05 0.04 0.3",
                                 "RECT 0.01 0.05 0.04 0.6")
                 .replace("RECT 0.06 0.06 0.1 0.5", "RECT 0.06 0.06 0.21 0.5"))
-        with pytest.raises(ShapeOutOfBoundsError, match="pin A rect"):
+        with pytest.raises(ShapeOutOfBoundsError, match=(
+                r"^line 8, col 7: pin A rect \(10, 50, 40, 600\) of cell INV "
+                r"leaves the outline 0 0 200 576$")):
+            parse_library(text)
+
+    def test_first_error_in_file_order_is_reported(self):
+        # The OBS block written above the pin: its rect fails first.
+        pin = MINIMAL[MINIMAL.index("  PIN A"):MINIMAL.index("  OBS")]
+        obs = MINIMAL[MINIMAL.index("  OBS"):MINIMAL.index("END INV")]
+        text = (MINIMAL.replace(pin + obs, obs + pin, 1)
+                .replace("RECT 0.01 0.05 0.04 0.3", "RECT 0.01 0.05 0.04 0.6")
+                .replace("RECT 0.06 0.06 0.1 0.5", "RECT 0.06 0.06 0.21 0.5"))
+        with pytest.raises(ShapeOutOfBoundsError,
+                           match=r"^line 7, col 5: OBS rect"):
             parse_library(text)
 
     def test_duplicate_pin_rejected(self):
@@ -268,7 +302,8 @@ class TestParseLibrary:
   END A
 """
         text = MINIMAL.replace(pin, pin + pin)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=(
+                r"^line 11, col 7: duplicate pin A in MACRO INV$")):
             parse_library(text)
 
     def test_trailing_garbage_rejected(self):
