@@ -15,7 +15,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .abutment import AbutmentCase, Placement, instance_path
+from .abutment import AbutmentCase, Placement, _pattern, instance_path
 from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
 from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
@@ -446,22 +446,26 @@ def _alone(cell: CellProfile, orientation, rules: RuleDeck,
     return found, recolor.get(cell.name, 0), len(cell.shapes)
 
 
-def _compose(case_index: int, case: AbutmentCase, placements,
-             origin: tuple[int, int],
+def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
              alone) -> tuple[list[Violation], dict[str, int]]:
     """A case's violations and recolour counts as the union of its
-    instances' standalone results (``alone``, one per placement of
-    ``placements``, the case's own): each
-    violation moves by its instance's die origin (the case's ``origin``
-    plus the case-local one) and its shape ids by the shapes placed
-    before it."""
+    instances' standalone results (``alone``, one per row of the case's
+    instance pattern, in pattern order). Recoloured instances are named
+    from the pattern rows. Each violation moves by its instance's die
+    origin (the case's ``origin`` plus the instance's case-local one,
+    read from ``AbutmentCase.placements`` only for a case with
+    violations) and its shape ids by the shapes placed before it."""
     found: list[Violation] = []
     recolor: dict[str, int] = {}
     ox, oy = origin
     offset = 0
-    for p, (violations, recoloured, n_shapes) in zip(placements, alone):
+    placements = None
+    for i, (violations, recoloured, n_shapes) in enumerate(alone):
         if violations:
-            dx, dy = p.origin[0] + ox, p.origin[1] + oy
+            if placements is None:
+                placements = case.placements
+            x, y = placements[i].origin
+            dx, dy = x + ox, y + oy
             for v in violations:
                 x1, y1, x2, y2 = v.bbox
                 found.append(replace(
@@ -469,8 +473,8 @@ def _compose(case_index: int, case: AbutmentCase, placements,
                     shape_ids=tuple(s + offset for s in v.shape_ids),
                     case_index=case_index))
         if recoloured:
-            recolor[instance_path(case.module_name,
-                                  p.instance_name)] = recoloured
+            name = _pattern(case.kind, case.height_rows)[i][0]
+            recolor[instance_path(case.module_name, name)] = recoloured
         offset += n_shapes
     found.sort(key=Violation.sort_key)
     return found, recolor
@@ -482,30 +486,33 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     isolation. The horizontal gap keeps the cases of one shelf apart, but
     stacked shelves abut (see ``floorplan``). A case made only of isolated
     cells (``_isolated``) is composed from per-(cell, orientation) results
-    checked once per call; any other case is flattened and checked whole.
+    checked once per call: its instances are read off the rows of its
+    instance pattern (``abutment._pattern``), so it builds no
+    ``Placement``. Any other case is flattened and checked whole.
     Violations are listed in case order."""
     cases, floorplan = plan_library(library, rules, max_row_width)
-    cells = library._by_name
-    standalone: dict = {}  # (cell, orientation) -> _alone(...)
+    # Keyed by (cell name, orientation): hashing a CellProfile would hash
+    # all of its shapes.
+    standalone: dict = {}
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
     for idx, case in enumerate(cases):
-        placements = case.placements
+        case_cells = case.cells
         alone = []
-        for p in placements:
-            key = (p.cell_ref, p.orientation)
+        for _, slot, _, _, o in _pattern(case.kind, case.height_rows):
+            cell = case_cells[slot]
+            key = (cell.name, o)
             if key not in standalone:
-                standalone[key] = _alone(cells[p.cell_ref], p.orientation,
-                                         rules, option)
+                standalone[key] = _alone(cell, o, rules, option)
             alone.append(standalone[key])
         if None in alone:
-            layout = flatten(cells,
-                             floorplan.case_placements(idx, case, placements),
+            layout = flatten(library._by_name,
+                             floorplan.case_placements(idx, case),
                              floorplan.die_area)
             found, case_recolor = _check_layout(layout, rules, option)
             found = [replace(v, case_index=idx) for v in found]
         else:
-            found, case_recolor = _compose(idx, case, placements,
+            found, case_recolor = _compose(idx, case,
                                            floorplan.origin_of(idx), alone)
         violations.extend(found)
         recolor.update(case_recolor)

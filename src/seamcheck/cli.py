@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from itertools import islice
 
 import yaml
@@ -47,6 +47,31 @@ def _create(path: str):
 def _write(path: str, text: str):
     with _create(path) as fh:
         fh.write(text)
+
+
+@contextmanager
+def _staged(out_dir: str):
+    """Yield a function that creates a file named ``name`` in
+    ``out_dir`` (as ``_create`` does) under a temporary name. When the
+    block completes every file is renamed into place; when it raises,
+    every temporary is removed, so ``out_dir`` gains no file."""
+    staged: list[tuple[str, str]] = []  # (temporary path, final path)
+
+    def create(name: str):
+        final = os.path.join(out_dir, name)
+        temporary = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+        staged.append((temporary, final))
+        return _create(temporary)
+
+    try:
+        yield create
+    except BaseException:
+        for temporary, _ in staged:
+            with suppress(FileNotFoundError):
+                os.remove(temporary)
+        raise
+    for temporary, final in staged:
+        os.replace(temporary, final)
 
 
 @contextmanager
@@ -192,43 +217,45 @@ def cmd_generate(args) -> int:
     rules = _load_rules(opt.path("rules", required=True))
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     status = 0
-    for path, lib in _load_libraries(opt.libs()):
-        with _naming(path):
-            cases, fp = plan_library(lib, rules, max_row_width)
-        with _create(os.path.join(out_dir, f"testcases_{lib.name}.v")) as fh:
-            netlist.write_verilog(fh, cases)
-        with _create(os.path.join(out_dir,
-                                  f"testcases_{lib.name}.def")) as fh:
-            defio.write_def(fh, cases, lib, fp)
-        stats = profile(lib)
-        placements = placement_count(cases)
-        expected = (expected_count(stats.n_single, "proposed")
-                    if stats.n_multi == 0 else None)
-        coverage = coverage_check(cases, lib)
-        manifest = {
-            "library": lib.name,
-            "path": path,
-            "cells": len(lib.cells),
-            "n_single": stats.n_single,
-            "n_multi": stats.n_multi,
-            "cases": len(cases),
-            "placements": placements,
-            "formula": "4*N + 5*N*(N-1)/2 (single-height libraries)",
-            "expected_placements": expected,
-            "matches_expected": expected is None or placements == expected,
-            "coverage_classes": coverage.universe,
-            "coverage_complete": coverage.complete,
-        }
-        _write(os.path.join(out_dir, f"manifest_{lib.name}.json"),
-               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        sys.stdout.write(
-            f"{lib.name}: {len(cases)} cases, {placements} placements"
-            + ("" if expected is None else f" (expected {expected})")
-            + f", coverage {'complete' if coverage.complete else 'INCOMPLETE'}\n")
-        if not manifest["matches_expected"] or not coverage.complete:
-            print(f"error: self-check failed for library {lib.name}",
-                  file=sys.stderr)
-            status = 1
+    with _staged(out_dir) as create:
+        for path, lib in _load_libraries(opt.libs()):
+            with _naming(path):
+                cases, fp = plan_library(lib, rules, max_row_width)
+            with create(f"testcases_{lib.name}.v") as fh:
+                netlist.write_verilog(fh, cases)
+            with create(f"testcases_{lib.name}.def") as fh:
+                defio.write_def(fh, cases, lib, fp)
+            stats = profile(lib)
+            placements = placement_count(cases)
+            expected = (expected_count(stats.n_single, "proposed")
+                        if stats.n_multi == 0 else None)
+            coverage = coverage_check(cases, lib)
+            manifest = {
+                "library": lib.name,
+                "path": path,
+                "cells": len(lib.cells),
+                "n_single": stats.n_single,
+                "n_multi": stats.n_multi,
+                "cases": len(cases),
+                "placements": placements,
+                "formula": "4*N + 5*N*(N-1)/2 (single-height libraries)",
+                "expected_placements": expected,
+                "matches_expected": expected is None or placements == expected,
+                "coverage_classes": coverage.universe,
+                "coverage_complete": coverage.complete,
+            }
+            with create(f"manifest_{lib.name}.json") as fh:
+                fh.write(json.dumps(manifest, indent=2, sort_keys=True)
+                         + "\n")
+            sys.stdout.write(
+                f"{lib.name}: {len(cases)} cases, {placements} placements"
+                + ("" if expected is None else f" (expected {expected})")
+                + ", coverage "
+                + ("complete\n" if coverage.complete else "INCOMPLETE\n"))
+            if not manifest["matches_expected"] or not coverage.complete:
+                print(f"error: self-check failed for library {lib.name}",
+                      file=sys.stderr)
+                status = 1
     return status
 
 
@@ -369,21 +396,23 @@ def cmd_report(args) -> int:
                                  required=True))
     lib_paths = opt.libs(required=False) or [
         entry["path"] for entry in payload["libraries"]]
-    libs = {lib.name: lib for _, lib in _load_libraries(lib_paths)}
+    libs = {lib.name: (path, lib)
+            for path, lib in _load_libraries(lib_paths)}
     max_row_width = _integer(
         payload.get("max_row_width", DEFAULT_MAX_ROW_WIDTH),
         f"{results_path} key max_row_width")
 
     svg_count = 0
     for entry in payload["libraries"]:
-        lib = libs.get(entry["name"])
+        lib_path, lib = libs.get(entry["name"], (None, None))
         cases = None  # laid out only when an SVG may be drawn
         for run in entry["runs"]:
             if lib is None or svg_cap <= 0 or all(
                     rec["case"] is None for rec in run["violations"]):
                 continue
             if cases is None:
-                cases, fp = plan_library(lib, rules, max_row_width)
+                with _naming(lib_path):
+                    cases, fp = plan_library(lib, rules, max_row_width)
                 module_index = {c.module_name: i
                                 for i, c in enumerate(cases)}
             option = DptOption(run["option"])

@@ -36,19 +36,17 @@ class Floorplan:
         row, x = self.positions[case_index]
         return x, row * self.row_height
 
-    def case_placements(self, case_index: int, case: AbutmentCase,
-                        placements=None) -> list[Placement]:
-        """One case's instances shifted to its die position and renamed
-        hierarchically (<module>/<instance>), in placement order.
-        ``placements`` are the case's own, when the caller holds them
-        already."""
+    def case_placements(self, case_index: int,
+                        case: AbutmentCase) -> list[Placement]:
+        """One case's instances (``AbutmentCase.placements``) shifted to
+        its die position and renamed hierarchically
+        (<module>/<instance>), in placement order: what a case that is
+        flattened whole places on the die."""
         ox, oy = self.origin_of(case_index)
         module = case.module_name
-        if placements is None:
-            placements = case.placements
         return [Placement(instance_path(module, p.instance_name), p.cell_ref,
                           (p.origin[0] + ox, p.origin[1] + oy), p.orientation)
-                for p in placements]
+                for p in case.placements]
 
 
 def _round_up(value: int, grid: int) -> int:

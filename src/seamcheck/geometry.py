@@ -245,22 +245,28 @@ class FlatLayout:
 def flatten(cells: Mapping[str, "CellProfile"], placements,
             die_area: Rect) -> FlatLayout:
     """Instantiate the colored shapes of every placement into die
-    coordinates. Shape ids run in placement order, then cell shape order,
-    so flattening is deterministic regardless of execution strategy."""
+    coordinates: each shape of the cell's table for the placement's
+    orientation (``CellProfile.oriented``, transformed once per cell)
+    moved by the placement's origin. Shape ids run in placement order,
+    then cell shape order, so flattening is deterministic regardless of
+    execution strategy. A shape that leaves ``die_area`` raises
+    ValueError."""
     flat: list[FlatShape] = []
+    die_x1, die_y1, die_x2, die_y2 = die_area
     for p in placements:
         try:
             cell = cells[p.cell_ref]
         except KeyError:
             raise UnknownCellRefError(p.cell_ref) from None
-        for shape in cell.shapes:
-            rect = transform_rect(shape.rect, cell.width, cell.height,
-                                  p.orientation, p.origin)
-            if not die_area.contains(rect):
+        ox, oy = p.origin
+        name = p.instance_name
+        for layer, mask, (x1, y1, x2, y2) in cell.oriented[p.orientation]:
+            x1, y1, x2, y2 = x1 + ox, y1 + oy, x2 + ox, y2 + oy
+            rect = Rect(x1, y1, x2, y2)
+            if x1 < die_x1 or y1 < die_y1 or x2 > die_x2 or y2 > die_y2:
                 raise ValueError(
-                    f"shape of {p.instance_name} at {rect} leaves die {die_area}")
-            flat.append(FlatShape(len(flat), shape.layer, shape.mask, rect,
-                                  p.instance_name))
+                    f"shape of {name} at {rect} leaves die {die_area}")
+            flat.append(FlatShape(len(flat), layer, mask, rect, name))
     return FlatLayout(die_area, flat)
 
 

@@ -17,6 +17,7 @@ base layer and rect may name both masks.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Iterator
 
 from .errors import (DuplicateCellError, NonIntegerHeightError, ParseError,
                      ShapeOutOfBoundsError)
-from .geometry import Mask, Rect
+from .geometry import Mask, Orientation, Rect, transform_rect
 
 DBU_PER_MICRON = 1000
 
@@ -40,7 +41,12 @@ class ColoredRect:
 
 @dataclass(frozen=True)
 class CellProfile:
-    """Physical profile of one library cell, all dimensions in DBU."""
+    """Physical profile of one library cell, all dimensions in DBU.
+
+    ``oriented`` holds the cell's shapes transformed once per orientation
+    (built on first use), so placing an instance only adds its origin.
+    The table is not a field: it takes no part in ``==`` or ``hash``,
+    and ``dataclasses.replace`` starts a fresh one."""
 
     name: str
     width: int
@@ -51,6 +57,17 @@ class CellProfile:
     @property
     def is_multi(self) -> bool:
         return self.height_rows > 1
+
+    @functools.cached_property
+    def oriented(self) -> dict[Orientation,
+                               tuple[tuple[str, Mask, Rect], ...]]:
+        """Orientation -> (layer, mask, rect) per shape, in shape order,
+        with each rect in cell-local coordinates after
+        ``transform_rect``."""
+        return {o: tuple((s.layer, s.mask,
+                          transform_rect(s.rect, self.width, self.height, o))
+                         for s in self.shapes)
+                for o in Orientation}
 
 
 @dataclass(frozen=True)

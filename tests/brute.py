@@ -1,6 +1,7 @@
 """All-pairs reference checkers with no sweep, shared by the checker and
 whole-library oracle tests. Each one compares every pair of shapes on a
 layer, so it shares no neighbour search with the program. Also the
+per-shape ``transform_rect`` flatten that ``flatten`` must equal, the
 linear-scan first-fit floorplan that ``plan_floorplan`` must equal, and
 the eager column walk that a case's derived seams must equal."""
 
@@ -13,6 +14,7 @@ from seamcheck import (
     ConflictGraph,
     DptOption,
     FlatLayout,
+    FlatShape,
     Floorplan,
     HotspotPattern,
     LayerRule,
@@ -22,10 +24,11 @@ from seamcheck import (
     Rect,
     RuleDeck,
     Seam,
+    UnknownCellRefError,
     Violation,
     ViolationKind,
     color_decompose,
-    flatten,
+    transform_rect,
     union_all,
 )
 from seamcheck.floorplan import (DEFAULT_MAX_ROW_WIDTH, _round_up,
@@ -44,6 +47,25 @@ ORACLE_DECK = RuleDeck(
         HotspotPattern("tri", "M3", (Mask.E2, Mask.E1, Mask.E2), 64, 40)))
 
 
+def reference_flatten(cells, placements, die_area):
+    """``flatten`` by transforming every shape of every placement on its
+    own, with no per-cell table: shape ids in placement order, then cell
+    shape order; a shape that leaves the die raises ValueError."""
+    flat = []
+    for p in placements:
+        try:
+            cell = cells[p.cell_ref]
+        except KeyError:
+            raise UnknownCellRefError(p.cell_ref) from None
+        for shape in cell.shapes:
+            rect = transform_rect(shape.rect, cell.width, cell.height,
+                                  p.orientation, p.origin)
+            if not die_area.contains(rect):
+                raise ValueError(
+                    f"shape of {p.instance_name} at {rect} leaves die {die_area}")
+            flat.append(FlatShape(len(flat), shape.layer, shape.mask, rect,
+                                  p.instance_name))
+    return FlatLayout(die_area, flat)
 
 
 def brute_run(a: Rect, b: Rect):
@@ -214,14 +236,20 @@ def brute_recolour(layout, rules):
 
 
 def reference_run_all(library, rules, option):
-    """``run_all``'s violations and recolour counts from a full flatten of
-    every case and the all-pairs checkers above."""
+    """``run_all``'s violations and recolour counts from a full flatten
+    (``reference_flatten``) of every case and the all-pairs checkers
+    above. Each case's die placements are its own placements moved by
+    its floorplan origin and named <module>/<instance>."""
     cases, floorplan = plan_library(library, rules, DEFAULT_MAX_ROW_WIDTH)
     violations, recolor = [], {}
     for idx, case in enumerate(cases):
-        layout = flatten(library._by_name,
-                         floorplan.case_placements(idx, case),
-                         floorplan.die_area)
+        ox, oy = floorplan.origin_of(idx)
+        placed = [Placement(f"{case.module_name}/{p.instance_name}",
+                            p.cell_ref, (p.origin[0] + ox, p.origin[1] + oy),
+                            p.orientation)
+                  for p in case.placements]
+        layout = reference_flatten(library._by_name, placed,
+                                   floorplan.die_area)
         found = []
         if option is DptOption.OPTION_II:
             layout, found, case_recolor = brute_recolour(layout, rules)

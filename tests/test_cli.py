@@ -383,7 +383,8 @@ class TestVerify:
     @pytest.mark.parametrize("case", ["row-height", "row-width"])
     def test_library_error_names_the_library(self, tmp_path, capsys,
                                              command, case):
-        # The error belongs to the second library, not to the first.
+        # The error belongs to the second library, not to the first, and
+        # the first library's files are not left in --out either.
         if case == "row-height":
             bad = tmp_path / "tall.lef"
             bad.write_text((TESTDATA / "seamdemo.lef").read_text()
@@ -394,9 +395,11 @@ class TestVerify:
             bad, argv = MIXED, [MIXED, "--max-row-width", "1000"]
             message = ("case scell_MULTI3 is 1280 DBU wide, above the 1000 "
                        "DBU row limit")
-        assert run([command, "--rules", RULES, "--out", str(tmp_path / "o"),
+        out = tmp_path / "o"
+        assert run([command, "--rules", RULES, "--out", str(out),
                     "--libs", CLEAN] + argv) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert list(out.iterdir()) == []
 
     def test_single_option_run(self, tmp_path):
         out = tmp_path / "out"
@@ -711,6 +714,17 @@ class TestReport:
              str(clean)])
         assert run(["report", "--out", str(clean)]) == 0
         assert not (out / "svg").exists() and not (clean / "svg").exists()
+
+    def test_library_error_names_the_library(self, tmp_path, capsys):
+        out = self.prepared(tmp_path)
+        deck = tmp_path / "rules.yaml"
+        deck.write_text((TESTDATA / "rules.yaml").read_text()
+                        .replace("row_height: 576", "row_height: 600"))
+        capsys.readouterr()
+        assert run(["report", "--rules", str(deck), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {SEAM}: library row height 576 != rule deck row height "
+            f"600\n")
 
     def test_clean_run_renders_no_svgs(self, tmp_path):
         out = tmp_path / "out"

@@ -8,13 +8,13 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seamcheck import (CellLibrary, CellProfile, ColoredRect, DptOption,
-                       Mask, Rect, ViolationKind, parse_library, parse_rules,
-                       run_all)
+from seamcheck import (AbutmentCase, CellLibrary, CellProfile, ColoredRect,
+                       DptOption, Mask, Rect, ViolationKind, parse_library,
+                       parse_rules, run_all)
 from seamcheck.checks import _isolated
 
 from brute import ORACLE_DECK, reference_run_all
-from conftest import ROW_HEIGHT, SITE_WIDTH, read_testdata
+from conftest import ROW_HEIGHT, SITE_WIDTH, read_testdata, synth_library
 
 RULES = parse_rules(read_testdata("rules.yaml"))  # M1 reach 80
 E1, E2, NONE = Mask.E1, Mask.E2, Mask.NONE
@@ -236,3 +236,19 @@ def test_composition_is_per_call():
                                                 min_width=20)})
     assert run_all(lib, RULES, DptOption.OPTION_I).violations
     assert run_all(lib, wide, DptOption.OPTION_I).violations == ()
+
+
+def test_composed_cases_build_no_placement(monkeypatch):
+    # Every synthetic cell is isolated and clean, single-multi stacks
+    # included, so every case is composed and has nothing to move.
+    lib = synth_library(6, multi_every=3)
+    assert all(_isolated(c, RULES) for c in lib.cells)
+
+    def refuse(case):
+        raise AssertionError(f"placements of {case.module_name} were built")
+
+    monkeypatch.setattr(AbutmentCase, "placements", property(refuse))
+    for option in DptOption:
+        result = run_all(lib, RULES, option)
+        assert result.violations == ()
+    assert result.recolor_diff  # Option II recolours the E2 bars

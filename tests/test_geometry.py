@@ -8,6 +8,8 @@ written in this file, not against the library's own machinery.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamcheck import (
     CellLibrary,
@@ -29,6 +31,7 @@ from seamcheck import (
     transform_rect,
 )
 
+from brute import reference_flatten
 from conftest import ROW_HEIGHT, SITE_WIDTH
 
 
@@ -164,6 +167,60 @@ class TestFlatten:
                          [Placement("U7", "E", (0, 0), Orientation.R0)],
                          Rect(0, 0, 100, ROW_HEIGHT))
         assert layout.shapes[0].source_instance == "U7"
+
+
+@st.composite
+def rects_in(draw, width, height):
+    x1 = draw(st.integers(0, width - 1))
+    y1 = draw(st.integers(0, height - 1))
+    return Rect(x1, y1, draw(st.integers(x1 + 1, width)),
+                draw(st.integers(y1 + 1, height)))
+
+
+@st.composite
+def placed_cells(draw):
+    """(cells, placements, die): up to three cells of random shapes, one
+    to six placements in any orientation at random origins (now and then
+    of a cell that does not exist), and a die that some shapes may
+    leave."""
+    cells = {}
+    for i in range(draw(st.integers(1, 3))):
+        rows = draw(st.integers(1, 2))
+        width = SITE_WIDTH * draw(st.integers(1, 40))
+        shapes = tuple(
+            ColoredRect(draw(st.sampled_from(("M1", "M2"))),
+                        draw(st.sampled_from(list(Mask))),
+                        draw(rects_in(width, rows * ROW_HEIGHT)))
+            for _ in range(draw(st.integers(0, 5))))
+        cells[f"C{i}"] = CellProfile(f"C{i}", width, rows * ROW_HEIGHT,
+                                     rows, shapes)
+    refs = sorted(cells) * 8 + ["GHOST"]
+    placements = [
+        Placement(f"U{k + 1}", draw(st.sampled_from(refs)),
+                  (draw(st.integers(0, 1200)), draw(st.integers(0, 1200))),
+                  draw(st.sampled_from(list(Orientation))))
+        for k in range(draw(st.integers(1, 6)))]
+    side = draw(st.sampled_from((3000, 1500, 800)))
+    return cells, placements, Rect(0, 0, side, side)
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed_cells())
+def test_flatten_matches_per_shape_transform(case):
+    """``flatten`` reads each cell's oriented table; the reference
+    transforms every shape of every placement. Equal shapes, or the same
+    error for a shape that leaves the die or an unknown cell."""
+    cells, placements, die = case
+    try:
+        want = reference_flatten(cells, placements, die)
+    except (ValueError, KeyError) as exc:
+        with pytest.raises(type(exc)) as got:
+            flatten(cells, placements, die)
+        assert str(got.value) == str(exc)
+        return
+    layout = flatten(cells, placements, die)
+    assert layout.die_area == want.die_area
+    assert layout.shapes == want.shapes
 
 
 def make_layout(rng, n, span=8000):

@@ -1,5 +1,7 @@
 """Library-file parsing and profiling tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from seamcheck import (
@@ -8,6 +10,7 @@ from seamcheck import (
     DuplicateCellError,
     Mask,
     NonIntegerHeightError,
+    Orientation,
     ParseError,
     Rect,
     ShapeOutOfBoundsError,
@@ -15,6 +18,7 @@ from seamcheck import (
     parse_library,
     profile,
     split_mask_suffix,
+    transform_rect,
 )
 
 from conftest import synth_cell, synth_library
@@ -326,6 +330,29 @@ class TestParseLibrary:
         assert [c.name for c in mixed_library.cells] == ["SINGLE", "MULTI2", "MULTI3"]
         assert [c.height_rows for c in mixed_library.cells] == [1, 2, 3]
         assert [c.name for c in odd_library.cells] == ["ODDL", "ODDR"]
+
+
+class TestOrientedTable:
+    def test_table_holds_each_orientation_in_shape_order(self):
+        cell = parse_library(MINIMAL).cell("INV")
+        for o in Orientation:
+            assert cell.oriented[o] == tuple(
+                (s.layer, s.mask,
+                 transform_rect(s.rect, cell.width, cell.height, o))
+                for s in cell.shapes)
+
+    def test_table_is_not_a_field(self):
+        cell = parse_library(MINIMAL).cell("INV")
+        twin = parse_library(MINIMAL).cell("INV")
+        before = hash(cell)
+        table = cell.oriented
+        assert cell == twin and hash(cell) == before == hash(twin)
+        assert cell.oriented is table
+        assert "oriented" not in vars(replace(cell))
+        fewer = replace(cell, shapes=cell.shapes[:1])
+        assert fewer.oriented is not table
+        assert fewer.oriented[Orientation.MY] == \
+            table[Orientation.MY][:1]
 
 
 class TestProfile:
