@@ -34,8 +34,8 @@ def main() -> None:
                   f"|{s.right[0]}:{s.right[1].value}")
 
     v = seamy.violations[0]
-    layout = case_layout(v.case_index, seamy.cases, library,
-                         seamy.floorplan, rules, seamy.option)
+    layout = case_layout(v.case_index, seamy.cases, seamy.floorplan,
+                         rules, seamy.option)
     svg = render_svg(layout, v.bbox, margin=WINDOW,
                      seam_xs=tuple(s.x for s in seams[0]))
     OUT.mkdir(exist_ok=True)

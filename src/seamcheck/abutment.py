@@ -18,9 +18,12 @@ Total placements for N single-height cells: 4N + 5*N*(N-1)/2, versus
 8N + 8*N*(N-1) for one-pair-per-case enumeration (about 3.2x less).
 A case stores its kind, its cells, its width, its row count and its
 module name. Each (kind, row count) has one instance pattern
-(``_pattern``), and a case's placements and seams are derived from it
-and the cell widths on access; the Verilog and DEF writers read the
-pattern directly and build no placement. coverage_check() is the
+(``_pattern``, read as ``AbutmentCase.pattern``), and where each of its
+instances lands is decided in one place, ``AbutmentCase.instances``:
+placements, flattening, composition and the DEF writer read it, and a
+case's seams come from the same column offsets. The Verilog writer
+reads the pattern rows; neither writer builds a placement.
+coverage_check() is the
 independent proof: it marks each realized class in a bitmap of 4N^2
 entries, read off the adjacent base-row instances of each case's
 pattern, and compares the marked count with the size of the class
@@ -111,13 +114,13 @@ def _base_pairs(kind: CaseKind,
 
 def placement_count(cases: Iterable[AbutmentCase]) -> int:
     """Number of instances the cases place."""
-    return sum(len(_pattern(c.kind, c.height_rows)) for c in cases)
+    return sum(len(c.pattern) for c in cases)
 
 
 @dataclass(frozen=True, slots=True)
 class AbutmentCase:
     """Cell ``a``, and cell ``b`` for an A-B kind, abutted in the columns
-    of the kind's pattern (``_pattern``). The placements and the seams
+    of the kind's pattern (``pattern``). The instances and the seams
     are derived from the pattern and the cell widths on each access."""
 
     kind: CaseKind
@@ -150,16 +153,28 @@ class AbutmentCase:
         return xs
 
     @property
-    def placements(self) -> tuple[Placement, ...]:
-        """The instances in placement order at case-local origins; a row
-        is as tall as A's rows."""
-        names = [c.name for c in self.cells]
+    def pattern(self) -> tuple[tuple[str, int, int, int, Orientation], ...]:
+        """The rows of the case's instance pattern (``_pattern``):
+        (instance name, cell slot, column, row, orientation)."""
+        return _pattern(self.kind, self.height_rows)
+
+    def instances(self, origin: tuple[int, int] = (0, 0)
+                  ) -> list[tuple[str, CellProfile, int, int, Orientation]]:
+        """Each instance of the pattern in placement order, as (instance
+        name, cell, x, y, orientation), with the case placed at
+        ``origin``; a row is as tall as A's rows."""
+        ox, oy = origin
+        cells = self.cells
         xs = self.column_x()
         row_h = self.a.height // self.height_rows
-        return tuple(Placement(name, names[slot], (xs[column], row * row_h),
-                               o)
-                     for name, slot, column, row, o
-                     in _pattern(self.kind, self.height_rows))
+        return [(name, cells[slot], xs[column] + ox, row * row_h + oy, o)
+                for name, slot, column, row, o in self.pattern]
+
+    @property
+    def placements(self) -> tuple[Placement, ...]:
+        """The instances (``instances``) at case-local origins."""
+        return tuple(Placement(name, cell.name, (x, y), o)
+                     for name, cell, x, y, o in self.instances())
 
     @property
     def seams(self) -> tuple[Seam, ...]:

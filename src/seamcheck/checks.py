@@ -15,7 +15,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .abutment import AbutmentCase, Placement, _pattern, instance_path
+from .abutment import AbutmentCase, Placement, instance_path
 from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
 from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
@@ -358,14 +358,24 @@ class VerificationResult:
                    if v.kind is ViolationKind.HOTSPOT)
 
 
-def case_layout(case_index: int, cases, library: CellLibrary,
-                floorplan: Floorplan, rules: RuleDeck,
-                option: DptOption) -> FlatLayout:
-    """Flatten one case at its floorplan position, recolored when running
-    Option II. Shape ids are case-local and reproducible."""
-    layout = flatten(library._by_name,
-                     floorplan.case_placements(case_index, cases[case_index]),
-                     floorplan.die_area)
+def _flat_case(case: AbutmentCase, origin: tuple[int, int],
+               die_area: Rect) -> FlatLayout:
+    """A whole case flattened with the case at ``origin``: its instances
+    (``AbutmentCase.instances``) named <module>/<instance>, its own cells
+    as the cell table. Shape ids are case-local and reproducible."""
+    module = case.module_name
+    placed = [Placement(instance_path(module, name), cell.name, (x, y), o)
+              for name, cell, x, y, o in case.instances(origin)]
+    return flatten({cell.name: cell for cell in case.cells}, placed,
+                   die_area)
+
+
+def case_layout(case_index: int, cases, floorplan: Floorplan,
+                rules: RuleDeck, option: DptOption) -> FlatLayout:
+    """Flatten one case at its floorplan position (``_flat_case``),
+    recolored when running Option II."""
+    layout = _flat_case(cases[case_index], floorplan.origin_of(case_index),
+                        floorplan.die_area)
     if option is DptOption.OPTION_II:
         layout, _, _ = _recolour(layout, rules,
                                  sweep_neighbours(layout, rules))
@@ -451,21 +461,20 @@ def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
     """A case's violations and recolour counts as the union of its
     instances' standalone results (``alone``, one per row of the case's
     instance pattern, in pattern order). Recoloured instances are named
-    from the pattern rows. Each violation moves by its instance's die
-    origin (the case's ``origin`` plus the instance's case-local one,
-    read from ``AbutmentCase.placements`` only for a case with
-    violations) and its shape ids by the shapes placed before it."""
+    from the pattern rows (``AbutmentCase.pattern``). Each violation
+    moves to its instance's die position, read from
+    ``AbutmentCase.instances`` with the case at ``origin`` only for a
+    case with violations, and its shape ids by the shapes placed before
+    it."""
     found: list[Violation] = []
     recolor: dict[str, int] = {}
-    ox, oy = origin
     offset = 0
-    placements = None
+    rows = None
     for i, (violations, recoloured, n_shapes) in enumerate(alone):
         if violations:
-            if placements is None:
-                placements = case.placements
-            x, y = placements[i].origin
-            dx, dy = x + ox, y + oy
+            if rows is None:
+                rows = case.instances(origin)
+            _, _, dx, dy, _ = rows[i]
             for v in violations:
                 x1, y1, x2, y2 = v.bbox
                 found.append(replace(
@@ -473,7 +482,7 @@ def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
                     shape_ids=tuple(s + offset for s in v.shape_ids),
                     case_index=case_index))
         if recoloured:
-            name = _pattern(case.kind, case.height_rows)[i][0]
+            name = case.pattern[i][0]
             recolor[instance_path(case.module_name, name)] = recoloured
         offset += n_shapes
     found.sort(key=Violation.sort_key)
@@ -487,9 +496,9 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     stacked shelves abut (see ``floorplan``). A case made only of isolated
     cells (``_isolated``) is composed from per-(cell, orientation) results
     checked once per call: its instances are read off the rows of its
-    instance pattern (``abutment._pattern``), so it builds no
-    ``Placement``. Any other case is flattened and checked whole.
-    Violations are listed in case order."""
+    instance pattern (``AbutmentCase.pattern``), so it builds no
+    ``Placement``. Any other case is flattened whole (``_flat_case``)
+    and checked. Violations are listed in case order."""
     cases, floorplan = plan_library(library, rules, max_row_width)
     # Keyed by (cell name, orientation): hashing a CellProfile would hash
     # all of its shapes.
@@ -499,16 +508,15 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     for idx, case in enumerate(cases):
         case_cells = case.cells
         alone = []
-        for _, slot, _, _, o in _pattern(case.kind, case.height_rows):
+        for _, slot, _, _, o in case.pattern:
             cell = case_cells[slot]
             key = (cell.name, o)
             if key not in standalone:
                 standalone[key] = _alone(cell, o, rules, option)
             alone.append(standalone[key])
         if None in alone:
-            layout = flatten(library._by_name,
-                             floorplan.case_placements(idx, case),
-                             floorplan.die_area)
+            layout = _flat_case(case, floorplan.origin_of(idx),
+                                floorplan.die_area)
             found, case_recolor = _check_layout(layout, rules, option)
             found = [replace(v, case_index=idx) for v in found]
         else:

@@ -44,22 +44,19 @@ def _create(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write(path: str, text: str):
-    with _create(path) as fh:
-        fh.write(text)
-
-
 @contextmanager
 def _staged(out_dir: str):
-    """Yield a function that creates a file named ``name`` in
-    ``out_dir`` (as ``_create`` does) under a temporary name. When the
-    block completes every file is renamed into place; when it raises,
-    every temporary is removed, so ``out_dir`` gains no file."""
+    """Yield a function that creates the file ``name``, a path relative
+    to ``out_dir``, (as ``_create`` does) under a temporary name directly
+    in ``out_dir``. When the block completes every file is renamed into
+    place, its directory made first; when it raises, every temporary is
+    removed, so ``out_dir`` gains no file and no directory."""
     staged: list[tuple[str, str]] = []  # (temporary path, final path)
 
     def create(name: str):
         final = os.path.join(out_dir, name)
-        temporary = os.path.join(out_dir, f".{name}.{os.getpid()}.tmp")
+        temporary = os.path.join(
+            out_dir, f".seamcheck.{os.getpid()}.{len(staged)}.tmp")
         staged.append((temporary, final))
         return _create(temporary)
 
@@ -71,6 +68,7 @@ def _staged(out_dir: str):
                 os.remove(temporary)
         raise
     for temporary, final in staged:
+        os.makedirs(os.path.dirname(final), exist_ok=True)
         os.replace(temporary, final)
 
 
@@ -186,27 +184,29 @@ def cmd_profile(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    for path, lib in _load_libraries(opt.libs()):
-        stats = profile(lib)
-        lines = [f"Library {lib.name}: {len(lib.cells)} cells "
-                 f"({stats.n_single} single, {stats.n_multi} multi)",
-                 "Width histogram (DBU):"]
-        for width, count in stats.width_hist.items():
-            lines.append(f"  {width:>8}  {'#' * min(count, 60)} {count}")
-        lines.append("Height histogram (rows):")
-        for rows, count in stats.height_rows_hist.items():
-            lines.append(f"  {rows:>8}  {'#' * min(count, 60)} {count}")
-        text = "\n".join(lines) + "\n"
-        sys.stdout.write(text)
-        _write(os.path.join(out_dir, f"profile_{lib.name}.txt"), text)
-        _write(os.path.join(out_dir, f"profile_{lib.name}.json"),
-               json.dumps({
-                   "library": lib.name, "path": path,
-                   "cells": len(lib.cells),
-                   "n_single": stats.n_single, "n_multi": stats.n_multi,
-                   "width_hist": stats.width_hist,
-                   "height_rows_hist": stats.height_rows_hist,
-               }, indent=2, sort_keys=True) + "\n")
+    with _staged(out_dir) as create:
+        for path, lib in _load_libraries(opt.libs()):
+            stats = profile(lib)
+            lines = [f"Library {lib.name}: {len(lib.cells)} cells "
+                     f"({stats.n_single} single, {stats.n_multi} multi)",
+                     "Width histogram (DBU):"]
+            for width, count in stats.width_hist.items():
+                lines.append(f"  {width:>8}  {'#' * min(count, 60)} {count}")
+            lines.append("Height histogram (rows):")
+            for rows, count in stats.height_rows_hist.items():
+                lines.append(f"  {rows:>8}  {'#' * min(count, 60)} {count}")
+            text = "\n".join(lines) + "\n"
+            sys.stdout.write(text)
+            with create(f"profile_{lib.name}.txt") as fh:
+                fh.write(text)
+            with create(f"profile_{lib.name}.json") as fh:
+                fh.write(json.dumps({
+                    "library": lib.name, "path": path,
+                    "cells": len(lib.cells),
+                    "n_single": stats.n_single, "n_multi": stats.n_multi,
+                    "width_hist": stats.width_hist,
+                    "height_rows_hist": stats.height_rows_hist,
+                }, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -259,10 +259,11 @@ def cmd_generate(args) -> int:
     return status
 
 
-def _verify_run(lib, rules, option: DptOption, max_row_width: int):
-    """One library under one DPT option: its ``results.json`` run entry
-    and its JSONL text. The result, with its cases and floorplan, is
-    released on return, so verify holds one run's cases at a time."""
+def _verify_run(lib, rules, option: DptOption, max_row_width: int, out):
+    """One library under one DPT option: writes its JSONL to ``out`` and
+    returns its ``results.json`` run entry. The result, with its cases
+    and floorplan, is released on return, so verify holds one run's cases
+    at a time."""
     res = run_all(lib, rules, option, max_row_width)
     window = rules.interaction_distance
     seams = report.seams_per_violation(res.violations, res.cases,
@@ -279,7 +280,8 @@ def _verify_run(lib, rules, option: DptOption, max_row_width: int):
         "recolor_diff": dict(sorted(res.recolor_diff.items())),
         "violations": records,
     }
-    return run, report.render_jsonl(res, window)
+    out.write(report.render_jsonl(res, window))
+    return run
 
 
 def cmd_verify(args) -> int:
@@ -290,27 +292,26 @@ def cmd_verify(args) -> int:
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     payload = {"rules": opt.path("rules"), "max_row_width": max_row_width,
                "window": rules.interaction_distance, "libraries": []}
-    jsonl = {}  # file name -> text; every file is written after all runs
-    for path, lib in _load_libraries(opt.libs()):
-        runs = []
-        for option in _dpt_options(opt):
-            with _naming(path):
-                run, text = _verify_run(lib, rules, option, max_row_width)
-            runs.append(run)
-            jsonl[f"violations_{lib.name}_opt{option.value}.jsonl"] = text
-        payload["libraries"].append(
-            {"name": lib.name, "path": path, "runs": runs})
-
-    table = report.summary_table(payload["libraries"])
-    for name, text in jsonl.items():
-        _write(os.path.join(out_dir, name), text)
-    _write(os.path.join(out_dir, "summary.txt"), table.render())
-    _write(os.path.join(out_dir, "summary.json"),
-           json.dumps(table.to_dict(), indent=2, sort_keys=True) + "\n")
-    # Streamed: the encoder's chunks, joined, would be the run's peak.
-    with _create(os.path.join(out_dir, "results.json")) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _staged(out_dir) as create:
+        for path, lib in _load_libraries(opt.libs()):
+            runs = []
+            for option in _dpt_options(opt):
+                name = f"violations_{lib.name}_opt{option.value}.jsonl"
+                with create(name) as fh, _naming(path):
+                    runs.append(_verify_run(lib, rules, option,
+                                            max_row_width, fh))
+            payload["libraries"].append(
+                {"name": lib.name, "path": path, "runs": runs})
+        table = report.summary_table(payload["libraries"])
+        with create("summary.txt") as fh:
+            fh.write(table.render())
+        with create("summary.json") as fh:
+            fh.write(json.dumps(table.to_dict(), indent=2, sort_keys=True)
+                     + "\n")
+        # Streamed: the encoder's chunks, joined, would be the run's peak.
+        with create("results.json") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     sys.stdout.write(table.render())
     return 1 if any(run["violations"] for entry in payload["libraries"]
                     for run in entry["runs"]) else 0
@@ -403,39 +404,39 @@ def cmd_report(args) -> int:
         f"{results_path} key max_row_width")
 
     svg_count = 0
-    for entry in payload["libraries"]:
-        lib_path, lib = libs.get(entry["name"], (None, None))
-        cases = None  # laid out only when an SVG may be drawn
-        for run in entry["runs"]:
-            if lib is None or svg_cap <= 0 or all(
-                    rec["case"] is None for rec in run["violations"]):
-                continue
-            if cases is None:
-                with _naming(lib_path):
-                    cases, fp = plan_library(lib, rules, max_row_width)
-                module_index = {c.module_name: i
-                                for i, c in enumerate(cases)}
-            option = DptOption(run["option"])
-            picked = islice(((vi, rec)
-                             for vi, rec in enumerate(run["violations"])
-                             if rec["case"] in module_index), svg_cap)
-            layout_idx = None  # the case ``layout`` belongs to
-            for vi, rec in picked:
-                idx = module_index[rec["case"]]
-                if idx != layout_idx:
-                    layout_idx = idx
-                    layout = case_layout(idx, cases, lib, fp, rules, option)
-                svg = report.render_svg(layout, Rect(*rec["bbox"]), margin,
-                                        tuple(s["x"] for s in rec["seams"]))
-                svg_dir = os.path.join(out_dir, "svg")
-                os.makedirs(svg_dir, exist_ok=True)
-                _write(os.path.join(
-                    svg_dir, f"{entry['name']}_opt{run['option']}_{vi:04d}_"
-                    f"{rec['kind']}.svg"), svg)
-                svg_count += 1
-
-    table = report.summary_table(payload["libraries"])
-    _write(os.path.join(out_dir, "summary.txt"), table.render())
+    with _staged(out_dir) as create:
+        for entry in payload["libraries"]:
+            lib_path, lib = libs.get(entry["name"], (None, None))
+            cases = None  # laid out only when an SVG may be drawn
+            for run in entry["runs"]:
+                if lib is None or svg_cap <= 0 or all(
+                        rec["case"] is None for rec in run["violations"]):
+                    continue
+                if cases is None:
+                    with _naming(lib_path):
+                        cases, fp = plan_library(lib, rules, max_row_width)
+                    module_index = {c.module_name: i
+                                    for i, c in enumerate(cases)}
+                option = DptOption(run["option"])
+                picked = islice(((vi, rec)
+                                 for vi, rec in enumerate(run["violations"])
+                                 if rec["case"] in module_index), svg_cap)
+                layout_idx = None  # the case ``layout`` belongs to
+                for vi, rec in picked:
+                    idx = module_index[rec["case"]]
+                    if idx != layout_idx:
+                        layout_idx = idx
+                        layout = case_layout(idx, cases, fp, rules, option)
+                    with create(os.path.join(
+                            "svg", f"{entry['name']}_opt{run['option']}_"
+                            f"{vi:04d}_{rec['kind']}.svg")) as fh:
+                        fh.write(report.render_svg(
+                            layout, Rect(*rec["bbox"]), margin,
+                            tuple(s["x"] for s in rec["seams"])))
+                    svg_count += 1
+        table = report.summary_table(payload["libraries"])
+        with create("summary.txt") as fh:
+            fh.write(table.render())
     sys.stdout.write(table.render())
     sys.stdout.write(f"wrote {svg_count} svg file(s)\n")
     return 0

@@ -12,7 +12,7 @@ Emitted files carry exactly the placement data the testcases need:
     END DESIGN
 
 write_def() streams a case list's DEF to a file, one case at a time,
-formatting each line from the case's instance pattern, with the count
+formatting each line from the case's placed instances, with the count
 taken from the patterns up front; emit_def() returns the same text as a
 string, and render_def() formats any placements.
 parse_def() inverts emission exactly: integers are canonical (no leading
@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import TextIO
 
-from .abutment import AbutmentCase, Placement, _pattern, placement_count
+from .abutment import AbutmentCase, Placement, placement_count
 from .errors import ParseError
 from .floorplan import Floorplan
 from .geometry import Orientation, Rect, UnknownCellRefError
@@ -68,29 +68,25 @@ def write_def(out: TextIO, cases: list[AbutmentCase], library: CellLibrary,
               floorplan: Floorplan) -> None:
     """Write the placed-design DEF of the case list under the given
     floorplan to ``out``, one case at a time. Each component line is
-    formatted from a row of the case's instance pattern, its cells and
-    column offsets, and its die origin. A name collision raises before
-    anything is written; a cell the library lacks raises before the
-    first line of the first case that names it."""
+    formatted from an instance of the case placed at its die origin
+    (``AbutmentCase.instances``). A name collision raises before anything
+    is written; a cell the library lacks raises before the first line of
+    the first case that names it."""
     module_names(cases)
     out.write(_header(placement_count(cases), floorplan.die_area, "TOP"))
     known: set[str] = set()
     for idx, case in enumerate(cases):
-        names = [cell.name for cell in case.cells]
-        for name in names:
-            if name not in known:
-                if name not in library:
-                    raise UnknownCellRefError(name)
-                known.add(name)
-        ox, oy = floorplan.origin_of(idx)
-        xs = case.column_x()
-        row_h = case.a.height // case.height_rows
+        for cell in case.cells:
+            if cell.name not in known:
+                if cell.name not in library:
+                    raise UnknownCellRefError(cell.name)
+                known.add(cell.name)
         prefix = f"- {case.module_name}/"
         out.write("".join([
-            f"{prefix}{instance} {names[slot]} + PLACED ( {xs[column] + ox} "
-            f"{row * row_h + oy} ) {o.def_code} ;\n"
-            for instance, slot, column, row, o
-            in _pattern(case.kind, case.height_rows)]))
+            f"{prefix}{instance} {cell.name} + PLACED ( {x} {y} ) "
+            f"{o.def_code} ;\n"
+            for instance, cell, x, y, o
+            in case.instances(floorplan.origin_of(idx))]))
     out.write(_TRAILER)
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .abutment import (AbutmentCase, Placement, enumerate_library,
-                       instance_path)
+from .abutment import AbutmentCase, enumerate_library
 from .errors import CaseTooWideError
 from .geometry import Rect
 from .library import CellLibrary
@@ -35,18 +34,6 @@ class Floorplan:
     def origin_of(self, case_index: int) -> tuple[int, int]:
         row, x = self.positions[case_index]
         return x, row * self.row_height
-
-    def case_placements(self, case_index: int,
-                        case: AbutmentCase) -> list[Placement]:
-        """One case's instances (``AbutmentCase.placements``) shifted to
-        its die position and renamed hierarchically
-        (<module>/<instance>), in placement order: what a case that is
-        flattened whole places on the die."""
-        ox, oy = self.origin_of(case_index)
-        module = case.module_name
-        return [Placement(instance_path(module, p.instance_name), p.cell_ref,
-                          (p.origin[0] + ox, p.origin[1] + oy), p.orientation)
-                for p in case.placements]
 
 
 def _round_up(value: int, grid: int) -> int:

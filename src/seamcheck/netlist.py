@@ -15,7 +15,7 @@ import io
 import re
 from typing import TextIO
 
-from .abutment import AbutmentCase, _pattern
+from .abutment import AbutmentCase
 from .errors import NameCollisionError
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
@@ -68,8 +68,7 @@ def write_verilog(out: TextIO, cases: list[AbutmentCase]) -> None:
             cell_refs.append(ref)
         out.write(f"module {name} ();\n")
         out.write("".join([f"  {cell_refs[slot]} {instance} ();\n"
-                           for instance, slot, _, _, _
-                           in _pattern(case.kind, case.height_rows)]))
+                           for instance, slot, _, _, _ in case.pattern]))
         out.write("endmodule\n\n")
     out.write("module TOP ();\n")
     for name in names:

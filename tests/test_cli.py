@@ -726,6 +726,29 @@ class TestReport:
             f"error: {SEAM}: library row height 576 != rule deck row height "
             f"600\n")
 
+    def test_failing_later_library_leaves_out_as_verify_left_it(
+            self, tmp_path, capsys):
+        # Copies of both libraries: report reads hotdemo after its site
+        # has been halved, once seamdemo's SVGs are drawn.
+        seam, hot = tmp_path / "seamdemo.lef", tmp_path / "hotdemo.lef"
+        seam.write_text((TESTDATA / "seamdemo.lef").read_text())
+        hot.write_text((TESTDATA / "hotdemo.lef").read_text())
+        out = tmp_path / "o"
+        assert run(["verify", "--libs", str(seam), str(hot), "--rules",
+                    RULES, "--out", str(out)]) == 1
+        def listing():  # every path under --out; a file with its bytes
+            return {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+
+        left = listing()
+        hot.write_text(hot.read_text().replace(
+            "SITE core SIZE 0.008 BY 0.576", "SITE core SIZE 0.004 BY 0.576"))
+        capsys.readouterr()
+        assert run(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {hot}: library site width 4 != rule deck site width "
+            f"8\n")
+        assert listing() == left
+
     def test_clean_run_renders_no_svgs(self, tmp_path):
         out = tmp_path / "out"
         run(["verify", "--libs", CLEAN, "--rules", RULES, "--out", str(out)])

@@ -244,10 +244,11 @@ def test_composed_cases_build_no_placement(monkeypatch):
     lib = synth_library(6, multi_every=3)
     assert all(_isolated(c, RULES) for c in lib.cells)
 
-    def refuse(case):
-        raise AssertionError(f"placements of {case.module_name} were built")
+    def refuse(case, *args):
+        raise AssertionError(f"instances of {case.module_name} were placed")
 
     monkeypatch.setattr(AbutmentCase, "placements", property(refuse))
+    monkeypatch.setattr(AbutmentCase, "instances", refuse)
     for option in DptOption:
         result = run_all(lib, RULES, option)
         assert result.violations == ()

@@ -275,8 +275,8 @@ class TestSvg:
     def render_first(self, seam_library, demo_rules, margin=200):
         res = run_all(seam_library, demo_rules, OPT_I)
         v = res.violations[0]
-        layout = case_layout(v.case_index, res.cases, seam_library,
-                             res.floorplan, demo_rules, OPT_I)
+        layout = case_layout(v.case_index, res.cases, res.floorplan,
+                             demo_rules, OPT_I)
         near, = seams_per_violation([v], res.cases, res.floorplan, 200)
         return render_svg(layout, v.bbox, margin=margin,
                           seam_xs=tuple(s.x for s in near)), v
@@ -308,8 +308,8 @@ class TestSvg:
         # The lowest shape in die coordinates must have the largest SVG y.
         res = run_all(seam_library, demo_rules, OPT_I)
         v = res.violations[0]
-        layout = case_layout(v.case_index, res.cases, seam_library,
-                             res.floorplan, demo_rules, OPT_I)
+        layout = case_layout(v.case_index, res.cases, res.floorplan,
+                             demo_rules, OPT_I)
         svg = render_svg(layout, v.bbox, margin=300)
         ys = [int(part.split('"')[1]) for part in svg.split(" y=")[1:]]
         assert ys and any(y != ys[0] for y in ys)
