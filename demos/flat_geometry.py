@@ -9,7 +9,7 @@ within a reach, which the parallel-run scan and the checkers filter.
 import pathlib
 import random
 
-from seamcheck import Orientation, Placement, Rect, flatten, parallel_runs, \
+from seamcheck import Orientation, Rect, flatten, parallel_runs, \
     parse_library, transform_rect
 
 TESTDATA = pathlib.Path(__file__).resolve().parent.parent / "testdata"
@@ -25,18 +25,19 @@ def main() -> None:
               f"-> {tuple(moved)}")
 
     library = parse_library((TESTDATA / "seamdemo.lef").read_text())
-    cells = {c.name: c for c in library.cells}
-    name = library.cells[0].name
-    width = library.cells[0].width
+    cell = library.cells[0]
+    name = cell.name
+    width = cell.width
 
     # Two instances abutted at x=width, right one mirrored so the seam is
-    # a shared boundary between reflected copies.
-    placements = [
-        Placement("U1", name, (0, 0), Orientation.R0),
-        Placement("U2", name, (width, 0), Orientation.MY),
+    # a shared boundary between reflected copies. Each row is (instance
+    # name, cell, x, y, orientation).
+    rows = [
+        ("U1", cell, 0, 0, Orientation.R0),
+        ("U2", cell, width, 0, Orientation.MY),
     ]
     die = Rect(0, 0, 2 * width, library.row_height)
-    layout = flatten(cells, placements, die)
+    layout = flatten(rows, die)
 
     print(f"\nflattened {name} | {name}(MY): {len(layout.shapes)} shapes "
           f"on layers {layout.layers()}")

@@ -15,10 +15,10 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .abutment import AbutmentCase, Placement, instance_path
+from .abutment import AbutmentCase, instance_path
 from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
-from .geometry import (FlatLayout, Mask, ParallelRun, Rect,
+from .geometry import (FlatLayout, Mask, Orientation, ParallelRun, Rect,
                        connected_components, flatten, parallel_runs,
                        union_all)
 from .library import CellLibrary, CellProfile
@@ -360,13 +360,12 @@ class VerificationResult:
 
 def _flat_case(case: AbutmentCase, origin: tuple[int, int],
                die_area: Rect) -> FlatLayout:
-    """A whole case flattened with the case at ``origin``: its instances
-    (``AbutmentCase.instances``) named <module>/<instance>, its own cells
-    as the cell table. Shape ids are case-local and reproducible."""
+    """A whole case flattened with the case at ``origin``: the rows of
+    ``AbutmentCase.instances``, each instance named <module>/<instance>.
+    Shape ids are case-local and reproducible."""
     module = case.module_name
-    placed = [Placement(instance_path(module, name), cell.name, (x, y), o)
-              for name, cell, x, y, o in case.instances(origin)]
-    return flatten({cell.name: cell for cell in case.cells}, placed,
+    return flatten([(instance_path(module, name), cell, x, y, o)
+                    for name, cell, x, y, o in case.instances(origin)],
                    die_area)
 
 
@@ -438,91 +437,57 @@ def _isolated(cell: CellProfile, rules: RuleDeck) -> bool:
     return True
 
 
-def _alone(cell: CellProfile, orientation, rules: RuleDeck,
-           option: DptOption):
+def _alone(cell: CellProfile, rules: RuleDeck, option: DptOption):
     """One instance of an isolated ``cell`` checked on its own at the
-    origin: (violations in cell-local coordinates and shape ids,
-    recoloured shape count, shape count). None when no case can reuse it:
-    the cell is not isolated, or it has an odd cycle, which under Option
-    II keeps the drawn masks of its whole layer in every case."""
+    origin in its drawn orientation (R0): its recoloured shape count when
+    it is clean, None when it is not isolated or has any violation.
+    Reflections keep every width, gap, touch, parallel run and shape id,
+    hotspot targets include their mirror, and ``color_decompose`` reads
+    only ids and edges, so the result holds in every orientation."""
     if not _isolated(cell, rules):
         return None
-    layout = flatten({cell.name: cell},
-                     [Placement(cell.name, cell.name, (0, 0), orientation)],
+    layout = flatten([(cell.name, cell, 0, 0, Orientation.R0)],
                      Rect(0, 0, cell.width, cell.height))
     found, recolor = _check_layout(layout, rules, option)
-    if any(v.kind is ViolationKind.ODD_CYCLE for v in found):
+    if found:
         return None
-    return found, recolor.get(cell.name, 0), len(cell.shapes)
-
-
-def _compose(case_index: int, case: AbutmentCase, origin: tuple[int, int],
-             alone) -> tuple[list[Violation], dict[str, int]]:
-    """A case's violations and recolour counts as the union of its
-    instances' standalone results (``alone``, one per row of the case's
-    instance pattern, in pattern order). Recoloured instances are named
-    from the pattern rows (``AbutmentCase.pattern``). Each violation
-    moves to its instance's die position, read from
-    ``AbutmentCase.instances`` with the case at ``origin`` only for a
-    case with violations, and its shape ids by the shapes placed before
-    it."""
-    found: list[Violation] = []
-    recolor: dict[str, int] = {}
-    offset = 0
-    rows = None
-    for i, (violations, recoloured, n_shapes) in enumerate(alone):
-        if violations:
-            if rows is None:
-                rows = case.instances(origin)
-            _, _, dx, dy, _ = rows[i]
-            for v in violations:
-                x1, y1, x2, y2 = v.bbox
-                found.append(replace(
-                    v, bbox=Rect(x1 + dx, y1 + dy, x2 + dx, y2 + dy),
-                    shape_ids=tuple(s + offset for s in v.shape_ids),
-                    case_index=case_index))
-        if recoloured:
-            name = case.pattern[i][0]
-            recolor[instance_path(case.module_name, name)] = recoloured
-        offset += n_shapes
-    found.sort(key=Violation.sort_key)
-    return found, recolor
+    return recolor.get(cell.name, 0)
 
 
 def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
             max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> VerificationResult:
     """Full pipeline: enumerate cases, pack them, then verify each case in
     isolation. The horizontal gap keeps the cases of one shelf apart, but
-    stacked shelves abut (see ``floorplan``). A case made only of isolated
-    cells (``_isolated``) is composed from per-(cell, orientation) results
-    checked once per call: its instances are read off the rows of its
-    instance pattern (``AbutmentCase.pattern``), so it builds no
-    ``Placement``. Any other case is flattened whole (``_flat_case``)
-    and checked. Violations are listed in case order."""
+    stacked shelves abut (see ``floorplan``). Two isolated cells
+    (``_isolated``) cannot meet within any rule's reach, so a case made
+    only of isolated cells that are clean on their own (``_alone``,
+    checked once per cell per call) is clean: it only names its
+    recoloured instances from its instance pattern
+    (``AbutmentCase.pattern``) and places none of them. Any other case
+    is flattened whole (``_flat_case``) and checked. So is every case of
+    an isolated cell with a violation of its own, which pays the full
+    path only in libraries that have such a cell (no ``testdata``
+    library and no perfbench workload does). Violations are listed in
+    case order."""
     cases, floorplan = plan_library(library, rules, max_row_width)
-    # Keyed by (cell name, orientation): hashing a CellProfile would hash
-    # all of its shapes.
-    standalone: dict = {}
+    # Keyed by cell name: hashing a CellProfile would hash its shapes.
+    standalone: dict[str, int | None] = {}
     violations: list[Violation] = []
     recolor: dict[str, int] = {}
     for idx, case in enumerate(cases):
-        case_cells = case.cells
-        alone = []
-        for _, slot, _, _, o in case.pattern:
-            cell = case_cells[slot]
-            key = (cell.name, o)
-            if key not in standalone:
-                standalone[key] = _alone(cell, o, rules, option)
-            alone.append(standalone[key])
-        if None in alone:
-            layout = _flat_case(case, floorplan.origin_of(idx),
-                                floorplan.die_area)
-            found, case_recolor = _check_layout(layout, rules, option)
-            found = [replace(v, case_index=idx) for v in found]
-        else:
-            found, case_recolor = _compose(idx, case,
-                                           floorplan.origin_of(idx), alone)
-        violations.extend(found)
+        for cell in case.cells:
+            if cell.name not in standalone:
+                standalone[cell.name] = _alone(cell, rules, option)
+        counts = [standalone[cell.name] for cell in case.cells]
+        if None not in counts:
+            recolor.update(
+                (instance_path(case.module_name, name), counts[slot])
+                for name, slot, _, _, _ in case.pattern if counts[slot])
+            continue
+        layout = _flat_case(case, floorplan.origin_of(idx),
+                            floorplan.die_area)
+        found, case_recolor = _check_layout(layout, rules, option)
+        violations.extend(replace(v, case_index=idx) for v in found)
         recolor.update(case_recolor)
     return VerificationResult(option, cases, floorplan,
                               tuple(violations), recolor)

@@ -14,6 +14,7 @@ execution error.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -45,12 +46,15 @@ def _create(path: str):
 
 
 @contextmanager
-def _staged(out_dir: str):
+def _staged(out_dir: str, owned: tuple[str, ...] = ()):
     """Yield a function that creates the file ``name``, a path relative
     to ``out_dir``, (as ``_create`` does) under a temporary name directly
     in ``out_dir``. When the block completes every file is renamed into
-    place, its directory made first; when it raises, every temporary is
-    removed, so ``out_dir`` gains no file and no directory."""
+    place, its directory made first, and every file that matches one of
+    the ``owned`` glob patterns (relative to ``out_dir``) but was not
+    created is removed, so no file of an earlier run is left beside them.
+    When the block raises, every temporary is removed, so ``out_dir``
+    gains no file and no directory and loses none."""
     staged: list[tuple[str, str]] = []  # (temporary path, final path)
 
     def create(name: str):
@@ -70,6 +74,10 @@ def _staged(out_dir: str):
     for temporary, final in staged:
         os.makedirs(os.path.dirname(final), exist_ok=True)
         os.replace(temporary, final)
+    created = {os.path.relpath(final, out_dir) for _, final in staged}
+    for pattern in owned:
+        for name in set(glob.glob(pattern, root_dir=out_dir)) - created:
+            os.remove(os.path.join(out_dir, name))
 
 
 @contextmanager
@@ -284,6 +292,10 @@ def _verify_run(lib, rules, option: DptOption, max_row_width: int, out):
     return run
 
 
+# The SVGs that report draws from the violations that verify wrote.
+_SVGS = os.path.join("svg", "*.svg")
+
+
 def cmd_verify(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
@@ -292,7 +304,7 @@ def cmd_verify(args) -> int:
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     payload = {"rules": opt.path("rules"), "max_row_width": max_row_width,
                "window": rules.interaction_distance, "libraries": []}
-    with _staged(out_dir) as create:
+    with _staged(out_dir, ("violations_*_opt*.jsonl", _SVGS)) as create:
         for path, lib in _load_libraries(opt.libs()):
             runs = []
             for option in _dpt_options(opt):
@@ -404,7 +416,7 @@ def cmd_report(args) -> int:
         f"{results_path} key max_row_width")
 
     svg_count = 0
-    with _staged(out_dir) as create:
+    with _staged(out_dir, (_SVGS,)) as create:
         for entry in payload["libraries"]:
             lib_path, lib = libs.get(entry["name"], (None, None))
             cases = None  # laid out only when an SVG may be drawn

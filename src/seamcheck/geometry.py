@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Rect(NamedTuple):
@@ -242,25 +242,18 @@ class FlatLayout:
         return pairs
 
 
-def flatten(cells: Mapping[str, "CellProfile"], placements,
-            die_area: Rect) -> FlatLayout:
-    """Instantiate the colored shapes of every placement into die
-    coordinates: each shape of the cell's table for the placement's
-    orientation (``CellProfile.oriented``, transformed once per cell)
-    moved by the placement's origin. Shape ids run in placement order,
-    then cell shape order, so flattening is deterministic regardless of
-    execution strategy. A shape that leaves ``die_area`` raises
-    ValueError."""
+def flatten(instances, die_area: Rect) -> FlatLayout:
+    """Instantiate the colored shapes of every instance row into die
+    coordinates. A row is (instance name, cell, x, y, orientation), as
+    ``AbutmentCase.instances`` yields it: each shape of the cell's table
+    for the orientation (``CellProfile.oriented``, transformed once per
+    cell) moved by (x, y). Shape ids run in row order, then cell shape
+    order, so flattening is deterministic regardless of execution
+    strategy. A shape that leaves ``die_area`` raises ValueError."""
     flat: list[FlatShape] = []
     die_x1, die_y1, die_x2, die_y2 = die_area
-    for p in placements:
-        try:
-            cell = cells[p.cell_ref]
-        except KeyError:
-            raise UnknownCellRefError(p.cell_ref) from None
-        ox, oy = p.origin
-        name = p.instance_name
-        for layer, mask, (x1, y1, x2, y2) in cell.oriented[p.orientation]:
+    for name, cell, ox, oy, orientation in instances:
+        for layer, mask, (x1, y1, x2, y2) in cell.oriented[orientation]:
             x1, y1, x2, y2 = x1 + ox, y1 + oy, x2 + ox, y2 + oy
             rect = Rect(x1, y1, x2, y2)
             if x1 < die_x1 or y1 < die_y1 or x2 > die_x2 or y2 > die_y2:

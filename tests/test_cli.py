@@ -604,6 +604,35 @@ class TestReport:
         assert run(["report", "--out", str(out), "--svg-cap", "2"]) == 0
         assert len(list((out / "svg").glob("*.svg"))) == 2
 
+    def test_smaller_cap_leaves_only_its_svgs(self, tmp_path, capsys):
+        out = self.prepared(tmp_path)
+        assert run(["report", "--out", str(out)]) == 0
+        assert run(["report", "--out", str(out), "--svg-cap", "1"]) == 0
+        assert capsys.readouterr().out.endswith("wrote 1 svg file(s)\n")
+        assert len(list((out / "svg").glob("*.svg"))) == 1
+
+    def test_later_verify_leaves_no_file_of_the_earlier_run(self, tmp_path):
+        out = self.prepared(tmp_path)
+        assert run(["report", "--out", str(out)]) == 0
+        assert run(["verify", "--libs", CLEAN, "--rules", RULES, "--out",
+                    str(out)]) == 0
+        assert sorted(p.name for p in out.glob("violations_*")) == [
+            "violations_cleandemo_optI.jsonl",
+            "violations_cleandemo_optII.jsonl"]
+        assert list(out.rglob("*.svg")) == []
+
+    def test_failing_verify_leaves_the_earlier_run(self, tmp_path, capsys):
+        out = self.prepared(tmp_path)
+        assert run(["report", "--out", str(out)]) == 0
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        tall = tmp_path / "tall.lef"
+        tall.write_text((TESTDATA / "clean.lef").read_text()
+                        .replace("BY 0.576", "BY 0.600"))
+        assert run(["verify", "--libs", CLEAN, str(tall), "--rules", RULES,
+                    "--out", str(out)]) == 2
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+
     def test_report_without_results_exits_two(self, tmp_path, capsys):
         code = run(["report", "--out", str(tmp_path / "empty")])
         assert code == 2

@@ -1,17 +1,19 @@
 """Whole-library oracle for ``run_all``: a case made only of isolated
-cells is composed from per-cell results, any other case is flattened and
-checked whole. Both must equal a full flatten of every case checked by the
-all-pairs reference in ``brute``, under both DPT options."""
+cells that are clean on their own is composed from per-cell recolour
+counts, any other case is flattened and checked whole. Both must equal a
+full flatten of every case checked by the all-pairs reference in
+``brute``, under both DPT options."""
 
+from collections import Counter
 from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamcheck import (AbutmentCase, CellLibrary, CellProfile, ColoredRect,
-                       DptOption, Mask, Rect, ViolationKind, parse_library,
-                       parse_rules, run_all)
-from seamcheck.checks import _isolated
+                       DptOption, Mask, Orientation, Rect, ViolationKind,
+                       checks, flatten, parse_library, parse_rules, run_all)
+from seamcheck.checks import _alone, _check_layout, _isolated
 
 from brute import ORACLE_DECK, reference_run_all
 from conftest import ROW_HEIGHT, SITE_WIDTH, read_testdata, synth_library
@@ -41,8 +43,8 @@ def assert_matches_reference(lib, rules):
 
 
 # Isolated cells (every M1 shape more than 40 DBU inside the outline) that
-# carry violations of their own, so composing them must translate bboxes
-# and offset shape ids, plus one cell whose bar touches its left edge.
+# carry violations of their own, so their cases are flattened and checked
+# whole, plus one cell whose bar touches its left edge.
 WIDTH_BAR = cell("WID", 160, (E1, 60, 60, 84, 500))        # 24 < 32 wide
 SAME_MASK = cell("SSM", 240, (E1, 50, 50, 82, 520),        # gap 48 < 64
                  (E1, 130, 50, 162, 520))
@@ -82,7 +84,8 @@ class TestFixedLibrary:
 
 
 # Cells whose metal is drawn as pins: PINNED's only bar is a 24 DBU wide
-# port 60 DBU inside its outline (isolated, so its cases are composed);
+# port 60 DBU inside its outline (isolated, but too narrow, so its cases
+# are flattened and report its Width violation);
 # PINEDGE's port bar sits 4 DBU inside its left edge beside an OBS bar
 # (not isolated, so its cases are flattened).
 PORTED = parse_library("""\
@@ -201,10 +204,10 @@ def bar_group(draw, width, height, inner):
 
 
 @st.composite
-def cells(draw, name):
+def cells(draw, name, inner=st.booleans()):
     rows = draw(st.sampled_from((1, 1, 2)))
     width = SITE_WIDTH * draw(st.integers(16, 48))
-    inner = draw(st.booleans())
+    inner = draw(inner)
     shapes = []
     for _ in range(draw(st.integers(0, 3))):
         shapes += draw(bar_group(width, rows * ROW_HEIGHT, inner))
@@ -229,6 +232,42 @@ def test_random_libraries_match_reference_under_demo_deck(lib):
     assert_matches_reference(lib, RULES)
 
 
+@settings(max_examples=150, deadline=None)
+@given(cells("C", inner=st.just(True)))
+def test_isolated_cell_alone_is_the_same_in_every_orientation(cell):
+    """``_alone`` checks only R0: in every orientation one instance alone
+    is clean exactly when R0 is, and recolours as many shapes."""
+    die = Rect(0, 0, cell.width, cell.height)
+    for rules in (ORACLE_DECK, RULES):
+        assert _isolated(cell, rules)
+        for option in DptOption:
+            results = {}
+            for o in Orientation:
+                found, recolor = _check_layout(
+                    flatten([("U1", cell, 0, 0, o)], die), rules, option)
+                results[o] = (not found, recolor.get("U1", 0))
+            assert set(results.values()) == {results[Orientation.R0]}
+            clean, recoloured = results[Orientation.R0]
+            assert _alone(cell, rules, option) == (
+                recoloured if clean else None)
+
+
+def test_alone_runs_once_per_cell_per_call(monkeypatch):
+    lib = synth_library(6, multi_every=3)
+    calls = Counter()
+    alone = checks._alone
+
+    def counted(cell, *args):
+        calls[cell.name] += 1
+        return alone(cell, *args)
+
+    monkeypatch.setattr(checks, "_alone", counted)
+    for option in DptOption:
+        calls.clear()
+        run_all(lib, RULES, option)
+        assert calls == {c.name: 1 for c in lib.cells}, option
+
+
 def test_composition_is_per_call():
     # A second deck must not reuse the first call's per-cell results.
     lib = library(WIDTH_BAR)
@@ -240,7 +279,7 @@ def test_composition_is_per_call():
 
 def test_composed_cases_build_no_placement(monkeypatch):
     # Every synthetic cell is isolated and clean, single-multi stacks
-    # included, so every case is composed and has nothing to move.
+    # included, so every case is composed and places no instance.
     lib = synth_library(6, multi_every=3)
     assert all(_isolated(c, RULES) for c in lib.cells)
 

@@ -21,7 +21,6 @@ from seamcheck import (
     Orientation,
     Placement,
     Rect,
-    UnknownCellRefError,
     UnknownOrientationCodeError,
     connected_components,
     flatten,
@@ -126,12 +125,12 @@ class TestFlatten:
             ColoredRect("M1", Mask.E1, Rect(8 + 32 * i, 100, 24 + 32 * i, 500))
             for i in range(6)
         ])
-        placements = [
-            Placement(f"U{i + 1}", "C6", (i * 200, 0), o)
+        rows = [
+            (f"U{i + 1}", cell, i * 200, 0, o)
             for i, o in enumerate((Orientation.MY, Orientation.R0,
                                    Orientation.R0, Orientation.MY))
         ]
-        layout = flatten({"C6": cell}, placements, Rect(0, 0, 800, ROW_HEIGHT))
+        layout = flatten(rows, Rect(0, 0, 800, ROW_HEIGHT))
         assert len(layout.shapes) == 24
         for s in layout.shapes:
             assert Rect(0, 0, 800, ROW_HEIGHT).contains(s.rect)
@@ -141,30 +140,22 @@ class TestFlatten:
         # same bar across the seam at x=100.
         cell = bar_cell("E", 100, [ColoredRect("M1", Mask.E1, Rect(90, 0, 100, 50))])
         layout = flatten(
-            {"E": cell},
-            [Placement("U1", "E", (0, 0), Orientation.R0),
-             Placement("U2", "E", (100, 0), Orientation.MY)],
+            [("U1", cell, 0, 0, Orientation.R0),
+             ("U2", cell, 100, 0, Orientation.MY)],
             Rect(0, 0, 200, ROW_HEIGHT),
         )
         rects = sorted(s.rect for s in layout.shapes)
         assert rects == [Rect(90, 0, 100, 50), Rect(100, 0, 110, 50)]
 
-    def test_unknown_cell_reference(self):
-        with pytest.raises(UnknownCellRefError):
-            flatten({}, [Placement("U1", "GHOST", (0, 0), Orientation.R0)],
-                    Rect(0, 0, 100, 100))
-
     def test_out_of_die_shape_rejected(self):
         cell = bar_cell("E", 100, [ColoredRect("M1", Mask.E1, Rect(0, 0, 10, 10))])
         with pytest.raises(ValueError):
-            flatten({"E": cell},
-                    [Placement("U1", "E", (95, 0), Orientation.R0)],
+            flatten([("U1", cell, 95, 0, Orientation.R0)],
                     Rect(0, 0, 100, ROW_HEIGHT))
 
     def test_instance_attribution(self):
         cell = bar_cell("E", 100, [ColoredRect("M1", Mask.E1, Rect(0, 0, 10, 10))])
-        layout = flatten({"E": cell},
-                         [Placement("U7", "E", (0, 0), Orientation.R0)],
+        layout = flatten([("U7", cell, 0, 0, Orientation.R0)],
                          Rect(0, 0, 100, ROW_HEIGHT))
         assert layout.shapes[0].source_instance == "U7"
 
@@ -180,9 +171,8 @@ def rects_in(draw, width, height):
 @st.composite
 def placed_cells(draw):
     """(cells, placements, die): up to three cells of random shapes, one
-    to six placements in any orientation at random origins (now and then
-    of a cell that does not exist), and a die that some shapes may
-    leave."""
+    to six placements in any orientation at random origins, and a die
+    that some shapes may leave."""
     cells = {}
     for i in range(draw(st.integers(1, 3))):
         rows = draw(st.integers(1, 2))
@@ -194,7 +184,7 @@ def placed_cells(draw):
             for _ in range(draw(st.integers(0, 5))))
         cells[f"C{i}"] = CellProfile(f"C{i}", width, rows * ROW_HEIGHT,
                                      rows, shapes)
-    refs = sorted(cells) * 8 + ["GHOST"]
+    refs = sorted(cells)
     placements = [
         Placement(f"U{k + 1}", draw(st.sampled_from(refs)),
                   (draw(st.integers(0, 1200)), draw(st.integers(0, 1200))),
@@ -209,16 +199,18 @@ def placed_cells(draw):
 def test_flatten_matches_per_shape_transform(case):
     """``flatten`` reads each cell's oriented table; the reference
     transforms every shape of every placement. Equal shapes, or the same
-    error for a shape that leaves the die or an unknown cell."""
+    error for a shape that leaves the die."""
     cells, placements, die = case
+    rows = [(p.instance_name, cells[p.cell_ref], *p.origin, p.orientation)
+            for p in placements]
     try:
         want = reference_flatten(cells, placements, die)
-    except (ValueError, KeyError) as exc:
-        with pytest.raises(type(exc)) as got:
-            flatten(cells, placements, die)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            flatten(rows, die)
         assert str(got.value) == str(exc)
         return
-    layout = flatten(cells, placements, die)
+    layout = flatten(rows, die)
     assert layout.die_area == want.die_area
     assert layout.shapes == want.shapes
 
