@@ -23,7 +23,7 @@ def main() -> None:
     print(f"{library.name}: {len(library.cells)} cells -> "
           f"{len(cases)} cases")
     for case in cases:
-        print(f"\n{case.module_name} [{case.kind.value}] "
+        print(f"\n{case.module_name} [{case.kind.name}] "
               f"{case.width} x {case.height_rows} row(s)")
         for p in case.placements:
             print(f"  {p.instance_name}: {p.cell_ref} at {p.origin} "

@@ -4,15 +4,16 @@ Every side-to-side abutment topology of a cell library is a pair
 ((cellX, o1), (cellY, o2)) with o1, o2 in {R0, MY}; topologies that are
 left-right mirrors of each other print identically and form one class.
 enumerate_library(), the only case builder, realizes every class with
-far fewer placements than the exhaustive pairing, in three patterns:
+far fewer placements than the exhaustive pairing, in three patterns
+drawn from two column tables, one per case kind (``CaseKind``):
 
-  - type A-A: one row of 4 instances [MY, R0, R0, MY] covers all 3
+  - A-A: one row of 4 instances [MY, R0, R0, MY] covers all 3
     same-cell classes;
-  - type A-B: one row of 5 instances, cells [B, A, B, A, B] with
+  - A-B: one row of 5 instances, cells [B, A, B, A, B] with
     orientations [R0, R0, MY, MY, R0], covers all 4 cross-cell classes;
-  - single-multi: the A-B column pattern with each single-height B
+  - A-B with a k-row A: the same columns, with each single-height B
     replaced by a stack of k instances (vertically flipped on odd rows),
-    3k+2 placements.
+    3k+2 placements. The row count alone decides the stack.
 
 Total placements for N single-height cells: 4N + 5*N*(N-1)/2, versus
 8N + 8*N*(N-1) for one-pair-per-case enumeration (about 3.2x less).
@@ -25,10 +26,10 @@ case's seams come from the same column offsets. The Verilog writer
 reads the pattern rows; neither writer builds a placement.
 coverage_check() is the
 independent proof: it marks each realized class in a bitmap of 4N^2
-entries, read off the adjacent base-row instances of each case's
-pattern, and compares the marked count with the size of the class
-universe; only when the count is short does it scan the bitmap to name
-the missing classes.
+entries, read off the adjacent columns of each case's kind, and
+compares the marked count with the size of the class universe; only
+when the count is short does it scan the bitmap to name the missing
+classes.
 """
 
 from __future__ import annotations
@@ -64,23 +65,17 @@ class Seam(NamedTuple):
     right: tuple[str, Orientation]
 
 
+_R0, _MY = Orientation.R0, Orientation.MY
+
+
 class CaseKind(enum.Enum):
-    AA_SINGLE = "AA_single"
-    AA_MULTI = "AA_multi"
-    AB_SINGLE = "AB_single"
-    AB_SINGLE_MULTI = "AB_single_multi"
+    """A kind is its column table: the (cell slot, orientation) of each
+    column, left to right; slot 0 holds cell A, slot 1 cell B."""
+
+    AA = ((0, _MY), (0, _R0), (0, _R0), (0, _MY))
+    AB = ((1, _R0), (0, _R0), (1, _MY), (0, _MY), (1, _R0))
 
     __hash__ = object.__hash__  # as for Mask: members are singletons
-
-
-_R0, _MY = Orientation.R0, Orientation.MY
-# (cell slot, orientation) of each column, left to right; slot 0 holds
-# cell A, slot 1 cell B.
-_AA_COLUMNS = ((0, _MY), (0, _R0), (0, _R0), (0, _MY))
-_AB_COLUMNS = ((1, _R0), (0, _R0), (1, _MY), (0, _MY), (1, _R0))
-_COLUMNS = {CaseKind.AA_SINGLE: _AA_COLUMNS, CaseKind.AA_MULTI: _AA_COLUMNS,
-            CaseKind.AB_SINGLE: _AB_COLUMNS,
-            CaseKind.AB_SINGLE_MULTI: _AB_COLUMNS}
 
 
 @functools.cache
@@ -92,7 +87,7 @@ def _pattern(kind: CaseKind, rows: int
     cell B, which is one row tall, stacks ``rows`` instances, flipped
     vertically on odd rows. Instances are named U1, U2, ..."""
     instances = []
-    for column, (slot, o) in enumerate(_COLUMNS[kind]):
+    for column, (slot, o) in enumerate(kind.value):
         for row in range(rows if slot else 1):
             instances.append((f"U{len(instances) + 1}", slot, column, row,
                               o.flipped_ud if row % 2 else o))
@@ -100,16 +95,15 @@ def _pattern(kind: CaseKind, rows: int
 
 
 @functools.cache
-def _base_pairs(kind: CaseKind,
-                rows: int) -> tuple[tuple[int, Orientation, int,
-                                          Orientation, int], ...]:
-    """One entry per seam of a ``kind`` case ``rows`` rows tall: the
-    adjacent base-row (row 0) instances of its pattern, as (left slot,
-    left orientation, right slot, right orientation, right column)."""
-    base = [(slot, column, o)
-            for _, slot, column, row, o in _pattern(kind, rows) if row == 0]
-    return tuple((ls, lo, rs, ro, rc)
-                 for (ls, _, lo), (rs, rc, ro) in zip(base, base[1:]))
+def _base_pairs(kind: CaseKind) -> tuple[tuple[int, Orientation, int,
+                                               Orientation, int], ...]:
+    """One entry per seam of a ``kind`` case: each pair of adjacent
+    columns, whose base-row instances take the columns' orientations, as
+    (left slot, left orientation, right slot, right orientation, right
+    column)."""
+    columns = kind.value
+    return tuple((ls, lo, rs, ro, rc) for rc, ((ls, lo), (rs, ro))
+                 in enumerate(zip(columns, columns[1:]), 1))
 
 
 def placement_count(cases: Iterable[AbutmentCase]) -> int:
@@ -147,7 +141,7 @@ class AbutmentCase:
         """Case-local x of each column of the pattern."""
         cells = self.cells
         xs, x = [], 0
-        for slot, _ in _COLUMNS[self.kind]:
+        for slot, _ in self.kind.value:
             xs.append(x)
             x += cells[slot].width
         return xs
@@ -183,8 +177,7 @@ class AbutmentCase:
         names = [c.name for c in self.cells]
         xs = self.column_x()
         return tuple(Seam(xs[rc], (names[ls], lo), (names[rs], ro))
-                     for ls, lo, rs, ro, rc
-                     in _base_pairs(self.kind, self.height_rows))
+                     for ls, lo, rs, ro, rc in _base_pairs(self.kind))
 
 
 _NOT_IDENT = re.compile(r"[^A-Za-z0-9_]")
@@ -208,17 +201,14 @@ def instance_path(module: str, instance: str) -> str:
 
 def _case(a: CellProfile, b: CellProfile | None) -> AbutmentCase:
     """The A-A case of ``a`` when ``b`` is None, else the A-B case of the
-    pair; the kind is the multi-height one when A is. The case is as tall
-    as A."""
+    pair, whose module name starts ``mcell`` when A is multi-height. The
+    case is as tall as A."""
     if b is None:
-        return AbutmentCase(
-            CaseKind.AA_MULTI if a.is_multi else CaseKind.AA_SINGLE, a, None,
-            4 * a.width, a.height_rows, f"scell_{_sanitize(a.name)}")
-    if a.is_multi:
-        kind, prefix = CaseKind.AB_SINGLE_MULTI, "mcell"
-    else:
-        kind, prefix = CaseKind.AB_SINGLE, "scell"
-    return AbutmentCase(kind, a, b, 2 * a.width + 3 * b.width, a.height_rows,
+        return AbutmentCase(CaseKind.AA, a, None, 4 * a.width, a.height_rows,
+                            f"scell_{_sanitize(a.name)}")
+    prefix = "mcell" if a.is_multi else "scell"
+    return AbutmentCase(CaseKind.AB, a, b, 2 * a.width + 3 * b.width,
+                        a.height_rows,
                         f"{prefix}_{_sanitize(a.name)}_{_sanitize(b.name)}")
 
 
@@ -296,8 +286,8 @@ def coverage_check(cases: Iterable[AbutmentCase],
     distinct multi-height cells. A topology is (left index, left side,
     right index, right side) over library order; its class is the smaller
     of it and its left-right mirror. A case realizes the topologies of
-    its pattern's adjacent base-row instances (``_base_pairs``) with its
-    own cells in the slots. Each realized class inside the universe is
+    its kind's adjacent columns (``_base_pairs``) with its own cells in
+    the slots. Each realized class inside the universe is
     marked in a bitmap of 4N^2 entries; a marked count that
     reaches the universe size proves completeness. Complete iff nothing
     is missing; ``missing`` is sorted by (left cell, right cell, left
@@ -312,7 +302,7 @@ def coverage_check(cases: Iterable[AbutmentCase],
     for case in cases:
         a, b = node[case.cell_a], case.cell_b
         nodes = (a,) if b is None else (a, node[b])
-        for ls, lo, rs, ro, _ in _base_pairs(case.kind, case.height_rows):
+        for ls, lo, rs, ro, _ in _base_pairs(case.kind):
             u = nodes[ls] + _SIDE[lo]
             v = nodes[rs] + _SIDE[ro]
             x, y = u >> 1, v >> 1

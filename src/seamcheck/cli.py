@@ -52,7 +52,9 @@ def _staged(out_dir: str, owned: tuple[str, ...] = ()):
     in ``out_dir``. When the block completes every file is renamed into
     place, its directory made first, and every file that matches one of
     the ``owned`` glob patterns (relative to ``out_dir``) but was not
-    created is removed, so no file of an earlier run is left beside them.
+    created is removed, so no file of an earlier run is left beside them;
+    a pattern's directory below ``out_dir`` that is then empty is removed
+    too.
     When the block raises, every temporary is removed, so ``out_dir``
     gains no file and no directory and loses none."""
     staged: list[tuple[str, str]] = []  # (temporary path, final path)
@@ -78,6 +80,9 @@ def _staged(out_dir: str, owned: tuple[str, ...] = ()):
     for pattern in owned:
         for name in set(glob.glob(pattern, root_dir=out_dir)) - created:
             os.remove(os.path.join(out_dir, name))
+        if folder := os.path.dirname(pattern):
+            with suppress(OSError):  # absent, or still holds a file
+                os.rmdir(os.path.join(out_dir, folder))
 
 
 @contextmanager

@@ -325,19 +325,18 @@ class OracleCase(NamedTuple):
 
 def oracle_chain(cell_a, cell_b):
     """Abut one column per (cell, orientation), left to right: the A-A
-    pattern when ``cell_b`` is None, the A-B pattern otherwise; the kind
-    is the multi-height one when A is. The case is as tall as A (k rows);
+    pattern (kind AA) when ``cell_b`` is None, the A-B pattern (kind AB)
+    otherwise. The case is as tall as A (k rows);
     a column whose cell is shorter stacks k instances, flipped vertically
     on odd rows. Instances are numbered U1.. in placement order. Seams
     join adjacent base-row placements, at the right one's x. Builds every
     placement eagerly, with no pattern table; module names are left to
     ``enumerate_library``."""
     if cell_b is None:
-        kind = CaseKind.AA_MULTI if cell_a.is_multi else CaseKind.AA_SINGLE
+        kind = CaseKind.AA
         columns = zip((cell_a,) * 4, _AA_COLUMNS)
     else:
-        kind = (CaseKind.AB_SINGLE_MULTI if cell_a.is_multi
-                else CaseKind.AB_SINGLE)
+        kind = CaseKind.AB
         columns = zip((cell_b, cell_a, cell_b, cell_a, cell_b), _AB_COLUMNS)
     k = cell_a.height_rows
     row_h = cell_a.height // k

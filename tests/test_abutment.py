@@ -88,7 +88,7 @@ class TestTypeAA:
     def test_shape(self):
         cell = synth_cell(0, with_shape=False)
         case = last_case(cell)
-        assert case.kind is CaseKind.AA_SINGLE
+        assert (case.kind, case.height_rows) == (CaseKind.AA, 1)
         assert [p.instance_name for p in case.placements] == ["U1", "U2", "U3", "U4"]
         assert [p.orientation for p in case.placements] == [MY, R0, R0, MY]
         w = cell.width
@@ -112,8 +112,7 @@ class TestTypeAA:
     def test_multi_height_cell_spans_rows(self):
         cell = synth_cell(1, height_rows=3, with_shape=False)
         case = last_case(cell)
-        assert case.kind is CaseKind.AA_MULTI
-        assert case.height_rows == 3
+        assert (case.kind, case.height_rows) == (CaseKind.AA, 3)
         assert [p.origin[1] for p in case.placements] == [0] * 4
         assert len(case.seams) == 3
 
@@ -125,7 +124,7 @@ class TestTypeAB:
 
     def test_shape(self):
         case = last_case(self.a, self.b)
-        assert case.kind is CaseKind.AB_SINGLE
+        assert (case.kind, case.height_rows) == (CaseKind.AB, 1)
         assert [p.cell_ref for p in case.placements] == \
             [self.b.name, self.a.name, self.b.name, self.a.name, self.b.name]
         assert [p.orientation for p in case.placements] == [R0, R0, MY, MY, R0]
@@ -179,9 +178,8 @@ class TestSingleMulti:
         multi = synth_cell(0, height_rows=2, with_shape=False)
         single = synth_cell(1, with_shape=False)
         case = last_case(multi, single)
-        assert case.kind is CaseKind.AB_SINGLE_MULTI
+        assert (case.kind, case.height_rows) == (CaseKind.AB, 2)
         assert len(case.placements) == 3 * 2 + 2
-        assert case.height_rows == 2
         names = [p.instance_name for p in case.placements]
         assert names == [f"U{i}" for i in range(1, 9)]
 
@@ -228,6 +226,15 @@ def sized_library(spec):
         dataclasses.replace(synth_cell(i, rows, with_shape=False),
                             width=SITE_WIDTH * sites)
         for i, (rows, sites) in enumerate(spec)))
+
+
+# Every (kind, A is multi-height) combination: the A-A and A-B patterns,
+# each with one row and with A's rows stacked.
+ALL_KINDS = {(kind, tall) for kind in CaseKind for tall in (False, True)}
+
+
+def kinds_reached(cases):
+    return {(c.kind, c.a.is_multi) for c in cases}
 
 
 class TestDerivedSeams:
@@ -288,7 +295,7 @@ class TestDerivedSeams:
     def test_fixed_library_reaches_every_kind(self):
         lib = sized_library([(1, 20), (2, 21), (3, 5), (1, 7)])
         cases = enumerate_library(lib)
-        assert {c.kind for c in cases} == set(CaseKind)
+        assert kinds_reached(cases) == ALL_KINDS
         for case in cases:
             assert case.seams == oracle_seams(case, lib), case
 
@@ -304,28 +311,27 @@ class TestEnumerateLibrary:
     def test_two_cell_library_shape(self):
         lib = synth_library(2, with_shapes=False)
         cases = enumerate_library(lib)
-        assert [c.kind for c in cases] == \
-            [CaseKind.AA_SINGLE, CaseKind.AA_SINGLE, CaseKind.AB_SINGLE]
+        assert [(c.kind, c.height_rows) for c in cases] == \
+            [(CaseKind.AA, 1), (CaseKind.AA, 1), (CaseKind.AB, 1)]
         assert sum(len(c.placements) for c in cases) == 13
 
     def test_multi_multi_pairs_skipped(self):
         lib = synth_library(4, multi_every=2, with_shapes=False)
         cases = enumerate_library(lib)
-        kinds = [c.kind for c in cases]
-        assert kinds.count(CaseKind.AA_SINGLE) == 2
-        assert kinds.count(CaseKind.AA_MULTI) == 2
-        assert kinds.count(CaseKind.AB_SINGLE) == 1
-        assert kinds.count(CaseKind.AB_SINGLE_MULTI) == 4
+        kinds = Counter((c.kind, c.a.is_multi) for c in cases)
+        assert kinds == {(CaseKind.AA, False): 2, (CaseKind.AA, True): 2,
+                         (CaseKind.AB, False): 1, (CaseKind.AB, True): 4}
 
     def test_multi_height_cell_of_a_pair_is_a(self):
         lib = sized_library([(1, 20), (2, 21), (3, 5), (1, 7), (2, 3),
                              (1, 9)])
         multi = {c.name for c in lib.cells if c.is_multi}
         cases = enumerate_library(lib)
-        assert {c.kind for c in cases} == set(CaseKind)
+        assert kinds_reached(cases) == ALL_KINDS
         pairs = [c for c in cases if c.cell_b is not None]
         for case in pairs:
-            tall = case.kind is CaseKind.AB_SINGLE_MULTI
+            assert case.kind is CaseKind.AB, case
+            tall = case.height_rows > 1
             assert (case.cell_a in multi) is tall, case
             assert case.cell_b not in multi, case
         unordered = [frozenset((c.cell_a, c.cell_b)) for c in pairs]
@@ -341,7 +347,7 @@ class TestEnumerateLibrary:
 
     def test_no_case_field_holds_a_placement(self):
         cases = enumerate_library(synth_library(12, multi_every=4))
-        assert {c.kind for c in cases} == set(CaseKind)
+        assert kinds_reached(cases) == ALL_KINDS
         for case in cases:
             for f in dataclasses.fields(case):
                 value = getattr(case, f.name)
@@ -408,7 +414,8 @@ def oracle_module_name(case):
         name = re.sub(r"[^A-Za-z0-9_]", "_", name)
         return name if name[:1].isalpha() or name[:1] == "_" else "c" + name
 
-    prefix = "mcell" if case.kind is CaseKind.AB_SINGLE_MULTI else "scell"
+    pair = case.kind is CaseKind.AB
+    prefix = "mcell" if pair and case.height_rows > 1 else "scell"
     cells = [case.cell_a] + ([case.cell_b] if case.cell_b else [])
     return "_".join([prefix] + [clean(c) for c in cells])
 
@@ -458,7 +465,8 @@ class TestCoverage:
     def test_dropped_cross_case_reported_missing(self):
         lib = synth_library(3, with_shapes=False)
         cases = [c for c in enumerate_library(lib)
-                 if c.kind is CaseKind.AA_SINGLE]
+                 if c.kind is CaseKind.AA]
+        assert {c.height_rows for c in cases} == {1}
         report = coverage_check(cases, lib)
         assert not report.complete
         # Every unordered cell pair is missing all four of its classes.
@@ -502,13 +510,13 @@ class TestCoverage:
         lib = synth_library(3, with_shapes=False)
         cases = enumerate_library(lib)[:4]
         expected = coverage_check(cases, lib)
-        # coverage_check reads each case's seam topologies off the base-row
-        # pairs of its pattern, so a stand-in table carries each case's
-        # base row with every instance in its odd-row orientation.
+        # coverage_check reads each case's seam topologies off the
+        # adjacent columns of its kind, so a stand-in table carries each
+        # column in its odd-row orientation.
         base_pairs = abutment._base_pairs
-        monkeypatch.setattr(abutment, "_base_pairs", lambda kind, rows: tuple(
+        monkeypatch.setattr(abutment, "_base_pairs", lambda kind: tuple(
             (ls, lo.flipped_ud, rs, ro.flipped_ud, rc)
-            for ls, lo, rs, ro, rc in base_pairs(kind, rows)))
+            for ls, lo, rs, ro, rc in base_pairs(kind)))
         assert all(p.origin[1] == 0 for c in cases for p in c.placements)
         report = coverage_check(cases, lib)
         assert report.missing and report == expected
@@ -532,13 +540,14 @@ class TestCoverage:
         # the universe, which must not make up for the missing ones.
         lib = synth_library(6, multi_every=3, with_shapes=False)
         cases = enumerate_library(lib)
-        dropped = next(c for c in cases if c.kind is CaseKind.AB_SINGLE)
+        dropped = next(c for c in cases
+                       if c.kind is CaseKind.AB and c.height_rows == 1)
         tall = [c.name for c in lib.cells if c.is_multi]
         rename = dict(zip((dropped.cell_a, dropped.cell_b), tall))
-        # coverage_check reads only a case's kind, row count and cells.
+        # coverage_check reads only a case's kind and cells.
         stray = types.SimpleNamespace(
-            kind=dropped.kind, height_rows=dropped.height_rows,
-            cell_a=rename[dropped.cell_a], cell_b=rename[dropped.cell_b])
+            kind=dropped.kind, cell_a=rename[dropped.cell_a],
+            cell_b=rename[dropped.cell_b])
         report = coverage_check(
             [c for c in cases if c is not dropped] + [stray], lib)
         missing = [((a, oa.name), (b, ob.name))

@@ -620,6 +620,20 @@ class TestReport:
             "violations_cleandemo_optI.jsonl",
             "violations_cleandemo_optII.jsonl"]
         assert list(out.rglob("*.svg")) == []
+        assert not (out / "svg").exists()
+
+    def test_zero_cap_leaves_no_svg_directory(self, tmp_path):
+        out = self.prepared(tmp_path)
+        assert run(["report", "--out", str(out)]) == 0
+        assert run(["report", "--out", str(out), "--svg-cap", "0"]) == 0
+        assert not (out / "svg").exists()
+
+    def test_svg_directory_holding_another_file_stays(self, tmp_path):
+        out = self.prepared(tmp_path)
+        assert run(["report", "--out", str(out)]) == 0
+        (out / "svg" / "notes.txt").write_text("kept\n")
+        assert run(["report", "--out", str(out), "--svg-cap", "0"]) == 0
+        assert [p.name for p in (out / "svg").iterdir()] == ["notes.txt"]
 
     def test_failing_verify_leaves_the_earlier_run(self, tmp_path, capsys):
         out = self.prepared(tmp_path)
