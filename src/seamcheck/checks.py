@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .abutment import AbutmentCase, instance_path
@@ -95,9 +95,11 @@ def check_width(layout: FlatLayout, rules: RuleDeck) -> list[Violation]:
         rule = rules.layer_rule(layer)
         if rule is None:
             continue
+        min_width = rule.min_width
         for s in layout.shapes_on(layer):
-            if min(s.rect.width, s.rect.height) < rule.min_width:
-                out.append(Violation(ViolationKind.WIDTH, layer, s.rect,
+            x1, y1, x2, y2 = rect = s.rect
+            if x2 - x1 < min_width or y2 - y1 < min_width:
+                out.append(Violation(ViolationKind.WIDTH, layer, rect,
                                      (s.shape_id,)))
     out.sort(key=Violation.sort_key)
     return out
@@ -148,7 +150,9 @@ def check_spacing(layout: FlatLayout, rules: RuleDeck, option: DptOption,
 @dataclass(frozen=True)
 class ConflictGraph:
     """Same-mask conflict graph of one DPT layer: nodes are touch-connected
-    shape groups, edges join groups with a sub-S_same parallel run."""
+    shape groups, edges join groups with a sub-S_same parallel run.
+    ``node_bbox`` covers only the nodes that have an edge: only those can
+    lie on an odd cycle."""
 
     layer: str
     nodes: dict[int, tuple[int, ...]]  # root shape id -> member shape ids
@@ -156,10 +160,12 @@ class ConflictGraph:
     node_bbox: dict[int, Rect]
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
+        """Node -> its neighbours in ascending order, for the nodes that
+        have an edge; an edgeless node has no entry."""
+        adj: dict[int, list[int]] = {}
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
         for lst in adj.values():
             lst.sort()
         return adj
@@ -168,6 +174,10 @@ class ConflictGraph:
 def build_conflict_graph(layout: FlatLayout, rules: RuleDeck, layer: str,
                          neighbours: Mapping[str, LayerNeighbours]
                          ) -> ConflictGraph:
+    """The conflict graph of DPT ``layer``: one node per touch component
+    of ``neighbours``, one edge per pair of components joined by a run
+    below the same-mask minimum. ``node_bbox`` holds the bounding box of
+    each node that has an edge, and of no other node."""
     rule = rules.layer_rule(layer)
     if rule is None or not rule.dpt:
         raise ValueError(f"layer {layer} is not a DPT layer")
@@ -175,13 +185,14 @@ def build_conflict_graph(layout: FlatLayout, rules: RuleDeck, layer: str,
     members: dict[int, list[int]] = defaultdict(list)
     for sid, root in sorted(comp.items()):
         members[root].append(sid)
-    bbox = {root: union_all(layout.shape(s).rect for s in sids)
-            for root, sids in members.items()}
     edges = set()
     for run in neighbours[layer].runs:
         u, v = comp[run.shape_a], comp[run.shape_b]
         if run.spacing < rule.min_spacing_same_mask and u != v:
-            edges.add((min(u, v), max(u, v)))
+            edges.add((u, v) if u < v else (v, u))
+    linked = {n for edge in edges for n in edge}
+    bbox = {root: union_all(layout.shape(s).rect for s in sids)
+            for root, sids in members.items() if root in linked}
     return ConflictGraph(layer, {r: tuple(m) for r, m in members.items()},
                          frozenset(edges), bbox)
 
@@ -224,14 +235,16 @@ def _witness_cycle(u: int, v: int, parent: dict, depth: dict) -> list[int]:
 
 def color_decompose(graph: ConflictGraph) -> DecomposeResult:
     """BFS two-coloring in deterministic node order; each component root
-    (smallest node id) takes E1. Returns one OddCycle violation per
-    non-bipartite component."""
+    (smallest node id) takes E1. BFS starts only from nodes that have an
+    edge, in ascending order; an edgeless node is its own root and takes
+    E1 without a visit. Returns one OddCycle violation per non-bipartite
+    component."""
     adj = graph.adjacency()
     color: dict[int, Mask] = {}
     parent: dict[int, int | None] = {}
     depth: dict[int, int] = {}
     odd: list[Violation] = []
-    for start in sorted(graph.nodes):
+    for start in sorted(adj):
         if start in color:
             continue
         color[start] = Mask.E1
@@ -260,7 +273,7 @@ def color_decompose(graph: ConflictGraph) -> DecomposeResult:
     if odd:
         odd.sort(key=Violation.sort_key)
         return DecomposeResult(None, odd)
-    assignment = {sid: color[root]
+    assignment = {sid: color.get(root, Mask.E1)
                   for root, sids in graph.nodes.items() for sid in sids}
     return DecomposeResult(assignment, [])
 
@@ -268,14 +281,17 @@ def color_decompose(graph: ConflictGraph) -> DecomposeResult:
 def apply_colors(layout: FlatLayout, assignment: Mapping[int, Mask],
                  layers) -> FlatLayout:
     """Overwrite the masks of every shape on the given layers. The
-    assignment must cover them all; other layers are untouched."""
+    assignment must cover them all; other layers are untouched. A shape
+    whose mask the assignment keeps is the same object in the result, so
+    ``is`` tells which shapes changed."""
     missing = [s.shape_id for layer in layers for s in layout.shapes_on(layer)
                if s.shape_id not in assignment]
     if missing:
         raise IncompleteAssignmentError(
             f"assignment misses shapes {missing[:8]} on layers {list(layers)}")
-    shapes = [s._replace(mask=assignment[s.shape_id]) if s.layer in layers
-              else s for s in layout.shapes]
+    shapes = [s if s.layer not in layers or assignment[s.shape_id] is s.mask
+              else s._replace(mask=assignment[s.shape_id])
+              for s in layout.shapes]
     return FlatLayout(layout.die_area, shapes)
 
 
@@ -289,30 +305,36 @@ def match_hotspots(layout: FlatLayout, rules: RuleDeck,
     along the runs of the layer's sweep. Horizontal tracks are vertical
     tracks of the transposed rects."""
     out = []
+    shapes = layout.shapes  # indexed by shape id, as FlatLayout.shape reads
     for pattern in rules.hotspot_patterns:
         if pattern.layer not in neighbours:
             continue
         for axis in ("vertical", "horizontal"):
             flip = axis == "horizontal"
-            rect = {s.shape_id: _transpose(s.rect) if flip else s.rect
-                    for s in layout.shapes_on(pattern.layer)}
+            # Only a shape that ends a run of this axis can be on a chain.
+            rect: dict[int, Rect] = {}
             successors: dict[int, list[int]] = {}
-            for run in neighbours[pattern.layer].runs:
-                if run.axis == axis and 0 < run.spacing <= pattern.max_gap:
-                    a, b = run.shape_a, run.shape_b
+            for a, b, spacing, _, run_axis in neighbours[pattern.layer].runs:
+                if run_axis == axis and 0 < spacing <= pattern.max_gap:
+                    for sid in (a, b):
+                        if sid not in rect:
+                            r = shapes[sid].rect
+                            rect[sid] = _transpose(r) if flip else r
                     if rect[b].x2 <= rect[a].x1:
                         a, b = b, a
                     successors.setdefault(a, []).append(b)
-            chains = [((a,), (layout.shape(a).mask,), rect[a].y1, rect[a].y2)
+            chains = [((a,), (shapes[a].mask,), rect[a].y1, rect[a].y2)
                       for a in successors]
             for _ in range(pattern.track_count - 1):
                 grown = []
                 for ids, masks, lo, hi in chains:
                     for b in successors.get(ids[-1], ()):
-                        m = masks + (layout.shape(b).mask,)
-                        blo, bhi = max(lo, rect[b].y1), min(hi, rect[b].y2)
-                        if (m in pattern.prefixes
-                                and bhi - blo >= pattern.min_run_length):
+                        m = masks + (shapes[b].mask,)
+                        if m not in pattern.prefixes:
+                            continue
+                        _, blo, _, bhi = rect[b]
+                        blo, bhi = max(lo, blo), min(hi, bhi)
+                        if bhi - blo >= pattern.min_run_length:
                             grown.append((ids + (b,), m, blo, bhi))
                 chains = grown
             for ids, masks, lo, hi in chains:
@@ -394,10 +416,10 @@ def _recolour(layout, rules, neighbours):
         result = color_decompose(graph)
         odd.extend(result.odd_cycles)
         if result.assignment is not None:
-            before = {s.shape_id: s.mask for s in layout.shapes_on(layer)}
+            before = layout.shapes_on(layer)
             layout = apply_colors(layout, result.assignment, [layer])
-            for s in layout.shapes_on(layer):
-                if s.mask is not before[s.shape_id]:
+            for old, s in zip(before, layout.shapes_on(layer)):
+                if s is not old:  # apply_colors keeps unchanged shapes
                     key = s.source_instance
                     recolor[key] = recolor.get(key, 0) + 1
     return layout, odd, recolor
@@ -487,7 +509,8 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
         layout = _flat_case(case, floorplan.origin_of(idx),
                             floorplan.die_area)
         found, case_recolor = _check_layout(layout, rules, option)
-        violations.extend(replace(v, case_index=idx) for v in found)
+        violations.extend(Violation(v.kind, v.layer, v.bbox, v.shape_ids,
+                                    v.pattern_name, idx) for v in found)
         recolor.update(case_recolor)
     return VerificationResult(option, cases, floorplan,
                               tuple(violations), recolor)

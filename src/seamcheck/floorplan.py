@@ -1,10 +1,11 @@
 """Case packing: lay testcases out in shelves on one die.
 
-Cases are packed first-fit into horizontal shelves, found through a
-min-tree per shelf height (D. S. Johnson, "Fast algorithms for bin
-packing", JCSS 1974) in O(log S) per case for S shelves. The horizontal
-gap between neighbors in a shelf is at least twice the rule interaction
-distance, but shelves abut with no gap and no row flip. So per-case
+Cases are packed first-fit into horizontal shelves of their own row
+count, found through a min-tree per shelf height (D. S. Johnson, "Fast
+algorithms for bin packing", JCSS 1974) in O(log S) per case for S
+shelves. The horizontal gap between neighbors in a shelf is at least
+twice the rule interaction distance, but shelves abut with no gap and
+no row flip. So per-case
 verification equals whole-die verification only when no shape lies
 within half its layer's reach (``RuleDeck.reach``) of its cell's top or
 bottom edge; a power rail at the edge breaks it.
@@ -46,7 +47,7 @@ class _ShelfClass:
     the least of its children's, unused leaves infinity."""
 
     def __init__(self):
-        self.shelves: list[tuple[int, int]] = []  # (shelf number, row start)
+        self.row_starts: list[int] = []
         self.size = 1
         self.tree: list[float] = [math.inf, math.inf]
 
@@ -77,28 +78,28 @@ class _ShelfClass:
                 break
             tree[node] = least
 
-    def append(self, number: int, row_start: int, next_x: int):
-        if len(self.shelves) == self.size:
+    def append(self, row_start: int, next_x: int):
+        if len(self.row_starts) == self.size:
             leaves = self.tree[self.size:] + [math.inf] * self.size
             self.size *= 2
             self.tree = [math.inf] * self.size + leaves
             for node in range(self.size - 1, 0, -1):
                 self.tree[node] = min(self.tree[2 * node],
                                       self.tree[2 * node + 1])
-        self.shelves.append((number, row_start))
-        self.set_next_x(len(self.shelves) - 1, next_x)
+        self.row_starts.append(row_start)
+        self.set_next_x(len(self.row_starts) - 1, next_x)
 
 
 def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
                    max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> Floorplan:
     """First-fit shelf packing. Each shelf spans as many rows as its first
-    case needs; later cases fit into the first shelf, in creation order,
-    tall enough with width to spare. Raises CaseTooWide if a case exceeds
-    max_row_width."""
+    case needs; a later case fits into the first shelf, in creation order,
+    of its own row count with width to spare, else it opens a new shelf.
+    A case never enters a taller shelf. Raises CaseTooWide if a case
+    exceeds max_row_width."""
     gap = _round_up(max(2 * rules.interaction_distance, rules.site_width),
                     rules.site_width)
     classes: dict[int, _ShelfClass] = {}  # shelf height in rows -> shelves
-    shelf_count = 0
     total_rows = 0
     positions: list[tuple[int, int]] = []
     for case in cases:
@@ -106,25 +107,17 @@ def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
             raise CaseTooWideError(
                 f"case {case.module_name} is {case.width} DBU wide, above "
                 f"the {max_row_width} DBU row limit")
-        limit = max_row_width - case.width
-        best = None  # (shelf number, class, shelf within the class)
-        for height, cls in classes.items():
-            if height < case.height_rows:
-                continue
-            shelf = cls.first_fit(limit)
-            if shelf is not None and (best is None
-                                      or cls.shelves[shelf][0] < best[0]):
-                best = (cls.shelves[shelf][0], cls, shelf)
-        if best is None:
+        cls = classes.get(case.height_rows)
+        shelf = (None if cls is None
+                 else cls.first_fit(max_row_width - case.width))
+        if shelf is None:
             classes.setdefault(case.height_rows, _ShelfClass()).append(
-                shelf_count, total_rows, case.width + gap)
-            shelf_count += 1
+                total_rows, case.width + gap)
             positions.append((total_rows, 0))
             total_rows += case.height_rows
         else:
-            _, cls, shelf = best
             x = cls.next_x(shelf)
-            positions.append((cls.shelves[shelf][1], x))
+            positions.append((cls.row_starts[shelf], x))
             cls.set_next_x(shelf, x + case.width + gap)
     die_w = max((pos[1] + case.width
                  for pos, case in zip(positions, cases)), default=0)

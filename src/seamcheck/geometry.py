@@ -231,14 +231,15 @@ class FlatLayout:
         shapes enter in x1 order and a shape leaves the active list once
         its x2 + reach falls behind the sweep line."""
         pairs = []
-        active: list[FlatShape] = []
+        active: list[tuple[int, int, int, FlatShape]] = []  # x2, y1, y2
         for s in sorted(self.shapes_on(layer), key=lambda t: t.rect.x1):
-            x1, y1, _, y2 = s.rect
-            active = [a for a in active if a.rect.x2 + reach >= x1]
-            for a in active:
-                if a.rect.y1 - reach <= y2 and y1 - reach <= a.rect.y2:
+            x1, y1, x2, y2 = s.rect
+            left, lo, hi = x1 - reach, y1 - reach, y2 + reach
+            active = [e for e in active if e[0] >= left]
+            for _, ay1, ay2, a in active:
+                if ay1 <= hi and lo <= ay2:
                     pairs.append((a, s) if a.shape_id < s.shape_id else (s, a))
-            active.append(s)
+            active.append((x2, y1, y2, s))
         return pairs
 
 
@@ -249,17 +250,23 @@ def flatten(instances, die_area: Rect) -> FlatLayout:
     for the orientation (``CellProfile.oriented``, transformed once per
     cell) moved by (x, y). Shape ids run in row order, then cell shape
     order, so flattening is deterministic regardless of execution
-    strategy. A shape that leaves ``die_area`` raises ValueError."""
+    strategy. A shape that leaves ``die_area`` raises ValueError. This
+    runs once per shape of every checked case, so each ``Rect`` and
+    ``FlatShape`` is built straight from its field tuple."""
     flat: list[FlatShape] = []
     die_x1, die_y1, die_x2, die_y2 = die_area
+    # tuple.__new__ builds each namedtuple without the Python frame of its
+    # generated __new__; the fields are the same, in the same order.
+    new = tuple.__new__
     for name, cell, ox, oy, orientation in instances:
         for layer, mask, (x1, y1, x2, y2) in cell.oriented[orientation]:
             x1, y1, x2, y2 = x1 + ox, y1 + oy, x2 + ox, y2 + oy
-            rect = Rect(x1, y1, x2, y2)
             if x1 < die_x1 or y1 < die_y1 or x2 > die_x2 or y2 > die_y2:
-                raise ValueError(
-                    f"shape of {name} at {rect} leaves die {die_area}")
-            flat.append(FlatShape(len(flat), layer, mask, rect, name))
+                raise ValueError(f"shape of {name} at "
+                                 f"{Rect(x1, y1, x2, y2)} leaves die "
+                                 f"{die_area}")
+            flat.append(new(FlatShape, (len(flat), layer, mask,
+                                        new(Rect, (x1, y1, x2, y2)), name)))
     return FlatLayout(die_area, flat)
 
 
@@ -269,12 +276,21 @@ def parallel_runs(pairs: Iterable[tuple[FlatShape, FlatShape]],
     and positive projected overlap. ``pairs`` come from
     ``FlatLayout.near_pairs`` at a reach of at least ``max_spacing``.
     Each unordered pair is reported once, with shape_a < shape_b; output
-    is sorted."""
+    is sorted. A pair gives the run that ``run_between`` gives."""
     runs: list[ParallelRun] = []
     for a, b in pairs:
-        hit = run_between(a.rect, b.rect)
-        if hit is not None and hit[0] <= max_spacing:
-            runs.append(ParallelRun(a.shape_id, b.shape_id, *hit))
+        # run_between, inline: this loop runs once per near pair.
+        ax1, ay1, ax2, ay2 = a.rect
+        bx1, by1, bx2, by2 = b.rect
+        x_overlap = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+        y_overlap = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+        if x_overlap <= 0:
+            if y_overlap > 0 and -x_overlap <= max_spacing:
+                runs.append(ParallelRun(a.shape_id, b.shape_id, -x_overlap,
+                                        y_overlap, "vertical"))
+        elif y_overlap <= 0 and -y_overlap <= max_spacing:
+            runs.append(ParallelRun(a.shape_id, b.shape_id, -y_overlap,
+                                    x_overlap, "horizontal"))
     runs.sort()
     return runs
 
@@ -284,8 +300,9 @@ def connected_components(shapes: Iterable[FlatShape],
                          ) -> dict[int, int]:
     """Union shapes that touch (share area or an edge segment) into
     components. ``pairs`` come from ``FlatLayout.near_pairs`` on the
-    shapes' layer at any reach >= 0. Returns shape_id -> component root
-    (smallest member id)."""
+    shapes' layer at any reach >= 0; a pair joins when ``rects_touch``
+    holds for it. Returns shape_id -> component root (smallest member
+    id)."""
     parent: dict[int, int] = {s.shape_id: s.shape_id for s in shapes}
 
     def find(x: int) -> int:
@@ -295,7 +312,13 @@ def connected_components(shapes: Iterable[FlatShape],
         return x
 
     for a, b in pairs:
-        if not rects_touch(a.rect, b.rect):
+        # rects_touch, inline: this loop runs once per near pair.
+        ax1, ay1, ax2, ay2 = a.rect
+        bx1, by1, bx2, by2 = b.rect
+        x_overlap = (ax2 if ax2 < bx2 else bx2) - (ax1 if ax1 > bx1 else bx1)
+        y_overlap = (ay2 if ay2 < by2 else by2) - (ay1 if ay1 > by1 else by1)
+        if (x_overlap < 0 or y_overlap < 0
+                or (x_overlap == 0 and y_overlap == 0)):
             continue
         ra, rb = find(a.shape_id), find(b.shape_id)
         if ra != rb:

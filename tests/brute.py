@@ -2,16 +2,18 @@
 whole-library oracle tests. Each one compares every pair of shapes on a
 layer, so it shares no neighbour search with the program. Also the
 per-shape ``transform_rect`` flatten that ``flatten`` must equal, the
-linear-scan first-fit floorplan that ``plan_floorplan`` must equal, and
-the eager column walk that a case's derived seams must equal."""
+BFS from every node that ``color_decompose`` must equal, the linear-scan
+first-fit floorplan that ``plan_floorplan`` must equal, and the eager
+column walk that a case's derived seams must equal."""
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import replace
 from typing import NamedTuple
 
 from seamcheck import (
     CaseKind,
     ConflictGraph,
+    DecomposeResult,
     DptOption,
     FlatLayout,
     FlatShape,
@@ -31,6 +33,7 @@ from seamcheck import (
     transform_rect,
     union_all,
 )
+from seamcheck.checks import _other, _witness_cycle
 from seamcheck.floorplan import (DEFAULT_MAX_ROW_WIDTH, _round_up,
                                  plan_library)
 
@@ -235,6 +238,51 @@ def brute_recolour(layout, rules):
     return layout, odd, dict(recolor)
 
 
+def reference_color_decompose(graph):
+    """Two-colouring by BFS from every node in ascending order, edgeless
+    nodes included, over an adjacency list of every node. Reads
+    ``node_bbox`` only for the nodes of an odd cycle."""
+    adj = {n: [] for n in graph.nodes}
+    for u, v in graph.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for lst in adj.values():
+        lst.sort()
+    color, parent, depth, odd = {}, {}, {}, []
+    for start in sorted(graph.nodes):
+        if start in color:
+            continue
+        color[start] = Mask.E1
+        parent[start] = None
+        depth[start] = 0
+        queue = deque([start])
+        component_odd = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in color:
+                    color[v] = _other(color[u])
+                    parent[v] = u
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+                elif color[v] is color[u] and not component_odd:
+                    component_odd = True
+                    cycle = _witness_cycle(u, v, parent, depth)
+                    bbox = graph.node_bbox[cycle[0]]
+                    sids = []
+                    for n in cycle:
+                        bbox = bbox.union(graph.node_bbox[n])
+                        sids.extend(graph.nodes[n])
+                    odd.append(Violation(ViolationKind.ODD_CYCLE, graph.layer,
+                                         bbox, tuple(sorted(sids))))
+    if odd:
+        odd.sort(key=Violation.sort_key)
+        return DecomposeResult(None, odd)
+    return DecomposeResult({sid: color[root]
+                            for root, sids in graph.nodes.items()
+                            for sid in sids}, [])
+
+
 def reference_run_all(library, rules, option):
     """``run_all``'s violations and recolour counts from a full flatten
     (``reference_flatten``) of every case and the all-pairs checkers
@@ -264,8 +312,8 @@ def reference_run_all(library, rules, option):
 
 def linear_floorplan(cases, rules, max_row_width):
     """First-fit shelf packing by scanning every shelf for every case:
-    the first shelf, in creation order, tall enough and with room, else a
-    new shelf as tall as the case."""
+    the first shelf, in creation order, of the case's row count and with
+    room, else a new shelf as tall as the case."""
     gap = _round_up(max(2 * rules.interaction_distance, rules.site_width),
                     rules.site_width)
     shelves = []  # [row_start, height_rows, next_x]
@@ -273,7 +321,7 @@ def linear_floorplan(cases, rules, max_row_width):
     positions = []
     for case in cases:
         for shelf in shelves:
-            if (case.height_rows <= shelf[1]
+            if (case.height_rows == shelf[1]
                     and shelf[2] + case.width <= max_row_width):
                 positions.append((shelf[0], shelf[2]))
                 shelf[2] += case.width + gap

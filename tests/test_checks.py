@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seamcheck import (
     ConflictGraph,
@@ -32,10 +33,11 @@ from seamcheck import (
     parse_rules,
     run_all,
     sweep_neighbours,
+    union_all,
 )
 
 from brute import (ORACLE_DECK, brute_conflict_edges, brute_hotspots,
-                   brute_spacing)
+                   brute_spacing, reference_color_decompose)
 from conftest import PIN_ONLY_LEF, read_testdata
 
 OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
@@ -191,6 +193,17 @@ class TestConflictGraph:
         with pytest.raises(ValueError):
             conflict_graph(layout, RULES, "M9")
 
+    def test_node_bbox_covers_only_nodes_with_an_edge(self):
+        # A touching pair (one node) 40 from a bar, and a far bar alone.
+        layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
+                           ("M1", Mask.E1, Rect(40, 0, 80, 200)),
+                           ("M1", Mask.E1, Rect(120, 0, 160, 400)),
+                           ("M1", Mask.E1, Rect(1000, 0, 1040, 400)))
+        graph = conflict_graph(layout, RULES, "M1")
+        assert sorted(graph.nodes) == [0, 2, 3]
+        assert graph.node_bbox == {0: Rect(0, 0, 80, 400),
+                                   2: Rect(120, 0, 160, 400)}
+
 
 def synthetic_graph(nodes, edges):
     return ConflictGraph(
@@ -211,7 +224,47 @@ def oracle_two_colorable(nodes, edges):
     return False
 
 
+@st.composite
+def conflict_graphs(draw):
+    """Graphs on sparse node ids with one to three members per node:
+    planted cycles of length 3 to 7 (odd and even), random chords, and
+    nodes that no edge reaches. Only nodes with an edge get a bbox, as
+    ``build_conflict_graph`` gives them."""
+    roots = sorted(draw(st.sets(st.integers(0, 40), max_size=14)))
+    edges = set()
+    if len(roots) >= 3:
+        node = st.sampled_from(roots)
+        cycles = st.lists(node, min_size=3, max_size=min(7, len(roots)),
+                          unique=True)
+        for cycle in draw(st.lists(cycles, max_size=3)):
+            edges |= {(min(u, v), max(u, v))
+                      for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+        edges |= {(min(u, v), max(u, v))
+                  for u, v in draw(st.lists(st.tuples(node, node),
+                                            max_size=8)) if u != v}
+    nodes = {n: tuple(range(100 * n, 100 * n + draw(st.integers(1, 3))))
+             for n in roots}
+    linked = {n for edge in edges for n in edge}
+    return ConflictGraph("M1", nodes, frozenset(edges),
+                         {n: Rect(0, 10 * n, 10 + n, 10 * n + 10)
+                          for n in linked})
+
+
 class TestColorDecompose:
+    @settings(max_examples=300, deadline=None)
+    @given(conflict_graphs())
+    def test_matches_bfs_from_every_node(self, graph):
+        got = color_decompose(graph)
+        expect = reference_color_decompose(graph)
+        assert got.assignment == expect.assignment
+        assert got.odd_cycles == expect.odd_cycles
+
+    def test_edgeless_nodes_take_first_mask_without_adjacency(self):
+        graph = synthetic_graph([0, 3, 4, 9], [(3, 9)])
+        assert sorted(graph.adjacency()) == [3, 9]
+        assert color_decompose(graph).assignment == {
+            0: Mask.E1, 3: Mask.E1, 4: Mask.E1, 9: Mask.E2}
+
     def test_path_alternates_from_smallest_root(self):
         graph = synthetic_graph([0, 1, 2], [(0, 1), (1, 2)])
         result = color_decompose(graph)
@@ -291,6 +344,20 @@ class TestApplyColors:
                            ("M1", Mask.E1, Rect(80, 0, 120, 400)))
         with pytest.raises(IncompleteAssignmentError):
             apply_colors(layout, {0: Mask.E2}, ["M1"])
+
+    def test_shapes_whose_mask_stays_are_the_same_objects(self):
+        layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
+                           ("M1", Mask.E2, Rect(80, 0, 120, 400)),
+                           ("M1", Mask.NONE, Rect(160, 0, 200, 400)),
+                           ("M2", Mask.E1, Rect(0, 0, 40, 400)))
+        recolored = apply_colors(
+            layout, {0: Mask.E1, 1: Mask.E1, 2: Mask.E2, 3: Mask.E2}, ["M1"])
+        same = [new is old
+                for new, old in zip(recolored.shapes, layout.shapes)]
+        assert same == [True, False, False, True]
+        assert [s.mask for s in recolored.shapes] == [
+            Mask.E1, Mask.E1, Mask.E2, Mask.E1]
+        assert recolored.shape(1) == layout.shape(1)._replace(mask=Mask.E1)
 
 
 QUAD = HotspotPattern(name="quad", layer="M1",
@@ -464,6 +531,10 @@ class TestSharedSweepOracle:
                 assert graph.edges == edges
                 assert {sid: root for root, sids in graph.nodes.items()
                         for sid in sids} == comp
+                # Only a node with an edge gets a bounding box.
+                assert graph.node_bbox == {
+                    n: union_all(layout.shape(s).rect for s in graph.nodes[n])
+                    for edge in edges for n in edge}
                 seen["edges"] += len(edges)
             got = match_hotspots(layout, ORACLE_DECK, neighbours)
             assert got == brute_hotspots(layout, ORACLE_DECK)

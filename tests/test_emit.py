@@ -431,11 +431,12 @@ class TestFirstFitOracle:
         # both and takes the first, emptier one.
         ([Box(400, 1), Box(700, 1), Box(100, 1)],
          ((0, 0), (1, 0), (0, 528))),
-        # A two-row case never goes into a one-row shelf, however empty;
-        # a one-row case may go into the two-row shelf.
+        # A case goes only into a shelf of its own row count, however
+        # empty the others: a two-row case never into a one-row shelf,
+        # nor a one-row case into a two-row shelf.
         ([Box(100, 1), Box(100, 2), Box(100, 1)],
          ((0, 0), (1, 0), (0, 228))),
-        ([Box(100, 2), Box(100, 1)], ((0, 0), (0, 228))),
+        ([Box(100, 2), Box(100, 1)], ((0, 0), (2, 0))),
     ])
     def test_fixed_sequences(self, boxes, positions):
         plan = plan_floorplan(boxes, self.RULES, 1000)
