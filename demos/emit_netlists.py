@@ -20,7 +20,7 @@ def main() -> None:
           f"with case gap {floorplan.case_gap} dbu")
 
     verilog = emit_verilog(cases)
-    def_text = emit_def(cases, library, floorplan)
+    def_text = emit_def(cases, floorplan)
 
     OUT.mkdir(exist_ok=True)
     (OUT / "cases.v").write_text(verilog)

@@ -36,8 +36,7 @@ def main() -> None:
         ("U1", cell, 0, 0, Orientation.R0),
         ("U2", cell, width, 0, Orientation.MY),
     ]
-    die = Rect(0, 0, 2 * width, library.row_height)
-    layout = flatten(rows, die)
+    layout = flatten(rows)
 
     print(f"\nflattened {name} | {name}(MY): {len(layout.shapes)} shapes "
           f"on layers {layout.layers()}")

@@ -13,13 +13,12 @@ from .checks import (ConflictGraph, DecomposeResult, DptOption,
                      sweep_neighbours)
 from .defio import DefDesign, emit_def, parse_def, render_def, write_def
 from .errors import (CaseTooWideError, DuplicateCellError,
-                     IncompleteAssignmentError, InconsistentSpacingError,
-                     MissingLayerRuleError, NameCollisionError,
+                     InconsistentSpacingError, MissingLayerRuleError,
                      NonIntegerHeightError, ParseError,
                      ShapeOutOfBoundsError)
 from .floorplan import Floorplan, plan_floorplan, plan_library
 from .geometry import (FlatLayout, FlatShape, Mask, Orientation, ParallelRun,
-                       Rect, UnknownCellRefError, UnknownOrientationCodeError,
+                       Rect, UnknownOrientationCodeError,
                        connected_components, flatten, parallel_runs,
                        rects_touch, run_between, transform_rect, union_all)
 from .library import (CellLibrary, CellProfile, ColoredRect, DBU_PER_MICRON,

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .abutment import AbutmentCase, instance_path
-from .errors import IncompleteAssignmentError
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
 from .geometry import (FlatLayout, Mask, Orientation, ParallelRun, Rect,
                        connected_components, flatten, parallel_runs,
@@ -175,9 +174,11 @@ def build_conflict_graph(layout: FlatLayout, rules: RuleDeck, layer: str,
                          neighbours: Mapping[str, LayerNeighbours]
                          ) -> ConflictGraph:
     """The conflict graph of DPT ``layer``: one node per touch component
-    of ``neighbours``, one edge per pair of components joined by a run
-    below the same-mask minimum. ``node_bbox`` holds the bounding box of
-    each node that has an edge, and of no other node."""
+    of ``neighbours``, so the nodes hold every shape on the layer, and one
+    edge per pair of components joined by a run below the same-mask
+    minimum. ``node_bbox`` holds the bounding box of each node that has
+    an edge, and of no other node. A layer outside ``rules.dpt_layers``
+    raises ValueError."""
     rule = rules.layer_rule(layer)
     if rule is None or not rule.dpt:
         raise ValueError(f"layer {layer} is not a DPT layer")
@@ -280,19 +281,16 @@ def color_decompose(graph: ConflictGraph) -> DecomposeResult:
 
 def apply_colors(layout: FlatLayout, assignment: Mapping[int, Mask],
                  layers) -> FlatLayout:
-    """Overwrite the masks of every shape on the given layers. The
-    assignment must cover them all; other layers are untouched. A shape
-    whose mask the assignment keeps is the same object in the result, so
-    ``is`` tells which shapes changed."""
-    missing = [s.shape_id for layer in layers for s in layout.shapes_on(layer)
-               if s.shape_id not in assignment]
-    if missing:
-        raise IncompleteAssignmentError(
-            f"assignment misses shapes {missing[:8]} on layers {list(layers)}")
+    """Overwrite the masks of every shape on the given layers; other layers
+    are untouched. The assignment covers every shape on them: a feasible
+    ``color_decompose`` result assigns each member of every node of the
+    layer's graph, and those nodes are the layer's touch components. A
+    shape whose mask the assignment keeps is the same object in the
+    result, so ``is`` tells which shapes changed."""
     shapes = [s if s.layer not in layers or assignment[s.shape_id] is s.mask
               else s._replace(mask=assignment[s.shape_id])
               for s in layout.shapes]
-    return FlatLayout(layout.die_area, shapes)
+    return FlatLayout(shapes)
 
 
 def match_hotspots(layout: FlatLayout, rules: RuleDeck,
@@ -380,23 +378,20 @@ class VerificationResult:
                    if v.kind is ViolationKind.HOTSPOT)
 
 
-def _flat_case(case: AbutmentCase, origin: tuple[int, int],
-               die_area: Rect) -> FlatLayout:
+def _flat_case(case: AbutmentCase, origin: tuple[int, int]) -> FlatLayout:
     """A whole case flattened with the case at ``origin``: the rows of
     ``AbutmentCase.instances``, each instance named <module>/<instance>.
     Shape ids are case-local and reproducible."""
     module = case.module_name
     return flatten([(instance_path(module, name), cell, x, y, o)
-                    for name, cell, x, y, o in case.instances(origin)],
-                   die_area)
+                    for name, cell, x, y, o in case.instances(origin)])
 
 
 def case_layout(case_index: int, cases, floorplan: Floorplan,
                 rules: RuleDeck, option: DptOption) -> FlatLayout:
     """Flatten one case at its floorplan position (``_flat_case``),
     recolored when running Option II."""
-    layout = _flat_case(cases[case_index], floorplan.origin_of(case_index),
-                        floorplan.die_area)
+    layout = _flat_case(cases[case_index], floorplan.origin_of(case_index))
     if option is DptOption.OPTION_II:
         layout, _, _ = _recolour(layout, rules,
                                  sweep_neighbours(layout, rules))
@@ -444,17 +439,17 @@ def _check_layout(layout: FlatLayout, rules: RuleDeck, option: DptOption
 
 
 def _isolated(cell: CellProfile, rules: RuleDeck) -> bool:
-    """True when every shape of ``cell`` lies inside its outline and every
-    shape on a layer with a ``RuleDeck.reach`` lies more than half that
-    reach inside it. Two isolated instances whose interiors do not overlap
-    are then more than the reach apart on their separating axis, so no
-    check pairs shapes across them. The margins hold in every
-    orientation."""
+    """True when every shape of ``cell`` on a layer with a
+    ``RuleDeck.reach`` lies more than half that reach inside its outline
+    (``parse_library`` keeps every shape inside it). Two isolated
+    instances whose interiors do not overlap are then more than the reach
+    apart on their separating axis, so no check pairs shapes across them.
+    The margins hold in every orientation."""
     for s in cell.shapes:
         x1, y1, x2, y2 = s.rect
         margin = min(x1, y1, cell.width - x2, cell.height - y2)
         reach = rules.reach(s.layer)
-        if margin < 0 or (reach is not None and 2 * margin <= reach):
+        if reach is not None and 2 * margin <= reach:
             return False
     return True
 
@@ -468,8 +463,7 @@ def _alone(cell: CellProfile, rules: RuleDeck, option: DptOption):
     only ids and edges, so the result holds in every orientation."""
     if not _isolated(cell, rules):
         return None
-    layout = flatten([(cell.name, cell, 0, 0, Orientation.R0)],
-                     Rect(0, 0, cell.width, cell.height))
+    layout = flatten([(cell.name, cell, 0, 0, Orientation.R0)])
     found, recolor = _check_layout(layout, rules, option)
     if found:
         return None
@@ -506,8 +500,7 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
                 (instance_path(case.module_name, name), counts[slot])
                 for name, slot, _, _, _ in case.pattern if counts[slot])
             continue
-        layout = _flat_case(case, floorplan.origin_of(idx),
-                            floorplan.die_area)
+        layout = _flat_case(case, floorplan.origin_of(idx))
         found, case_recolor = _check_layout(layout, rules, option)
         violations.extend(Violation(v.kind, v.layer, v.bbox, v.shape_ids,
                                     v.pattern_name, idx) for v in found)

@@ -237,7 +237,7 @@ def cmd_generate(args) -> int:
             with create(f"testcases_{lib.name}.v") as fh:
                 netlist.write_verilog(fh, cases)
             with create(f"testcases_{lib.name}.def") as fh:
-                defio.write_def(fh, cases, lib, fp)
+                defio.write_def(fh, cases, fp)
             stats = profile(lib)
             placements = placement_count(cases)
             expected = (expected_count(stats.n_single, "proposed")
@@ -408,6 +408,9 @@ def cmd_report(args) -> int:
         raise ValueError(f"no results.json under {out_dir}; run verify first")
     payload = _read_results(results_path)
     svg_cap = opt.integer("svg_cap", 50)
+    if svg_cap < 0:
+        raise ValueError(f"option svg_cap must be a non-negative integer, "
+                         f"not {svg_cap}")
     margin = 200
 
     rules = _load_rules(opt.path("rules", payload.get("rules"),

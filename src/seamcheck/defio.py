@@ -14,7 +14,9 @@ Emitted files carry exactly the placement data the testcases need:
 write_def() streams a case list's DEF to a file, one case at a time,
 formatting each line from the case's placed instances, with the count
 taken from the patterns up front; emit_def() returns the same text as a
-string, and render_def() formats any placements.
+string, and render_def() formats any placements. Emission checks
+nothing: a case carries its cells, ``enumerate_library`` makes module
+names unique, and ``plan_floorplan`` places every case inside the die.
 parse_def() inverts emission exactly: integers are canonical (no leading
 zeros, no ``-0``), so re-emitting a parsed design reproduces the original
 bytes.
@@ -30,9 +32,8 @@ from typing import TextIO
 from .abutment import AbutmentCase, Placement, placement_count
 from .errors import ParseError
 from .floorplan import Floorplan
-from .geometry import Orientation, Rect, UnknownCellRefError
-from .library import CellLibrary, _Parser, _tokenize
-from .netlist import module_names
+from .geometry import Orientation, Rect
+from .library import _Parser, _tokenize
 
 _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 
@@ -64,23 +65,14 @@ def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
     return _header(len(lines), die_area, design) + "".join(lines) + _TRAILER
 
 
-def write_def(out: TextIO, cases: list[AbutmentCase], library: CellLibrary,
+def write_def(out: TextIO, cases: list[AbutmentCase],
               floorplan: Floorplan) -> None:
     """Write the placed-design DEF of the case list under the given
     floorplan to ``out``, one case at a time. Each component line is
     formatted from an instance of the case placed at its die origin
-    (``AbutmentCase.instances``). A name collision raises before anything
-    is written; a cell the library lacks raises before the first line of
-    the first case that names it."""
-    module_names(cases)
+    (``AbutmentCase.instances``) and names the instance's cell."""
     out.write(_header(placement_count(cases), floorplan.die_area, "TOP"))
-    known: set[str] = set()
     for idx, case in enumerate(cases):
-        for cell in case.cells:
-            if cell.name not in known:
-                if cell.name not in library:
-                    raise UnknownCellRefError(cell.name)
-                known.add(cell.name)
         prefix = f"- {case.module_name}/"
         out.write("".join([
             f"{prefix}{instance} {cell.name} + PLACED ( {x} {y} ) "
@@ -90,12 +82,11 @@ def write_def(out: TextIO, cases: list[AbutmentCase], library: CellLibrary,
     out.write(_TRAILER)
 
 
-def emit_def(cases: list[AbutmentCase], library: CellLibrary,
-             floorplan: Floorplan) -> str:
+def emit_def(cases: list[AbutmentCase], floorplan: Floorplan) -> str:
     """Placed-design DEF text for the case list under the given
     floorplan: what write_def() writes."""
     out = io.StringIO()
-    write_def(out, cases, library, floorplan)
+    write_def(out, cases, floorplan)
     return out.getvalue()
 
 

@@ -39,11 +39,3 @@ class InconsistentSpacingError(ValueError):
 
 class CaseTooWideError(ValueError):
     """A testcase is wider than the floorplan row limit."""
-
-
-class NameCollisionError(ValueError):
-    """Two distinct cases sanitize to the same module name."""
-
-
-class IncompleteAssignmentError(ValueError):
-    """A mask assignment does not cover every shape it must color."""

@@ -96,7 +96,11 @@ def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
     case needs; a later case fits into the first shelf, in creation order,
     of its own row count with width to spare, else it opens a new shelf.
     A case never enters a taller shelf. Raises CaseTooWide if a case
-    exceeds max_row_width."""
+    exceeds max_row_width. The die spans every opened row and the right
+    edge of every case, so each case placed at ``origin_of`` lies inside
+    ``die_area``, and so does every shape of it: ``parse_library`` keeps
+    each shape inside its cell's outline. ``flatten`` and ``write_def``
+    rely on this and do not test it."""
     gap = _round_up(max(2 * rules.interaction_distance, rules.site_width),
                     rules.site_width)
     classes: dict[int, _ShelfClass] = {}  # shelf height in rows -> shelves

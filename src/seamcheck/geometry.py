@@ -130,10 +130,6 @@ class UnknownOrientationCodeError(ValueError):
     """DEF orientation code outside the supported N/S/FN/FS set."""
 
 
-class UnknownCellRefError(KeyError):
-    """A placement references a cell that is not in the library."""
-
-
 def transform_rect(rect: Rect, cell_w: int, cell_h: int,
                    orientation: Orientation,
                    origin: tuple[int, int] = (0, 0)) -> Rect:
@@ -201,10 +197,10 @@ def rects_touch(a: Rect, b: Rect) -> bool:
 
 class FlatLayout:
     """Immutable flattened view of placed cell geometry, grouped by layer.
-    Queries are read-only."""
+    Queries are read-only. It holds shapes only: the die they sit on
+    belongs to the ``Floorplan``."""
 
-    def __init__(self, die_area: Rect, shapes: list[FlatShape]):
-        self.die_area = die_area
+    def __init__(self, shapes: list[FlatShape]):
         self.shapes = shapes
         self._by_layer: dict[str, list[FlatShape]] = defaultdict(list)
         for s in shapes:
@@ -243,31 +239,28 @@ class FlatLayout:
         return pairs
 
 
-def flatten(instances, die_area: Rect) -> FlatLayout:
+def flatten(instances) -> FlatLayout:
     """Instantiate the colored shapes of every instance row into die
     coordinates. A row is (instance name, cell, x, y, orientation), as
     ``AbutmentCase.instances`` yields it: each shape of the cell's table
     for the orientation (``CellProfile.oriented``, transformed once per
     cell) moved by (x, y). Shape ids run in row order, then cell shape
     order, so flattening is deterministic regardless of execution
-    strategy. A shape that leaves ``die_area`` raises ValueError. This
-    runs once per shape of every checked case, so each ``Rect`` and
-    ``FlatShape`` is built straight from its field tuple."""
+    strategy. No shape is tested against a die: ``parse_library`` keeps
+    every shape inside its cell's outline, and ``plan_floorplan`` keeps
+    every placed case inside its die. This runs once per shape of every
+    checked case, so each ``Rect`` and ``FlatShape`` is built straight
+    from its field tuple."""
     flat: list[FlatShape] = []
-    die_x1, die_y1, die_x2, die_y2 = die_area
     # tuple.__new__ builds each namedtuple without the Python frame of its
     # generated __new__; the fields are the same, in the same order.
     new = tuple.__new__
     for name, cell, ox, oy, orientation in instances:
         for layer, mask, (x1, y1, x2, y2) in cell.oriented[orientation]:
-            x1, y1, x2, y2 = x1 + ox, y1 + oy, x2 + ox, y2 + oy
-            if x1 < die_x1 or y1 < die_y1 or x2 > die_x2 or y2 > die_y2:
-                raise ValueError(f"shape of {name} at "
-                                 f"{Rect(x1, y1, x2, y2)} leaves die "
-                                 f"{die_area}")
-            flat.append(new(FlatShape, (len(flat), layer, mask,
-                                        new(Rect, (x1, y1, x2, y2)), name)))
-    return FlatLayout(die_area, flat)
+            flat.append(new(FlatShape, (
+                len(flat), layer, mask,
+                new(Rect, (x1 + ox, y1 + oy, x2 + ox, y2 + oy)), name)))
+    return FlatLayout(flat)
 
 
 def parallel_runs(pairs: Iterable[tuple[FlatShape, FlatShape]],

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (DuplicateCellError, NonIntegerHeightError, ParseError,
@@ -76,19 +76,6 @@ class CellLibrary:
     row_height: int
     site_width: int
     cells: tuple[CellProfile, ...]
-    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {c.name: c for c in self.cells})
-
-    def cell(self, name: str) -> CellProfile:
-        return self._by_name[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __len__(self) -> int:
-        return len(self.cells)
 
 
 @dataclass(frozen=True)

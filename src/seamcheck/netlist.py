@@ -6,7 +6,8 @@ instances are emitted unconnected: ``<CELL> U1 ();``. A cell name that
 is not a simple Verilog identifier, or is a reserved word, is written
 escaped: ``\\AND2-X1 U1 ();``, ``\\module U1 ();``. write_verilog()
 streams the text to a file one module at a time; emit_verilog() returns
-it as a string.
+it as a string. Module names are the cases' own: ``enumerate_library``
+makes them unique.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import re
 from typing import TextIO
 
 from .abutment import AbutmentCase
-from .errors import NameCollisionError
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 # Reserved words of IEEE 1364-2005 (Annex B).
@@ -37,27 +37,11 @@ vectored wait wand weak0 weak1 while wire wor xnor xor
 """.split())
 
 
-def module_names(cases) -> list[str]:
-    """Module name per case; raises on collisions."""
-    names = [case.module_name for case in cases]
-    if len(set(names)) < len(names):
-        seen: dict[str, int] = {}
-        for idx, name in enumerate(names):
-            if name in seen:
-                raise NameCollisionError(
-                    f"cases #{seen[name]} and #{idx} both sanitize to module "
-                    f"{name!r}")
-            seen[name] = idx
-    return names
-
-
 def write_verilog(out: TextIO, cases: list[AbutmentCase]) -> None:
     """Write the netlist of the case list to ``out``, one module at a
-    time, each module body from its case's instance pattern. A name
-    collision raises before anything is written."""
-    names = module_names(cases)
+    time, each module body from its case's instance pattern."""
     refs: dict[str, str] = {}  # cell name -> its Verilog reference
-    for case, name in zip(cases, names):
+    for case in cases:
         cell_refs = []
         for cell in case.cells:
             ref = refs.get(cell.name)
@@ -66,13 +50,13 @@ def write_verilog(out: TextIO, cases: list[AbutmentCase]) -> None:
                     cell.name if _IDENTIFIER.fullmatch(cell.name)
                     and cell.name not in _KEYWORDS else "\\" + cell.name)
             cell_refs.append(ref)
-        out.write(f"module {name} ();\n")
+        out.write(f"module {case.module_name} ();\n")
         out.write("".join([f"  {cell_refs[slot]} {instance} ();\n"
                            for instance, slot, _, _, _ in case.pattern]))
         out.write("endmodule\n\n")
     out.write("module TOP ();\n")
-    for name in names:
-        out.write(f"  {name} {name} ();\n")
+    for case in cases:
+        out.write(f"  {case.module_name} {case.module_name} ();\n")
     out.write("endmodule\n")
 
 

@@ -26,7 +26,6 @@ from seamcheck import (
     Rect,
     RuleDeck,
     Seam,
-    UnknownCellRefError,
     Violation,
     ViolationKind,
     color_decompose,
@@ -50,25 +49,19 @@ ORACLE_DECK = RuleDeck(
         HotspotPattern("tri", "M3", (Mask.E2, Mask.E1, Mask.E2), 64, 40)))
 
 
-def reference_flatten(cells, placements, die_area):
+def reference_flatten(cells, placements):
     """``flatten`` by transforming every shape of every placement on its
     own, with no per-cell table: shape ids in placement order, then cell
-    shape order; a shape that leaves the die raises ValueError."""
+    shape order. ``cells`` maps a cell name to its profile."""
     flat = []
     for p in placements:
-        try:
-            cell = cells[p.cell_ref]
-        except KeyError:
-            raise UnknownCellRefError(p.cell_ref) from None
+        cell = cells[p.cell_ref]
         for shape in cell.shapes:
             rect = transform_rect(shape.rect, cell.width, cell.height,
                                   p.orientation, p.origin)
-            if not die_area.contains(rect):
-                raise ValueError(
-                    f"shape of {p.instance_name} at {rect} leaves die {die_area}")
             flat.append(FlatShape(len(flat), shape.layer, shape.mask, rect,
                                   p.instance_name))
-    return FlatLayout(die_area, flat)
+    return FlatLayout(flat)
 
 
 def brute_run(a: Rect, b: Rect):
@@ -234,7 +227,7 @@ def brute_recolour(layout, rules):
                 recolor[s.source_instance] += 1
                 s = s._replace(mask=result.assignment[s.shape_id])
             recoloured.append(s)
-        layout = FlatLayout(layout.die_area, recoloured)
+        layout = FlatLayout(recoloured)
     return layout, odd, dict(recolor)
 
 
@@ -289,6 +282,7 @@ def reference_run_all(library, rules, option):
     above. Each case's die placements are its own placements moved by
     its floorplan origin and named <module>/<instance>."""
     cases, floorplan = plan_library(library, rules, DEFAULT_MAX_ROW_WIDTH)
+    cells = {c.name: c for c in library.cells}
     violations, recolor = [], {}
     for idx, case in enumerate(cases):
         ox, oy = floorplan.origin_of(idx)
@@ -296,8 +290,7 @@ def reference_run_all(library, rules, option):
                             p.cell_ref, (p.origin[0] + ox, p.origin[1] + oy),
                             p.orientation)
                   for p in case.placements]
-        layout = reference_flatten(library._by_name, placed,
-                                   floorplan.die_area)
+        layout = reference_flatten(cells, placed)
         found = []
         if option is DptOption.OPTION_II:
             layout, found, case_recolor = brute_recolour(layout, rules)

@@ -15,7 +15,7 @@ import types
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seamcheck import (
     CaseKind,
@@ -277,7 +277,7 @@ class TestDerivedSeams:
                          (p.origin[0] + ox, p.origin[1] + oy), p.orientation)
                for idx, (case, w) in enumerate(zip(cases, want))
                for ox, oy in [plan.origin_of(idx)] for p in w.placements]
-        assert emit_def(cases, lib, plan) == render_def(die, plan.die_area)
+        assert emit_def(cases, plan) == render_def(die, plan.die_area)
 
         def ref(name):
             plain = (re.fullmatch(r"[A-Za-z_][A-Za-z0-9_$]*", name)
@@ -382,6 +382,9 @@ class TestEnumerateLibrary:
                                       max_size=4),
                               st.booleans()),
                     min_size=1, max_size=6, unique_by=lambda c: c[0]))
+    # X_Y_2 is both a name and the suffixed name of the second X_Y clash.
+    @example([("X-Y", False), ("X_Y", False), ("X_Y_2", False),
+              ("9A", False), ("c9A", False)])
     def test_module_names_unique(self, spec):
         lib = named_library([name for name, _ in spec],
                             multi={name for name, multi in spec if multi})

@@ -164,7 +164,7 @@ def test_acceptance_4_geometry_invariants():
             FlatShape(i, "M1", Mask.E1, rnd_rect(8000, 400), "U1")
             for i in range(2500)
         )
-        layout = FlatLayout(Rect(0, 0, 8600, 8600), shapes)
+        layout = FlatLayout(shapes)
         for _ in range(1000):
             win = rnd_rect(8000, 900)
             expect = {s.shape_id for s in shapes
@@ -176,7 +176,7 @@ def test_acceptance_4_geometry_invariants():
             FlatShape(i, "M1", Mask.E1, rnd_rect(3000, 300), "U1")
             for i in range(500)
         )
-        slayout = FlatLayout(Rect(0, 0, 3400, 3400), small)
+        slayout = FlatLayout(small)
         got = {(r.shape_a, r.shape_b, r.spacing, r.run_length, r.axis)
                for r in parallel_runs(slayout.near_pairs("M1", 120), 120)}
         expect = set()
@@ -233,7 +233,7 @@ def test_acceptance_5_color_decomposition():
                 x += 32 + rng.randrange(33, 97)
                 specs.append(FlatShape(len(specs), "M1", Mask.E1,
                                        Rect(x, 0, x + 32, 400), "U1"))
-            layout = FlatLayout(Rect(0, 0, x + 500, 500), tuple(specs))
+            layout = FlatLayout(tuple(specs))
             neighbours = sweep_neighbours(layout, rules)
             graph = build_conflict_graph(layout, rules, "M1", neighbours)
             result = color_decompose(graph)
@@ -311,7 +311,7 @@ def test_acceptance_6_hotspot_detection():
             shapes = tuple(
                 FlatShape(i, "M1", m, Rect(sx, lo, sx + 32, hi), "U1")
                 for i, (sx, lo, hi, m) in enumerate(specs))
-            layout = FlatLayout(Rect(0, 0, x + 2000, 2000), shapes)
+            layout = FlatLayout(shapes)
             vios = match_hotspots(layout, deck, sweep_neighbours(layout, deck))
             assert len(vios) == planted, (planted, len(vios))
             assert all(v.pattern_name == "quad" for v in vios)
@@ -333,7 +333,7 @@ def test_acceptance_7_roundtrip_determinism(tmp_path):
                                   rng.randrange(1, len(cases) + 1))
                 cases = [cases[i] for i in sorted(keep)]
             plan = plan_floorplan(cases, rules)
-            text = emit_def(cases, lib, plan)
+            text = emit_def(cases, plan)
             design = parse_def(text)
             assert design.die_area == plan.die_area
             assert len(design.placements) == sum(

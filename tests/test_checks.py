@@ -19,7 +19,6 @@ from seamcheck import (
     FlatLayout,
     FlatShape,
     HotspotPattern,
-    IncompleteAssignmentError,
     Mask,
     Rect,
     ViolationKind,
@@ -60,11 +59,10 @@ def hotspots(layout, *patterns):
     return match_hotspots(layout, rules, sweep_neighbours(layout, rules))
 
 
-def layout_of(*shapes, die=Rect(0, 0, 4000, 4000)):
+def layout_of(*shapes):
     """shapes: (layer, mask, rect) triples."""
-    flat = tuple(FlatShape(i, layer, mask, rect, f"U{i + 1}")
-                 for i, (layer, mask, rect) in enumerate(shapes))
-    return FlatLayout(die, flat)
+    return FlatLayout(tuple(FlatShape(i, layer, mask, rect, f"U{i + 1}")
+                            for i, (layer, mask, rect) in enumerate(shapes)))
 
 
 class TestWidth:
@@ -258,6 +256,11 @@ class TestColorDecompose:
         expect = reference_color_decompose(graph)
         assert got.assignment == expect.assignment
         assert got.odd_cycles == expect.odd_cycles
+        # A feasible assignment colours every member of every node, so
+        # ``apply_colors`` needs no coverage check.
+        if got.feasible:
+            assert sorted(got.assignment) == sorted(
+                sid for sids in graph.nodes.values() for sid in sids)
 
     def test_edgeless_nodes_take_first_mask_without_adjacency(self):
         graph = synthetic_graph([0, 3, 4, 9], [(3, 9)])
@@ -338,12 +341,6 @@ class TestApplyColors:
         assert recolored.shape(0).mask is Mask.E2
         assert recolored.shape(1).mask is Mask.E2
         assert recolored.shape(1).rect == layout.shape(1).rect
-
-    def test_incomplete_assignment_rejected(self):
-        layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
-                           ("M1", Mask.E1, Rect(80, 0, 120, 400)))
-        with pytest.raises(IncompleteAssignmentError):
-            apply_colors(layout, {0: Mask.E2}, ["M1"])
 
     def test_shapes_whose_mask_stays_are_the_same_objects(self):
         layout = layout_of(("M1", Mask.E1, Rect(0, 0, 40, 400)),
@@ -455,7 +452,7 @@ class TestHotspots:
             for _ in range(10):
                 spec.extend(alternating(x, [48, rng.choice((51, 60)), 48]))
                 x += 1000
-            layout = layout_of(*spec, die=Rect(0, 0, x + 1000, 4000))
+            layout = layout_of(*spec)
             assert len(hotspots(layout, QUAD)) == k
 
     @staticmethod
@@ -507,7 +504,7 @@ def random_bar_layout(rng, groups=8):
             specs.append((layer, mask, r))
             mask = Mask.E2 if mask is Mask.E1 else Mask.E1
             x += w + rng.choice(gaps)
-    return layout_of(*specs, die=Rect(0, 0, 2500, 2500))
+    return layout_of(*specs)
 
 
 class TestSharedSweepOracle:
@@ -531,6 +528,10 @@ class TestSharedSweepOracle:
                 assert graph.edges == edges
                 assert {sid: root for root, sids in graph.nodes.items()
                         for sid in sids} == comp
+                # The nodes cover every shape of the layer once.
+                assert sorted(sid for sids in graph.nodes.values()
+                              for sid in sids) == [
+                    s.shape_id for s in layout.shapes_on("M1")]
                 # Only a node with an edge gets a bounding box.
                 assert graph.node_bbox == {
                     n: union_all(layout.shape(s).rect for s in graph.nodes[n])
@@ -601,7 +602,7 @@ class TestRunAll:
 
     def test_bare_port_without_twin_is_uncoloured(self, demo_rules):
         lib = parse_library(PIN_ONLY_LEF.replace("LAYER M1_E1", "LAYER M1"))
-        assert [s.mask for s in lib.cell("PINV").shapes] == [Mask.NONE]
+        assert [s.mask for s in lib.cells[0].shapes] == [Mask.NONE]
         kinds = Counter(v.kind for v in run_all(lib, demo_rules,
                                                 OPT_I).violations)
         assert kinds[ViolationKind.COLOR_MISSING] > 0

@@ -628,6 +628,24 @@ class TestReport:
         assert run(["report", "--out", str(out), "--svg-cap", "0"]) == 0
         assert not (out / "svg").exists()
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_cap_exits_two_and_keeps_the_svgs(self, tmp_path,
+                                                       capsys, via_config):
+        out = self.prepared(tmp_path)
+        assert run(["report", "--out", str(out)]) == 0
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("svg_cap: -1\n")
+        capsys.readouterr()
+        args = (["--config", str(cfg)] if via_config
+                else ["--svg-cap", "-1"])
+        assert run(["report", "--out", str(out)] + args) == 2
+        assert capsys.readouterr().err == (
+            "error: option svg_cap must be a non-negative integer, not -1\n")
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+        assert len(list((out / "svg").glob("*.svg"))) == 4
+
     def test_svg_directory_holding_another_file_stays(self, tmp_path):
         out = self.prepared(tmp_path)
         assert run(["report", "--out", str(out)]) == 0

@@ -155,14 +155,6 @@ class TestIsolationBoundary:
         assert_matches_reference(lib, RULES)
 
 
-def test_shape_outside_outline_is_not_isolated():
-    # The layer has no rule and no pattern, so only the outline counts.
-    inside = cell("C", 160, ("M9", E1, Rect(0, 0, 160, 576)))
-    outside = cell("C", 160, ("M9", E1, Rect(0, 0, 161, 576)))
-    assert _isolated(inside, RULES)
-    assert not _isolated(outside, RULES)
-
-
 # Random libraries under ORACLE_DECK (M1 DPT with reach 64, M2 single-mask
 # with reach 80, M3 read only by a hotspot pattern with reach 64) plus M4,
 # which no check reads. A cell is drawn "inner", keeping every swept shape
@@ -237,14 +229,13 @@ def test_random_libraries_match_reference_under_demo_deck(lib):
 def test_isolated_cell_alone_is_the_same_in_every_orientation(cell):
     """``_alone`` checks only R0: in every orientation one instance alone
     is clean exactly when R0 is, and recolours as many shapes."""
-    die = Rect(0, 0, cell.width, cell.height)
     for rules in (ORACLE_DECK, RULES):
         assert _isolated(cell, rules)
         for option in DptOption:
             results = {}
             for o in Orientation:
                 found, recolor = _check_layout(
-                    flatten([("U1", cell, 0, 0, o)], die), rules, option)
+                    flatten([("U1", cell, 0, 0, o)]), rules, option)
                 results[o] = (not found, recolor.get("U1", 0))
             assert set(results.values()) == {results[Orientation.R0]}
             clean, recoloured = results[Orientation.R0]

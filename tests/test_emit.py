@@ -1,7 +1,6 @@
 """Netlist and placement-file emission, parsing, and floorplanning tests."""
 
 import dataclasses
-import io
 import os
 import random
 import re
@@ -16,10 +15,12 @@ from hypothesis import strategies as st
 from seamcheck import (
     CaseTooWideError,
     CellLibrary,
-    NameCollisionError,
+    CellProfile,
+    ColoredRect,
+    Mask,
     Orientation,
     ParseError,
-    UnknownCellRefError,
+    Rect,
     UnknownOrientationCodeError,
     emit_def,
     emit_verilog,
@@ -28,6 +29,7 @@ from seamcheck import (
     parse_library,
     parse_rules,
     plan_floorplan,
+    plan_library,
     render_def,
     write_def,
     write_verilog,
@@ -86,20 +88,6 @@ class TestVerilog:
         assert insts == [(b.name, "U1"), (a.name, "U2"), (b.name, "U3"),
                          (a.name, "U4"), (b.name, "U5")]
 
-    def test_name_collision_detected(self):
-        xy = dataclasses.replace(synth_cell(0, with_shape=False), name="X_Y")
-        x = dataclasses.replace(synth_cell(1, with_shape=False), name="X")
-        y = dataclasses.replace(synth_cell(2, with_shape=False), name="Y")
-        # enumerate_library suffixes the second scell_X_Y; undo that.
-        built = enumerate_library(CellLibrary("n", ROW_HEIGHT, SITE_WIDTH,
-                                              (xy, x, y)))
-        aa_xy, pair_xy = built[0], built[-1]
-        assert pair_xy.module_name == "scell_X_Y_2"
-        cases = [aa_xy, dataclasses.replace(pair_xy, module_name="scell_X_Y")]
-        with pytest.raises(NameCollisionError, match=re.escape(
-                "cases #0 and #1 both sanitize to module 'scell_X_Y'")):
-            emit_verilog(cases)
-
     def test_cell_names_that_are_not_identifiers_are_escaped(self):
         def named(index, name):
             return dataclasses.replace(synth_cell(index, with_shape=False),
@@ -127,11 +115,11 @@ class TestDefEmission:
         rules = parse_rules(RULES_TEXT)
         cases = enumerate_library(lib)
         plan = plan_floorplan(cases, rules)
-        return lib, cases, plan
+        return cases, plan
 
     def test_header_and_footer(self):
-        lib, cases, plan = self.make()
-        text = emit_def(cases, lib, plan)
+        cases, plan = self.make()
+        text = emit_def(cases, plan)
         lines = text.splitlines()
         assert lines[0] == "VERSION 5.6 ;"
         assert lines[1] == "DESIGN TOP ;"
@@ -144,8 +132,8 @@ class TestDefEmission:
         assert lines[-1] == "END DESIGN"
 
     def test_component_line_format(self):
-        lib, cases, plan = self.make()
-        text = emit_def(cases, lib, plan)
+        cases, plan = self.make()
+        text = emit_def(cases, plan)
         pattern = re.compile(
             r"^- (\S+)/U(\d+) (\S+) \+ PLACED \( (\d+) (\d+) \) (N|S|FN|FS) ;$")
         body = [l for l in text.splitlines() if l.startswith("- ")]
@@ -160,28 +148,12 @@ class TestDefEmission:
         rules = parse_rules(RULES_TEXT)
         cases = enumerate_library(lib)
         plan = plan_floorplan(cases, rules)
-        text = emit_def(cases, lib, plan)
+        text = emit_def(cases, plan)
         w = cell.width
         mod = cases[0].module_name
         for i, (x, code) in enumerate(
                 ((0, "FN"), (w, "N"), (2 * w, "N"), (3 * w, "FN"))):
             assert f"- {mod}/U{i + 1} {cell.name} + PLACED ( {x} 0 ) {code} ;" in text
-
-    def test_unknown_cell_ref_rejected(self):
-        lib, cases, plan = self.make()
-        ghost = dataclasses.replace(synth_cell(9, with_shape=False), name="GHOST")
-        bad = cases + [last_case(ghost)]
-        rules = parse_rules(RULES_TEXT)
-        plan_bad = plan_floorplan(bad, rules)
-        out = io.StringIO()
-        with pytest.raises(UnknownCellRefError):
-            write_def(out, bad, lib, plan_bad)
-        # Raised before the first line of the case that names the cell,
-        # after every line of the cases before it.
-        lines = out.getvalue().splitlines()
-        assert sum(l.startswith("- ") for l in lines) == sum(
-            len(c.placements) for c in cases)
-        assert not any("GHOST" in l for l in lines)
 
 
 def written(writer, *args) -> bytes:
@@ -204,8 +176,8 @@ class TestStreamedEmission:
         plan = plan_floorplan(cases, parse_rules(RULES_TEXT))
         assert (written(write_verilog, cases)
                 == emit_verilog(cases).encode("utf-8"))
-        assert (written(write_def, cases, lib, plan)
-                == emit_def(cases, lib, plan).encode("utf-8"))
+        assert (written(write_def, cases, plan)
+                == emit_def(cases, plan).encode("utf-8"))
 
     @pytest.mark.parametrize("lef", sorted(p.name for p in
                                            TESTDATA.glob("*.lef")))
@@ -226,12 +198,12 @@ class TestStreamedEmission:
         cases = enumerate_library(lib)
         plan = plan_floorplan(cases, parse_rules(RULES_TEXT))
         written_bytes = (len(emit_verilog(cases).encode("utf-8"))
-                         + len(emit_def(cases, lib, plan).encode("utf-8")))
+                         + len(emit_def(cases, plan).encode("utf-8")))
         with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
             tracemalloc.start()
             try:
                 write_verilog(fh, cases)
-                write_def(fh, cases, lib, plan)
+                write_def(fh, cases, plan)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -241,8 +213,8 @@ class TestStreamedEmission:
 
 class TestDefParsing:
     def roundtrip(self, n=3, multi_every=0):
-        lib, cases, plan = TestDefEmission().make(n, multi_every)
-        text = emit_def(cases, lib, plan)
+        cases, plan = TestDefEmission().make(n, multi_every)
+        text = emit_def(cases, plan)
         return text, parse_def(text), plan
 
     def test_roundtrip_preserves_everything(self):
@@ -260,7 +232,7 @@ class TestDefParsing:
                                 multi_every=rng.choice((0, 2)))
             cases = enumerate_library(lib)
             plan = plan_floorplan(cases, rules)
-            text = emit_def(cases, lib, plan)
+            text = emit_def(cases, plan)
             design = parse_def(text)
             assert len(design.placements) == sum(len(c.placements) for c in cases)
             assert render_def(design.placements, design.die_area) == text
@@ -449,3 +421,57 @@ class TestFirstFitOracle:
                  for _ in range(3000)]
         assert (plan_floorplan(boxes, self.RULES, 3000)
                 == linear_floorplan(boxes, self.RULES, 3000))
+
+
+# Names that sanitize alike: "X-Y" and "X_Y" both give X_Y, whose first
+# suffix X_Y_2 is also a name of its own, and "9A" gains a "c" prefix.
+CLASHING_NAMES = ("X-Y", "X_Y", "X_Y_2", "9A", "c9A", "A")
+
+
+@st.composite
+def edge_rects(draw, width, height):
+    """A rect inside [0, width] x [0, height] whose sides often lie on
+    the outline."""
+    x1 = draw(st.one_of(st.just(0), st.integers(0, width - 1)))
+    y1 = draw(st.one_of(st.just(0), st.integers(0, height - 1)))
+    x2 = draw(st.one_of(st.just(width), st.integers(x1 + 1, width)))
+    y2 = draw(st.one_of(st.just(height), st.integers(y1 + 1, height)))
+    return Rect(x1, y1, x2, y2)
+
+
+@st.composite
+def planned_libraries(draw):
+    """A library of 1-5 cells, one to three rows tall, with shapes that
+    touch the outline and clashing names, and a row width from the widest
+    case to twice it, which packs few cases per shelf."""
+    cells = []
+    for name in draw(st.lists(st.sampled_from(CLASHING_NAMES), min_size=1,
+                              max_size=5, unique=True)):
+        rows = draw(st.integers(1, 3))
+        width = SITE_WIDTH * draw(st.integers(1, 30))
+        height = rows * ROW_HEIGHT
+        shapes = tuple(ColoredRect("M1", draw(st.sampled_from(list(Mask))),
+                                   draw(edge_rects(width, height)))
+                       for _ in range(draw(st.integers(0, 4))))
+        cells.append(CellProfile(name, width, height, rows, shapes))
+    lib = CellLibrary("planned", ROW_HEIGHT, SITE_WIDTH, tuple(cells))
+    widest = max(case.width for case in enumerate_library(lib))
+    return lib, widest + draw(st.integers(0, widest))
+
+
+@settings(max_examples=150, deadline=None)
+@given(planned_libraries())
+def test_plan_library_makes_what_emission_assumes(planned):
+    """What the emitters and the checkers no longer re-check holds where
+    ``plan_library`` makes it: every placed shape lies inside the die,
+    module names are unique, and a case's cells are the library's."""
+    lib, max_row_width = planned
+    cases, plan = plan_library(lib, parse_rules(RULES_TEXT), max_row_width)
+    die = plan.die_area
+    for idx, case in enumerate(cases):
+        assert all(any(cell is c for c in lib.cells) for cell in case.cells)
+        for _, cell, x, y, o in case.instances(plan.origin_of(idx)):
+            for _, _, (x1, y1, x2, y2) in cell.oriented[o]:
+                assert die.contains(Rect(x1 + x, y1 + y, x2 + x, y2 + y))
+    names = [case.module_name for case in cases]
+    assert len(set(names)) == len(names)

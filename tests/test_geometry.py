@@ -130,7 +130,7 @@ class TestFlatten:
             for i, o in enumerate((Orientation.MY, Orientation.R0,
                                    Orientation.R0, Orientation.MY))
         ]
-        layout = flatten(rows, Rect(0, 0, 800, ROW_HEIGHT))
+        layout = flatten(rows)
         assert len(layout.shapes) == 24
         for s in layout.shapes:
             assert Rect(0, 0, 800, ROW_HEIGHT).contains(s.rect)
@@ -142,21 +142,13 @@ class TestFlatten:
         layout = flatten(
             [("U1", cell, 0, 0, Orientation.R0),
              ("U2", cell, 100, 0, Orientation.MY)],
-            Rect(0, 0, 200, ROW_HEIGHT),
         )
         rects = sorted(s.rect for s in layout.shapes)
         assert rects == [Rect(90, 0, 100, 50), Rect(100, 0, 110, 50)]
 
-    def test_out_of_die_shape_rejected(self):
-        cell = bar_cell("E", 100, [ColoredRect("M1", Mask.E1, Rect(0, 0, 10, 10))])
-        with pytest.raises(ValueError):
-            flatten([("U1", cell, 95, 0, Orientation.R0)],
-                    Rect(0, 0, 100, ROW_HEIGHT))
-
     def test_instance_attribution(self):
         cell = bar_cell("E", 100, [ColoredRect("M1", Mask.E1, Rect(0, 0, 10, 10))])
-        layout = flatten([("U7", cell, 0, 0, Orientation.R0)],
-                         Rect(0, 0, 100, ROW_HEIGHT))
+        layout = flatten([("U7", cell, 0, 0, Orientation.R0)])
         assert layout.shapes[0].source_instance == "U7"
 
 
@@ -170,9 +162,8 @@ def rects_in(draw, width, height):
 
 @st.composite
 def placed_cells(draw):
-    """(cells, placements, die): up to three cells of random shapes, one
-    to six placements in any orientation at random origins, and a die
-    that some shapes may leave."""
+    """(cells, placements): up to three cells of random shapes, and one
+    to six placements in any orientation at random origins."""
     cells = {}
     for i in range(draw(st.integers(1, 3))):
         rows = draw(st.integers(1, 2))
@@ -190,29 +181,18 @@ def placed_cells(draw):
                   (draw(st.integers(0, 1200)), draw(st.integers(0, 1200))),
                   draw(st.sampled_from(list(Orientation))))
         for k in range(draw(st.integers(1, 6)))]
-    side = draw(st.sampled_from((3000, 1500, 800)))
-    return cells, placements, Rect(0, 0, side, side)
+    return cells, placements
 
 
 @settings(max_examples=200, deadline=None)
 @given(placed_cells())
 def test_flatten_matches_per_shape_transform(case):
     """``flatten`` reads each cell's oriented table; the reference
-    transforms every shape of every placement. Equal shapes, or the same
-    error for a shape that leaves the die."""
-    cells, placements, die = case
+    transforms every shape of every placement. Equal shapes."""
+    cells, placements = case
     rows = [(p.instance_name, cells[p.cell_ref], *p.origin, p.orientation)
             for p in placements]
-    try:
-        want = reference_flatten(cells, placements, die)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            flatten(rows, die)
-        assert str(got.value) == str(exc)
-        return
-    layout = flatten(rows, die)
-    assert layout.die_area == want.die_area
-    assert layout.shapes == want.shapes
+    assert flatten(rows).shapes == reference_flatten(cells, placements).shapes
 
 
 def make_layout(rng, n, span=8000):
@@ -221,8 +201,7 @@ def make_layout(rng, n, span=8000):
         layer = rng.choice(("M1", "M2"))
         mask = rng.choice((Mask.NONE, Mask.E1, Mask.E2))
         shapes.append(FlatShape(i, layer, mask, rand_rect(rng, span=span), "U1"))
-    die = Rect(0, 0, span + 600, span + 600)
-    return FlatLayout(die, tuple(shapes))
+    return FlatLayout(tuple(shapes))
 
 
 class TestSpatialIndex:
@@ -238,7 +217,7 @@ class TestSpatialIndex:
 
     def test_window_query_is_closed_on_boundaries(self):
         s = FlatShape(0, "M1", Mask.E1, Rect(100, 100, 200, 200), "U1")
-        layout = FlatLayout(Rect(0, 0, 1000, 1000), (s,))
+        layout = FlatLayout((s,))
         assert layout.query_window(Rect(200, 200, 300, 300)) == {0}
         assert layout.query_window(Rect(201, 201, 300, 300)) == set()
         assert layout.query_window(Rect(0, 0, 100, 100)) == {0}
@@ -246,7 +225,7 @@ class TestSpatialIndex:
     def test_layer_filtering(self):
         shapes = (FlatShape(0, "M1", Mask.E1, Rect(0, 0, 10, 10), "U1"),
                   FlatShape(1, "M2", Mask.E2, Rect(0, 0, 10, 10), "U1"))
-        layout = FlatLayout(Rect(0, 0, 100, 100), shapes)
+        layout = FlatLayout(shapes)
         assert [s.shape_id for s in layout.shapes_on("M1")] == [0]
         assert list(layout.layers()) == ["M1", "M2"]
 
@@ -271,7 +250,7 @@ class TestNearPairs:
             rects.append(r)
         shapes = tuple(FlatShape(i, rng.choice(("M1", "M2")), Mask.E1, r, "U1")
                        for i, r in enumerate(rects))
-        return FlatLayout(Rect(-300, -300, span + 600, span + 600), shapes)
+        return FlatLayout(shapes)
 
     def test_matches_all_pairs_oracle(self):
         rng = random.Random(51)
@@ -296,14 +275,14 @@ class TestNearPairs:
                   FlatShape(1, "M1", Mask.E1, Rect(10, 10, 20, 20), "U1"),
                   FlatShape(2, "M1", Mask.E1, Rect(0, 0, 10, 10), "U1"),
                   FlatShape(3, "M1", Mask.E1, Rect(21, 0, 30, 10), "U1"))
-        layout = FlatLayout(Rect(0, 0, 100, 100), shapes)
+        layout = FlatLayout(shapes)
         got = {(a.shape_id, b.shape_id) for a, b in layout.near_pairs("M1", 0)}
         assert got == {(0, 1), (0, 2), (1, 2)}
         got = {(a.shape_id, b.shape_id) for a, b in layout.near_pairs("M1", 1)}
         assert got == {(0, 1), (0, 2), (1, 2), (1, 3)}
 
     def test_unknown_layer_has_no_pairs(self):
-        layout = FlatLayout(Rect(0, 0, 10, 10), ())
+        layout = FlatLayout(())
         assert layout.near_pairs("M1", 100) == []
 
 
@@ -377,7 +356,7 @@ class TestConnectivity:
             FlatShape(i, "M1", Mask.E1, Rect(10 * i, 0, 10 * (i + 1), 40), "U1")
             for i in range(5)
         )
-        layout = FlatLayout(Rect(0, 0, 100, 100), shapes)
+        layout = FlatLayout(shapes)
         roots = connected_components(layout.shapes_on("M1"),
                                      layout.near_pairs("M1", 0))
         assert set(roots.values()) == {0}

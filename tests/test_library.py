@@ -111,15 +111,14 @@ class TestParseLibrary:
         assert lib.name == "demo"
         assert lib.row_height == 576
         assert lib.site_width == 8
-        assert len(lib) == 2
-        inv = lib.cell("INV")
+        inv, dff = lib.cells
+        assert (inv.name, dff.name) == ("INV", "DFF2")
         assert (inv.width, inv.height, inv.height_rows) == (200, 576, 1)
-        dff = lib.cell("DFF2")
         assert (dff.width, dff.height, dff.height_rows) == (400, 1152, 2)
         assert dff.is_multi and not inv.is_multi
 
     def test_obs_shapes_carry_masks(self):
-        inv = parse_library(MINIMAL).cell("INV")
+        inv = parse_library(MINIMAL).cells[0]
         assert [(s.layer, s.mask, s.rect) for s in inv.shapes] == [
             ("M1", Mask.E1, Rect(60, 60, 100, 500)),
             ("M1", Mask.E2, Rect(120, 60, 160, 500)),
@@ -141,7 +140,7 @@ class TestParseLibrary:
                 ("B", [("M1_E2", "0.01 0.05 0.04 0.3")])))
         text = MINIMAL.replace(MINIMAL[MINIMAL.index("  PIN A"):
                                       MINIMAL.index("  OBS")], pins, 1)
-        inv = parse_library(text).cell("INV")
+        inv = parse_library(text).cells[0]
         assert [(s.layer, s.mask, s.rect) for s in inv.shapes] == [
             ("M1", Mask.E1, Rect(60, 60, 100, 500)),
             ("M1", Mask.E2, Rect(120, 60, 160, 500)),
@@ -186,7 +185,7 @@ class TestParseLibrary:
             text = MINIMAL.replace(drawn, drawn + f"    LAYER {layer} ;\n"
                                    + rect, 1)
             return [(s.layer, s.mask, s.rect)
-                    for s in parse_library(text).cell("INV").shapes]
+                    for s in parse_library(text).cells[0].shapes]
 
         e1, bare = (("M1", mask, Rect(60, 60, 100, 500))
                     for mask in (Mask.E1, Mask.NONE))
@@ -211,7 +210,7 @@ class TestParseLibrary:
 
     def test_comments_and_whitespace_ignored(self):
         text = MINIMAL.replace("MACRO INV", "# note\nMACRO INV  # trailing")
-        assert len(parse_library(text)) == 2
+        assert len(parse_library(text).cells) == 2
 
     def test_non_integer_row_height_rejected(self):
         text = MINIMAL.replace("SIZE 0.4 BY 1.152", "SIZE 0.4 BY 0.8")
@@ -334,7 +333,7 @@ class TestParseLibrary:
 
 class TestOrientedTable:
     def test_table_holds_each_orientation_in_shape_order(self):
-        cell = parse_library(MINIMAL).cell("INV")
+        cell = parse_library(MINIMAL).cells[0]
         for o in Orientation:
             assert cell.oriented[o] == tuple(
                 (s.layer, s.mask,
@@ -342,8 +341,8 @@ class TestOrientedTable:
                 for s in cell.shapes)
 
     def test_table_is_not_a_field(self):
-        cell = parse_library(MINIMAL).cell("INV")
-        twin = parse_library(MINIMAL).cell("INV")
+        cell = parse_library(MINIMAL).cells[0]
+        twin = parse_library(MINIMAL).cells[0]
         before = hash(cell)
         table = cell.oriented
         assert cell == twin and hash(cell) == before == hash(twin)
