@@ -12,18 +12,13 @@ from .checks import (ConflictGraph, DecomposeResult, DptOption,
                      color_decompose, match_hotspots, run_all,
                      sweep_neighbours)
 from .defio import DefDesign, emit_def, parse_def, render_def, write_def
-from .errors import (CaseTooWideError, DuplicateCellError,
-                     InconsistentSpacingError, MissingLayerRuleError,
-                     NonIntegerHeightError, ParseError,
-                     ShapeOutOfBoundsError)
 from .floorplan import Floorplan, plan_floorplan, plan_library
 from .geometry import (FlatLayout, FlatShape, Mask, Orientation, ParallelRun,
-                       Rect, UnknownOrientationCodeError,
-                       connected_components, flatten, parallel_runs,
+                       Rect, connected_components, flatten, parallel_runs,
                        rects_touch, run_between, transform_rect, union_all)
 from .library import (CellLibrary, CellProfile, ColoredRect, DBU_PER_MICRON,
-                      LibraryStats, micron_to_dbu, parse_library, profile,
-                      split_mask_suffix)
+                      LibraryStats, ParseError, micron_to_dbu, parse_library,
+                      profile, split_mask_suffix)
 from .netlist import emit_verilog, write_verilog
 from .report import (SeamReport, SummaryRow, SummaryTable,
                      attribute_to_seams, global_seams, render_jsonl,

@@ -51,6 +51,7 @@ class Violation:
     bbox: Rect
     shape_ids: tuple[int, ...]
     pattern_name: str | None = None
+    # The index of its case, which run_all stamps on every violation.
     case_index: int | None = None
 
     def sort_key(self):

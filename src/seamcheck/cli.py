@@ -290,7 +290,7 @@ def _verify_run(lib, rules, option: DptOption, max_row_width: int, out):
         "drcplus": res.drcplus_count,
         "seam_attributed": sum(map(len, seams)),
         "residual": seams.count([]),
-        "recolor_diff": dict(sorted(res.recolor_diff.items())),
+        "recolor_diff": res.recolor_diff,
         "violations": records,
     }
     out.write(report.render_jsonl(res, window))
@@ -481,21 +481,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write testcase netlist + DEF")
     common(p)
     p.add_argument("--rules", help="rule deck path")
-    p.add_argument("--max-row-width", type=int, dest="max_row_width")
+    p.add_argument("--max-row-width", dest="max_row_width")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="run all checks and write reports")
     common(p)
     p.add_argument("--rules", help="rule deck path")
-    p.add_argument("--dpt-option", choices=["I", "II", "both"],
-                   dest="dpt_option")
-    p.add_argument("--max-row-width", type=int, dest="max_row_width")
+    p.add_argument("--dpt-option", dest="dpt_option",
+                   help="I, II or both (default both)")
+    p.add_argument("--max-row-width", dest="max_row_width")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="render summary and SVGs from a verify run")
     common(p)
     p.add_argument("--rules", help="rule deck path")
-    p.add_argument("--svg-cap", type=int, dest="svg_cap",
+    p.add_argument("--svg-cap", dest="svg_cap",
                    help="max SVG files per run (default 50)")
     p.set_defaults(func=cmd_report)
     return parser

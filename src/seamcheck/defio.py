@@ -30,12 +30,19 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .abutment import AbutmentCase, Placement, placement_count
-from .errors import ParseError
 from .floorplan import Floorplan
 from .geometry import Orientation, Rect
-from .library import _Parser, _tokenize
+from .library import ParseError, _Parser, _tokenize
 
 _INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+# The DEF code of each orientation, and its inverse.
+_DEF_CODE = {
+    Orientation.R0: "N",
+    Orientation.R180: "S",
+    Orientation.MX: "FS",
+    Orientation.MY: "FN",
+}
+_ORIENTATION = {code: o for o, code in _DEF_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ def render_def(placements, die_area: Rect, design: str = "TOP") -> str:
     """DEF text for an iterable of (instance, cell, (x, y), orientation)
     tuples, e.g. ``Placement``s, in the given order."""
     lines = [f"- {name} {cell_ref} + PLACED ( {x} {y} ) "
-             f"{orientation.def_code} ;\n"
+             f"{_DEF_CODE[orientation]} ;\n"
              for name, cell_ref, (x, y), orientation in placements]
     return _header(len(lines), die_area, design) + "".join(lines) + _TRAILER
 
@@ -76,7 +83,7 @@ def write_def(out: TextIO, cases: list[AbutmentCase],
         prefix = f"- {case.module_name}/"
         out.write("".join([
             f"{prefix}{instance} {cell.name} + PLACED ( {x} {y} ) "
-            f"{o.def_code} ;\n"
+            f"{_DEF_CODE[o]} ;\n"
             for instance, cell, x, y, o
             in case.instances(floorplan.origin_of(idx))]))
     out.write(_TRAILER)
@@ -133,7 +140,11 @@ def parse_def(text: str) -> DefDesign:
         x, y = p.integer(), p.integer()
         p.expect(")")
         orient_tok = p.take("orientation code")
-        orient = Orientation.from_def_code(orient_tok.text)
+        orient = _ORIENTATION.get(orient_tok.text)
+        if orient is None:
+            raise ParseError(f"unsupported DEF orientation code "
+                             f"{orient_tok.text!r}", orient_tok.line,
+                             orient_tok.col)
         p.expect(";")
         placements.append(Placement(inst, cell, (x, y), orient))
     if count != len(placements):

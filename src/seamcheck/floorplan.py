@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .abutment import AbutmentCase, enumerate_library
-from .errors import CaseTooWideError
 from .geometry import Rect
 from .library import CellLibrary
 from .rules import RuleDeck
@@ -95,7 +94,7 @@ def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
     """First-fit shelf packing. Each shelf spans as many rows as its first
     case needs; a later case fits into the first shelf, in creation order,
     of its own row count with width to spare, else it opens a new shelf.
-    A case never enters a taller shelf. Raises CaseTooWide if a case
+    A case never enters a taller shelf. Raises ValueError if a case
     exceeds max_row_width. The die spans every opened row and the right
     edge of every case, so each case placed at ``origin_of`` lies inside
     ``die_area``, and so does every shape of it: ``parse_library`` keeps
@@ -108,7 +107,7 @@ def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
     positions: list[tuple[int, int]] = []
     for case in cases:
         if case.width > max_row_width:
-            raise CaseTooWideError(
+            raise ValueError(
                 f"case {case.module_name} is {case.width} DBU wide, above "
                 f"the {max_row_width} DBU row limit")
         cls = classes.get(case.height_rows)

@@ -90,18 +90,6 @@ class Orientation(enum.Enum):
     __hash__ = object.__hash__  # as for Mask
 
     @property
-    def def_code(self) -> str:
-        return _DEF_CODE[self]
-
-    @classmethod
-    def from_def_code(cls, code: str) -> "Orientation":
-        try:
-            return _FROM_DEF_CODE[code]
-        except KeyError:
-            raise UnknownOrientationCodeError(
-                f"unsupported DEF orientation code {code!r}") from None
-
-    @property
     def flipped_ud(self) -> "Orientation":
         """Orientation of the same cell placed on the alternate row
         (rails swapped): R0 <-> MX, MY <-> R180."""
@@ -111,23 +99,12 @@ class Orientation(enum.Enum):
         return f"Orientation.{self.name}"
 
 
-_DEF_CODE = {
-    Orientation.R0: "N",
-    Orientation.R180: "S",
-    Orientation.MX: "FS",
-    Orientation.MY: "FN",
-}
-_FROM_DEF_CODE = {code: o for o, code in _DEF_CODE.items()}
 _FLIP_UD = {
     Orientation.R0: Orientation.MX,
     Orientation.MX: Orientation.R0,
     Orientation.MY: Orientation.R180,
     Orientation.R180: Orientation.MY,
 }
-
-
-class UnknownOrientationCodeError(ValueError):
-    """DEF orientation code outside the supported N/S/FN/FS set."""
 
 
 def transform_rect(rect: Rect, cell_w: int, cell_h: int,

@@ -23,11 +23,23 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import (DuplicateCellError, NonIntegerHeightError, ParseError,
-                     ShapeOutOfBoundsError)
 from .geometry import Mask, Orientation, Rect, transform_rect
 
 DBU_PER_MICRON = 1000
+
+
+class ParseError(ValueError):
+    """Malformed input text: the one input-error type of the library,
+    rule deck and DEF parsers. Carries a 1-based line and column when the
+    failing token is known."""
+
+    def __init__(self, message: str, line: int | None = None,
+                 col: int | None = None):
+        self.line = line
+        self.col = col
+        if line is not None:
+            message = f"line {line}, col {col}: {message}"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -200,7 +212,7 @@ def _parse_layer_shapes(p: _Parser, outline: Rect, owner: str,
         while (rect_tok := p.peek()) is not None and rect_tok.text == "RECT":
             rect = _parse_rect(p)
             if not outline.contains(rect):
-                raise ShapeOutOfBoundsError(
+                raise ParseError(
                     f"{owner} rect {tuple(rect)} of cell {cell_name} leaves "
                     f"the outline 0 0 {outline.x2} {outline.y2}",
                     rect_tok.line, rect_tok.col)
@@ -254,7 +266,7 @@ def _parse_macro(p: _Parser, row_height: int,
                          f"of the site width {site_width} DBU",
                          name_tok.line, name_tok.col)
     if height % row_height != 0:
-        raise NonIntegerHeightError(
+        raise ParseError(
             f"cell {name} height {height} DBU is not a multiple of the row "
             f"height {row_height} DBU", name_tok.line, name_tok.col)
     outline = Rect(0, 0, width, height)
@@ -329,8 +341,8 @@ def parse_library(text: str) -> CellLibrary:
                                  "unknown)", tok.line, tok.col)
             cell = _parse_macro(p, row_height, site_width)
             if cells.setdefault(cell.name, cell) is not cell:
-                raise DuplicateCellError(f"duplicate MACRO {cell.name}",
-                                         tok.line, tok.col)
+                raise ParseError(f"duplicate MACRO {cell.name}", tok.line,
+                                 tok.col)
         elif tok.text == "END":
             p.expect("END")
             p.expect("LIBRARY")

@@ -45,20 +45,17 @@ def seams_per_violation(violations, cases, floorplan: Floorplan,
     ``violations``: every seam of its case, with ``x`` in die
     coordinates, whose band ``[x - window, x + window] x [y_lo - window,
     y_hi + window]`` over the case's rows meets the violation box (edges
-    count), in seam order. A violation with no case, or with a case index
-    out of range, is charged to no seam. Seams are built only for the
-    cases that violations name."""
-    by_case: dict[int | None, tuple[int, int, list[Seam]]] = {}
+    count), in seam order. Each violation names its case, as ``run_all``
+    stamps it. Seams are built only for the cases that violations
+    name."""
+    by_case: dict[int, tuple[int, int, list[Seam]]] = {}
     out = []
     for v in violations:
         idx = v.case_index
         if idx not in by_case:
-            if idx is not None and 0 <= idx < len(cases):
-                ox, oy = floorplan.origin_of(idx)
-                y_hi = oy + cases[idx].height_rows * floorplan.row_height
-                by_case[idx] = (oy, y_hi, _die_seams(cases[idx], ox))
-            else:
-                by_case[idx] = (0, 0, [])
+            ox, oy = floorplan.origin_of(idx)
+            y_hi = oy + cases[idx].height_rows * floorplan.row_height
+            by_case[idx] = (oy, y_hi, _die_seams(cases[idx], ox))
         y_lo, y_hi, seams = by_case[idx]
         b = v.bbox
         in_rows = b.y1 <= y_hi + window and y_lo - window <= b.y2
@@ -140,12 +137,11 @@ def summary_table(libraries) -> SummaryTable:
 def violation_record(v: Violation, cases, seams) -> dict:
     """JSON-able record for one violation, including ``seams``, the seams
     it was attributed to (its entry of ``seams_per_violation``)."""
-    case = cases[v.case_index].module_name if v.case_index is not None else None
     return {
         "kind": v.kind.value,
         "layer": v.layer,
         "bbox": list(v.bbox),
-        "case": case,
+        "case": cases[v.case_index].module_name,
         "seams": [{"x": s.x,
                    "left": f"{s.left[0]}:{s.left[1].value}",
                    "right": f"{s.right[0]}:{s.right[1].value}"}

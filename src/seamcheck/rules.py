@@ -21,15 +21,12 @@ from functools import cached_property
 
 import yaml
 
-from .errors import (InconsistentSpacingError, MissingLayerRuleError,
-                     ParseError)
 from .geometry import Mask
-from .library import split_mask_suffix
+from .library import ParseError, split_mask_suffix
 
 
 @dataclass(frozen=True)
 class LayerRule:
-    layer: str
     min_width: int
     min_spacing_any_mask: int
     # Required for double-patterned layers, absent otherwise.
@@ -99,7 +96,7 @@ class RuleDeck:
 
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
-        raise MissingLayerRuleError(f"{where}: missing required key {key!r}")
+        raise ParseError(f"{where}: missing required key {key!r}")
     return mapping[key]
 
 
@@ -138,7 +135,7 @@ def parse_rules(text: str) -> RuleDeck:
 
     raw_layers = _require(doc, "layers", "deck")
     if not isinstance(raw_layers, dict) or not raw_layers:
-        raise MissingLayerRuleError("deck: layers must be a non-empty mapping")
+        raise ParseError("deck: layers must be a non-empty mapping")
     layers: dict[str, LayerRule] = {}
     for lname, raw in raw_layers.items():
         where = f"layer {lname}"
@@ -152,14 +149,16 @@ def parse_rules(text: str) -> RuleDeck:
         if not isinstance(dpt, bool):
             raise ParseError(f"{where}: dpt must be true or false, "
                              f"got {dpt!r}")
-        if dpt or "min_spacing_same_mask" in raw:
+        if dpt:
             same_mask = _positive_int(
                 _require(raw, "min_spacing_same_mask", where),
                 "min_spacing_same_mask", where)
+        elif "min_spacing_same_mask" in raw:
+            raise ParseError(f"{where}: min_spacing_same_mask is for DPT "
+                             f"layers only (dpt: true)")
         else:
             same_mask = None
         rule = LayerRule(
-            layer=str(lname),
             min_width=_positive_int(_require(raw, "min_width", where),
                                     "min_width", where),
             min_spacing_any_mask=_positive_int(
@@ -169,7 +168,7 @@ def parse_rules(text: str) -> RuleDeck:
             dpt=dpt,
         )
         if same_mask is not None and same_mask < rule.min_spacing_any_mask:
-            raise InconsistentSpacingError(
+            raise ParseError(
                 f"{where}: min_spacing_same_mask {same_mask}"
                 f" < min_spacing_any_mask {rule.min_spacing_any_mask}")
         layers[str(lname)] = rule
@@ -190,8 +189,7 @@ def parse_rules(text: str) -> RuleDeck:
             raise ParseError(f"{where}: name must be a string, got {pname!r}")
         layer = str(_require(raw, "layer", where))
         if layer not in layers:
-            raise MissingLayerRuleError(
-                f"{where}: layer {layer} has no rule entry")
+            raise ParseError(f"{where}: layer {layer} has no rule entry")
         raw_masks = _require(raw, "masks", where)
         if not isinstance(raw_masks, list) or len(raw_masks) < 2:
             raise ParseError(f"{where}: masks must list at least 2 tracks")
@@ -209,7 +207,7 @@ def parse_rules(text: str) -> RuleDeck:
                     hotspot_patterns=tuple(patterns))
     reach = max(deck.reach(layer) for layer in layers)
     if interaction < reach:
-        raise InconsistentSpacingError(
+        raise ParseError(
             f"interaction_distance {interaction} is below the largest rule "
             f"reach {reach}")
     return deck

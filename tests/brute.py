@@ -40,8 +40,8 @@ from seamcheck.floorplan import (DEFAULT_MAX_ROW_WIDTH, _round_up,
 # that only a hotspot pattern reads, so every sweep consumer is exercised.
 ORACLE_DECK = RuleDeck(
     row_height=576, site_width=8, interaction_distance=200,
-    layers={"M1": LayerRule("M1", 32, 32, 64, True),
-            "M2": LayerRule("M2", 32, 48)},
+    layers={"M1": LayerRule(32, 32, 64, True),
+            "M2": LayerRule(32, 48)},
     hotspot_patterns=(
         HotspotPattern("quad", "M1", (Mask.E1, Mask.E2, Mask.E1, Mask.E2),
                        50, 100),

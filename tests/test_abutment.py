@@ -100,8 +100,9 @@ class TestTypeAA:
 
     def test_def_codes_follow_orientations(self):
         case = last_case(synth_cell(0, with_shape=False))
-        assert [p.orientation.def_code for p in case.placements] == \
-            ["FN", "N", "N", "FN"]
+        text = emit_def([case], plan_floorplan([case], DECK))
+        assert [line.split()[-2] for line in text.splitlines()
+                if line.startswith("- ")] == ["FN", "N", "N", "FN"]
 
     def test_covers_all_three_self_classes(self):
         cell = synth_cell(3, with_shape=False)

@@ -551,6 +551,35 @@ class TestVerify:
         assert capsys.readouterr().err == (
             "error: option dpt_option must be I, II or both, not 'III'\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--max-row-width", "abc"],
+         "option max_row_width must be an integer, not 'abc'"),
+        (["generate", "--max-row-width", "abc"],
+         "option max_row_width must be an integer, not 'abc'"),
+        (["verify", "--max-row-width", "2.0e+5"],
+         "option max_row_width must be an integer, not '2.0e+5'"),
+        (["verify", "--dpt-option", "X"],
+         "option dpt_option must be I, II or both, not 'X'"),
+        (["report", "--svg-cap", "x"],
+         "option svg_cap must be an integer, not 'x'"),
+    ], ids=["verify-row-width-abc", "generate-row-width-abc",
+            "verify-row-width-float", "verify-dpt-option-X",
+            "report-svg-cap-x"])
+    def test_bad_flag_value_fails_as_its_config_key_does(
+            self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert run(["verify", "--libs", SEAM, "--rules", RULES,
+                    "--out", str(out)]) == 1
+        assert run(["report", "--out", str(out)]) == 0
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        inputs = [] if argv[0] == "report" else ["--libs", SEAM,
+                                                 "--rules", RULES]
+        assert run(argv + inputs + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+
     def test_path_option_not_a_string_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("rules: [a]\n")

@@ -13,15 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamcheck import (
-    CaseTooWideError,
     CellLibrary,
     CellProfile,
     ColoredRect,
     Mask,
     Orientation,
     ParseError,
+    Placement,
     Rect,
-    UnknownOrientationCodeError,
     emit_def,
     emit_verilog,
     enumerate_library,
@@ -242,12 +241,25 @@ class TestDefParsing:
         codes = {p.orientation for p in design.placements}
         assert codes <= set(Orientation)
         assert Orientation.MY in codes and Orientation.R0 in codes
+        # Every orientation, under its DEF code, renders and parses back.
+        placements = tuple(
+            Placement(f"U{i}", "INV", (8 * i, 0), o)
+            for i, o in enumerate(Orientation))
+        text = render_def(placements, Rect(0, 0, 100, 576))
+        assert [line.split()[-2] for line in text.splitlines()
+                if line.startswith("- ")] == ["N", "S", "FS", "FN"]
+        assert parse_def(text).placements == placements
 
     def test_unknown_orientation_code_rejected(self):
         text, _, _ = self.roundtrip(n=1)
         bad = text.replace(" FN ;", " FW ;", 1)
-        with pytest.raises(UnknownOrientationCodeError):
+        head = bad[:bad.index(" FW ;")]  # the text before the code token
+        line, col = head.count("\n") + 1, len(head.rsplit("\n", 1)[-1]) + 2
+        with pytest.raises(ParseError, match=re.escape(
+                f"line {line}, col {col}: unsupported DEF orientation "
+                f"code 'FW'")) as info:
             parse_def(bad)
+        assert (info.value.line, info.value.col) == (line, col)
 
     def test_component_count_mismatch_rejected(self):
         text, _, _ = self.roundtrip(n=1)
@@ -337,7 +349,8 @@ class TestFloorplan:
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=400)
         case = last_case(cell)
         rules = parse_rules(RULES_TEXT)
-        with pytest.raises(CaseTooWideError):
+        with pytest.raises(ValueError, match=(
+                r"^case \S+ is \d+ DBU wide, above the 1200 DBU row limit$")):
             plan_floorplan([case], rules, max_row_width=1200)
 
     def test_origin_of_matches_positions(self):

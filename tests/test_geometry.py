@@ -21,7 +21,6 @@ from seamcheck import (
     Orientation,
     Placement,
     Rect,
-    UnknownOrientationCodeError,
     connected_components,
     flatten,
     parallel_runs,
@@ -87,21 +86,6 @@ class TestTransformRect:
 
 
 class TestOrientationCodes:
-    def test_def_code_bijection(self):
-        pairs = {
-            Orientation.R0: "N",
-            Orientation.R180: "S",
-            Orientation.MX: "FS",
-            Orientation.MY: "FN",
-        }
-        for orient, code in pairs.items():
-            assert orient.def_code == code
-            assert Orientation.from_def_code(code) is orient
-
-    def test_unknown_code_rejected(self):
-        with pytest.raises(UnknownOrientationCodeError):
-            Orientation.from_def_code("FW")
-
     def test_mirror_tables(self):
         assert Orientation.R0.flipped_ud is Orientation.MX
         assert Orientation.MY.flipped_ud is Orientation.R180

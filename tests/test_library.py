@@ -7,13 +7,10 @@ import pytest
 from seamcheck import (
     CellLibrary,
     DBU_PER_MICRON,
-    DuplicateCellError,
     Mask,
-    NonIntegerHeightError,
     Orientation,
     ParseError,
     Rect,
-    ShapeOutOfBoundsError,
     micron_to_dbu,
     parse_library,
     profile,
@@ -214,7 +211,7 @@ class TestParseLibrary:
 
     def test_non_integer_row_height_rejected(self):
         text = MINIMAL.replace("SIZE 0.4 BY 1.152", "SIZE 0.4 BY 0.8")
-        with pytest.raises(NonIntegerHeightError, match=(
+        with pytest.raises(ParseError, match=(
                 r"^line 18, col 7: cell DFF2 height 800 DBU is not a "
                 r"multiple of the row height 576 DBU$")):
             parse_library(text)
@@ -229,13 +226,13 @@ class TestParseLibrary:
 
     def test_duplicate_macro_rejected(self):
         text = MINIMAL.replace("MACRO DFF2", "MACRO INV").replace("END DFF2", "END INV")
-        with pytest.raises(DuplicateCellError,
+        with pytest.raises(ParseError,
                            match=r"^line 18, col 1: duplicate MACRO INV$"):
             parse_library(text)
 
     def test_shape_out_of_bounds_rejected(self):
         text = MINIMAL.replace("RECT 0.06 0.06 0.1 0.5", "RECT 0.06 0.06 0.21 0.5")
-        with pytest.raises(ShapeOutOfBoundsError, match=(
+        with pytest.raises(ParseError, match=(
                 r"^line 13, col 5: OBS rect \(60, 60, 210, 500\) of cell INV "
                 r"leaves the outline 0 0 200 576$")):
             parse_library(text)
@@ -280,7 +277,7 @@ class TestParseLibrary:
         text = (MINIMAL.replace("RECT 0.01 0.05 0.04 0.3",
                                 "RECT 0.01 0.05 0.04 0.6")
                 .replace("RECT 0.06 0.06 0.1 0.5", "RECT 0.06 0.06 0.21 0.5"))
-        with pytest.raises(ShapeOutOfBoundsError, match=(
+        with pytest.raises(ParseError, match=(
                 r"^line 8, col 7: pin A rect \(10, 50, 40, 600\) of cell INV "
                 r"leaves the outline 0 0 200 576$")):
             parse_library(text)
@@ -292,7 +289,7 @@ class TestParseLibrary:
         text = (MINIMAL.replace(pin + obs, obs + pin, 1)
                 .replace("RECT 0.01 0.05 0.04 0.3", "RECT 0.01 0.05 0.04 0.6")
                 .replace("RECT 0.06 0.06 0.1 0.5", "RECT 0.06 0.06 0.21 0.5"))
-        with pytest.raises(ShapeOutOfBoundsError,
+        with pytest.raises(ParseError,
                            match=r"^line 7, col 5: OBS rect"):
             parse_library(text)
 

@@ -157,7 +157,6 @@ class TestAttributionOracle:
     def test_matches_scan_of_global_seams(self, demo_rules):
         cases = enumerate_library(synth_library(6))
         rng = random.Random(77)
-        choices = list(range(len(cases))) + [None, -1, len(cases)]
         # The default row width packs every case into one shelf, so each
         # box meets its case's rows; 4,000 DBU stacks the cases in several
         # shelves, and most boxes then miss the rows of the case they name.
@@ -174,7 +173,7 @@ class TestAttributionOracle:
                     bbox = Rect(x, y, x + rng.randrange(1, 400),
                                 y + rng.randrange(1, 400))
                     violations.append(vio(ViolationKind.WIDTH, bbox,
-                                          rng.choice(choices)))
+                                          rng.randrange(len(cases))))
                 window = rng.choice((10, 200))
                 charged = seams_per_violation(violations, cases, plan,
                                               window)

@@ -4,12 +4,7 @@ import re
 
 import pytest
 
-from seamcheck import (
-    InconsistentSpacingError,
-    MissingLayerRuleError,
-    ParseError,
-    parse_rules,
-)
+from seamcheck import ParseError, parse_rules
 
 VALID = """\
 name: demo14
@@ -73,9 +68,26 @@ class TestParseRules:
         assert parse_rules(head + tail).hotspot_patterns == ()
 
     def test_dpt_false_or_absent_is_not_a_dpt_layer(self):
-        for text in (VALID.replace("dpt: true", "dpt: false"),
-                     VALID.replace("    dpt: true\n", "")):
+        plain = VALID.replace("    min_spacing_same_mask: 64\n", "")
+        for text in (plain.replace("dpt: true", "dpt: false"),
+                     plain.replace("    dpt: true\n", "")):
             assert parse_rules(text).dpt_layers == []
+
+    @pytest.mark.parametrize("layer, text", [
+        ("M1", VALID.replace("dpt: true", "dpt: false")),
+        ("M1", VALID.replace("    dpt: true\n", "")),
+        # Within the interaction distance, and above it: either way no
+        # check would read it, so it may not widen the deck's reach.
+        *(("M2", VALID.replace("    min_spacing_any_mask: 48\n",
+                               "    min_spacing_any_mask: 48\n"
+                               f"    min_spacing_same_mask: {value}\n"))
+          for value in (150, 300)),
+    ], ids=["M1-dpt-false", "M1-dpt-absent", "M2-150", "M2-300"])
+    def test_same_mask_spacing_on_non_dpt_layer_rejected(self, layer, text):
+        with pytest.raises(ParseError, match=(
+                rf"^layer {layer}: min_spacing_same_mask is for DPT layers "
+                rf"only \(dpt: true\)$")):
+            parse_rules(text)
 
     def test_fixture_deck(self, demo_rules):
         assert demo_rules.layer_rule("M1").dpt
@@ -83,7 +95,9 @@ class TestParseRules:
 
     def test_same_mask_below_any_mask_rejected(self):
         bad = VALID.replace("min_spacing_same_mask: 64", "min_spacing_same_mask: 20")
-        with pytest.raises(InconsistentSpacingError):
+        with pytest.raises(ParseError, match=(
+                r"^layer M1: min_spacing_same_mask 20 < "
+                r"min_spacing_any_mask 32$")):
             parse_rules(bad)
 
     def test_same_mask_equal_any_mask_allowed(self):
@@ -93,15 +107,19 @@ class TestParseRules:
 
     def test_interaction_distance_must_cover_checks(self):
         bad = VALID.replace("interaction_distance: 200", "interaction_distance: 60")
-        with pytest.raises(InconsistentSpacingError):
+        with pytest.raises(ParseError, match=(
+                r"^interaction_distance 60 is below the largest rule "
+                r"reach 80$")):
             parse_rules(bad)
 
     def test_missing_row_height_rejected(self):
-        with pytest.raises(MissingLayerRuleError):
+        with pytest.raises(ParseError,
+                           match=r"^deck: missing required key 'row_height'$"):
             parse_rules(VALID.replace("row_height: 576\n", ""))
 
     def test_missing_layer_key_rejected(self):
-        with pytest.raises(MissingLayerRuleError):
+        with pytest.raises(ParseError, match=(
+                r"^layer M1: missing required key 'min_width'$")):
             parse_rules(VALID.replace("    min_width: 32\n", ""))
 
     def test_nonpositive_value_rejected(self):
@@ -110,11 +128,14 @@ class TestParseRules:
 
     def test_dpt_layer_without_same_mask_spacing_rejected(self):
         bad = VALID.replace("    min_spacing_same_mask: 64\n", "")
-        with pytest.raises(MissingLayerRuleError):
+        with pytest.raises(ParseError, match=(
+                r"^layer M1: missing required key "
+                r"'min_spacing_same_mask'$")):
             parse_rules(bad)
 
     def test_pattern_on_unknown_layer_rejected(self):
-        with pytest.raises(MissingLayerRuleError):
+        with pytest.raises(ParseError, match=(
+                r"^hotspot pattern #1: layer M9 has no rule entry$")):
             parse_rules(VALID.replace("    layer: M1", "    layer: M9"))
 
     def test_bad_mask_name_rejected(self):
