@@ -20,10 +20,9 @@ from .library import (CellLibrary, CellProfile, ColoredRect, DBU_PER_MICRON,
                       LibraryStats, ParseError, micron_to_dbu, parse_library,
                       profile, split_mask_suffix)
 from .netlist import emit_verilog, write_verilog
-from .report import (SeamReport, SummaryRow, SummaryTable,
-                     attribute_to_seams, global_seams, render_jsonl,
-                     render_svg, seams_per_violation, summary_table,
-                     violation_record)
+from .report import (SeamReport, attribute_to_seams, global_seams,
+                     read_results, render_jsonl, render_summary, render_svg,
+                     seams_per_violation, summary_table, violation_record)
 from .rules import HotspotPattern, LayerRule, RuleDeck, parse_rules
 
 __version__ = "0.1.0"

@@ -19,13 +19,12 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from itertools import islice
 
 import yaml
 
 from . import defio, netlist, report
 from .abutment import coverage_check, expected_count, placement_count
-from .checks import DptOption, ViolationKind, case_layout, run_all
+from .checks import DptOption, case_layout, run_all
 from .floorplan import DEFAULT_MAX_ROW_WIDTH, plan_library
 from .geometry import Rect
 from .library import parse_library, profile
@@ -272,31 +271,6 @@ def cmd_generate(args) -> int:
     return status
 
 
-def _verify_run(lib, rules, option: DptOption, max_row_width: int, out):
-    """One library under one DPT option: writes its JSONL to ``out`` and
-    returns its ``results.json`` run entry. The result, with its cases
-    and floorplan, is released on return, so verify holds one run's cases
-    at a time."""
-    res = run_all(lib, rules, option, max_row_width)
-    window = rules.interaction_distance
-    seams = report.seams_per_violation(res.violations, res.cases,
-                                       res.floorplan, window)
-    records = [report.violation_record(v, res.cases, s)
-               for v, s in zip(res.violations, seams)]
-    run = {
-        "option": option.value,
-        "counts": res.counts_by_kind(),
-        "drc": res.drc_count,
-        "drcplus": res.drcplus_count,
-        "seam_attributed": sum(map(len, seams)),
-        "residual": seams.count([]),
-        "recolor_diff": res.recolor_diff,
-        "violations": records,
-    }
-    out.write(report.render_jsonl(res, window))
-    return run
-
-
 # The SVGs that report draws from the violations that verify wrote.
 _SVGS = os.path.join("svg", "*.svg")
 
@@ -314,90 +288,28 @@ def cmd_verify(args) -> int:
             runs = []
             for option in _dpt_options(opt):
                 name = f"violations_{lib.name}_opt{option.value}.jsonl"
+                # The run's result, with its cases and floorplan, is
+                # released once its entry is built, so verify holds one
+                # run's cases at a time.
                 with create(name) as fh, _naming(path):
-                    runs.append(_verify_run(lib, rules, option,
-                                            max_row_width, fh))
+                    runs.append(report.run_entry(
+                        run_all(lib, rules, option, max_row_width),
+                        rules.interaction_distance, fh))
             payload["libraries"].append(
                 {"name": lib.name, "path": path, "runs": runs})
         table = report.summary_table(payload["libraries"])
+        summary = report.render_summary(table)
         with create("summary.txt") as fh:
-            fh.write(table.render())
+            fh.write(summary)
         with create("summary.json") as fh:
-            fh.write(json.dumps(table.to_dict(), indent=2, sort_keys=True)
-                     + "\n")
+            fh.write(json.dumps(table, indent=2, sort_keys=True) + "\n")
         # Streamed: the encoder's chunks, joined, would be the run's peak.
         with create("results.json") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    sys.stdout.write(table.render())
+    sys.stdout.write(summary)
     return 1 if any(run["violations"] for entry in payload["libraries"]
                     for run in entry["runs"]) else 0
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-_STRING = ("a string", lambda v: isinstance(v, str))
-_STRING_OR_NULL = ("a string or null",
-                   lambda v: v is None or isinstance(v, str))
-_LIST = ("a list", lambda v: isinstance(v, list))
-_INTEGER = ("an integer", _is_int)
-_KIND_NAMES = frozenset(k.value for k in ViolationKind)
-# What report checks of results.json, per level: key -> (expected, test).
-_LIBRARY_KEYS = {"name": _STRING, "path": _STRING, "runs": _LIST}
-_RUN_KEYS = {"option": ("I or II", lambda v: v in ("I", "II")),
-             "drc": _INTEGER, "drcplus": _INTEGER, "violations": _LIST}
-_RECORD_KEYS = {
-    "case": _STRING_OR_NULL,
-    "kind": ("a violation kind",
-             lambda v: isinstance(v, str) and v in _KIND_NAMES),
-    "layer": _STRING,
-    "bbox": ("a list of 4 integers", lambda v: isinstance(v, list)
-             and len(v) == 4 and all(map(_is_int, v))),
-    "shape_ids": ("a list of integers",
-                  lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "pattern": _STRING_OR_NULL,
-    "seams": ("a list of objects with an integer x",
-              lambda v: isinstance(v, list) and all(
-                  isinstance(s, dict) and _is_int(s.get("x")) for s in v)),
-}
-
-
-def _check_keys(path: str, mapping, where: str, keys: dict):
-    if not isinstance(mapping, dict):
-        raise ValueError(f"{path} key {where or '(top level)'} must be an "
-                         f"object, not {mapping!r}")
-    prefix = f"{where}." if where else ""
-    for key, (expected, ok) in keys.items():
-        if key not in mapping:
-            raise ValueError(f"{path} lacks key {prefix}{key}")
-        if not ok(mapping[key]):
-            raise ValueError(f"{path} key {prefix}{key} must be {expected}, "
-                             f"not {mapping[key]!r}")
-
-
-def _read_results(path: str) -> dict:
-    """The payload a verify run wrote to ``path``, with every value that
-    report reads checked: a malformed one is an input error naming the
-    file and the key."""
-    try:
-        payload = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    _check_keys(path, payload, "", {"libraries": _LIST})
-    if "rules" in payload:
-        _check_keys(path, payload, "", {"rules": _STRING_OR_NULL})
-    for i, entry in enumerate(payload["libraries"]):
-        where = f"libraries[{i}]"
-        _check_keys(path, entry, where, _LIBRARY_KEYS)
-        for j, run in enumerate(entry["runs"]):
-            run_where = f"{where}.runs[{j}]"
-            _check_keys(path, run, run_where, _RUN_KEYS)
-            for k, rec in enumerate(run["violations"]):
-                _check_keys(path, rec, f"{run_where}.violations[{k}]",
-                            _RECORD_KEYS)
-    return payload
 
 
 def cmd_report(args) -> int:
@@ -406,44 +318,44 @@ def cmd_report(args) -> int:
     results_path = os.path.join(out_dir, "results.json")
     if not os.path.exists(results_path):
         raise ValueError(f"no results.json under {out_dir}; run verify first")
-    payload = _read_results(results_path)
+    payload = report.read_results(results_path, _read(results_path))
     svg_cap = opt.integer("svg_cap", 50)
     if svg_cap < 0:
         raise ValueError(f"option svg_cap must be a non-negative integer, "
                          f"not {svg_cap}")
     margin = 200
 
-    rules = _load_rules(opt.path("rules", payload.get("rules"),
-                                 required=True))
+    rules = _load_rules(opt.path("rules", payload["rules"]))
     lib_paths = opt.libs(required=False) or [
         entry["path"] for entry in payload["libraries"]]
     libs = {lib.name: (path, lib)
             for path, lib in _load_libraries(lib_paths)}
-    max_row_width = _integer(
-        payload.get("max_row_width", DEFAULT_MAX_ROW_WIDTH),
-        f"{results_path} key max_row_width")
 
     svg_count = 0
     with _staged(out_dir, (_SVGS,)) as create:
-        for entry in payload["libraries"]:
+        for i, entry in enumerate(payload["libraries"]):
             lib_path, lib = libs.get(entry["name"], (None, None))
-            cases = None  # laid out only when an SVG may be drawn
-            for run in entry["runs"]:
-                if lib is None or svg_cap <= 0 or all(
-                        rec["case"] is None for rec in run["violations"]):
+            cases = None  # laid out only when an SVG is drawn
+            for j, run in enumerate(entry["runs"]):
+                drawn = run["violations"][:svg_cap]
+                if lib is None or not drawn:
                     continue
                 if cases is None:
                     with _naming(lib_path):
-                        cases, fp = plan_library(lib, rules, max_row_width)
-                    module_index = {c.module_name: i
-                                    for i, c in enumerate(cases)}
+                        cases, fp = plan_library(lib, rules,
+                                                 payload["max_row_width"])
+                    module_index = {c.module_name: idx
+                                    for idx, c in enumerate(cases)}
                 option = DptOption(run["option"])
-                picked = islice(((vi, rec)
-                                 for vi, rec in enumerate(run["violations"])
-                                 if rec["case"] in module_index), svg_cap)
                 layout_idx = None  # the case ``layout`` belongs to
-                for vi, rec in picked:
-                    idx = module_index[rec["case"]]
+                for vi, rec in enumerate(drawn):
+                    idx = module_index.get(rec["case"])
+                    if idx is None:
+                        raise ValueError(
+                            f"{results_path} key libraries[{i}].runs[{j}]"
+                            f".violations[{vi}].case names {rec['case']}, "
+                            f"which {lib_path} does not make; run verify "
+                            f"again")
                     if idx != layout_idx:
                         layout_idx = idx
                         layout = case_layout(idx, cases, fp, rules, option)
@@ -454,10 +366,11 @@ def cmd_report(args) -> int:
                             layout, Rect(*rec["bbox"]), margin,
                             tuple(s["x"] for s in rec["seams"])))
                     svg_count += 1
-        table = report.summary_table(payload["libraries"])
+        summary = report.render_summary(
+            report.summary_table(payload["libraries"]))
         with create("summary.txt") as fh:
-            fh.write(table.render())
-    sys.stdout.write(table.render())
+            fh.write(summary)
+    sys.stdout.write(summary)
     sys.stdout.write(f"wrote {svg_count} svg file(s)\n")
     return 0
 

@@ -1,5 +1,9 @@
-"""Violation reporting: seam attribution, summary tables, structured
-records and SVG neighborhood rendering.
+"""Violation reporting and the owner of the ``results.json`` format:
+seam attribution, violation records, the run entries that ``verify``
+writes, the reader that checks every value ``report`` reads, summary
+tables and SVG neighborhood rendering. ``cli`` only wraps the run
+entries in their library entries and top level, whose keys
+``read_results`` checks here.
 
 A violation is charged to each seam of its own case whose band (the seam
 line widened by the attribution window, limited to the rows of the case)
@@ -15,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .abutment import AbutmentCase, Seam
-from .checks import VerificationResult, Violation
+from .checks import VerificationResult, Violation, ViolationKind
 from .floorplan import Floorplan
 from .geometry import FlatLayout, Mask, Rect
 
@@ -83,55 +87,40 @@ def attribute_to_seams(violations, cases, floorplan: Floorplan,
     return reports, residual
 
 
-CLEAN = "Clean"
 _COLUMNS = ("drc_I", "drcplus_I", "drc_II", "drcplus_II")
 _HEADERS = ("DRC (Opt I)", "DRC+ (Opt I)", "DRC (Opt II)", "DRC+ (Opt II)")
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    library: str
-    counts: dict  # column key -> int, absent when the option was not run
-
-    def cell(self, column: str) -> str:
-        if column not in self.counts:
-            return "-"
-        n = self.counts[column]
-        return CLEAN if n == 0 else str(n)
-
-
-@dataclass(frozen=True)
-class SummaryTable:
-    rows: tuple[SummaryRow, ...]
-
-    def render(self) -> str:
-        names = ["Library"] + list(_HEADERS)
-        table = [names] + [
-            [r.library] + [r.cell(c) for c in _COLUMNS] for r in self.rows]
-        widths = [max(len(row[i]) for row in table)
-                  for i in range(len(names))]
-        lines = []
-        for ri, row in enumerate(table):
-            lines.append("  ".join(
-                cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-            if ri == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {"rows": [{"library": r.library, **r.counts}
-                         for r in self.rows]}
+def summary_table(libraries) -> dict:
+    """The ``summary.json`` mapping of a ``results.json`` ``libraries``
+    list: one row per entry, in order, with the library name and the DRC
+    and DRC+ counts of each run under its option (``drc_I``,
+    ``drcplus_II``, ...); a run not made has no key."""
+    return {"rows": [
+        {"library": entry["name"],
+         **{f"{key}_{run['option']}": run[key]
+            for run in entry["runs"] for key in ("drc", "drcplus")}}
+        for entry in libraries]}
 
 
-def summary_table(libraries) -> SummaryTable:
-    """One row per entry of a ``results.json`` ``libraries`` list, in
-    order, with the DRC and DRC+ counts of each run under its option;
-    zeroes render as Clean."""
-    return SummaryTable(tuple(
-        SummaryRow(entry["name"], {
-            f"{key}_{run['option']}": run[key]
-            for run in entry["runs"] for key in ("drc", "drcplus")})
-        for entry in libraries))
+def render_summary(table: dict) -> str:
+    """``summary.txt``: the rows of ``summary_table`` in aligned columns,
+    a zero count as Clean and a run not made as -."""
+    def cell(row: dict, column: str) -> str:
+        n = row.get(column)
+        return "-" if n is None else "Clean" if n == 0 else str(n)
+
+    names = ["Library", *_HEADERS]
+    grid = [names] + [[row["library"]] + [cell(row, c) for c in _COLUMNS]
+                      for row in table["rows"]]
+    widths = [max(len(row[i]) for row in grid) for i in range(len(names))]
+    lines = []
+    for ri, row in enumerate(grid):
+        lines.append("  ".join(
+            text.ljust(widths[i]) for i, text in enumerate(row)).rstrip())
+        if ri == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
 
 
 def violation_record(v: Violation, cases, seams) -> dict:
@@ -159,6 +148,89 @@ def render_jsonl(result: VerificationResult, window: int) -> str:
     lines = [json.dumps(violation_record(v, result.cases, s), sort_keys=True)
              for v, s in zip(result.violations, seams)]
     return "".join(line + "\n" for line in lines)
+
+
+def run_entry(result: VerificationResult, window: int, out) -> dict:
+    """The ``results.json`` entry of one verify run, with one record per
+    violation. Writes the run's JSONL (``render_jsonl``) to ``out``."""
+    seams = seams_per_violation(result.violations, result.cases,
+                                result.floorplan, window)
+    out.write(render_jsonl(result, window))
+    return {
+        "option": result.option.value,
+        "counts": result.counts_by_kind(),
+        "drc": result.drc_count,
+        "drcplus": result.drcplus_count,
+        "seam_attributed": sum(map(len, seams)),
+        "residual": seams.count([]),
+        "recolor_diff": result.recolor_diff,
+        "violations": [violation_record(v, result.cases, s)
+                       for v, s in zip(result.violations, seams)],
+    }
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+_LIST = ("a list", lambda v: isinstance(v, list))
+_INTEGER = ("an integer", _is_int)
+_KIND_NAMES = frozenset(k.value for k in ViolationKind)
+# What report reads of results.json, per level: key -> (expected, test).
+_TOP_KEYS = {"rules": _STRING, "max_row_width": _INTEGER, "libraries": _LIST}
+_LIBRARY_KEYS = {"name": _STRING, "path": _STRING, "runs": _LIST}
+_RUN_KEYS = {"option": ("I or II", lambda v: v in ("I", "II")),
+             "drc": _INTEGER, "drcplus": _INTEGER, "violations": _LIST}
+_RECORD_KEYS = {
+    "case": _STRING,
+    "kind": ("a violation kind",
+             lambda v: isinstance(v, str) and v in _KIND_NAMES),
+    "layer": _STRING,
+    "bbox": ("a list of 4 integers", lambda v: isinstance(v, list)
+             and len(v) == 4 and all(map(_is_int, v))),
+    "shape_ids": ("a list of integers",
+                  lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "pattern": ("a string or null",
+                lambda v: v is None or isinstance(v, str)),
+    "seams": ("a list of objects with an integer x",
+              lambda v: isinstance(v, list) and all(
+                  isinstance(s, dict) and _is_int(s.get("x")) for s in v)),
+}
+
+
+def _check_keys(path: str, mapping, where: str, keys: dict):
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{path} key {where or '(top level)'} must be an "
+                         f"object, not {mapping!r}")
+    prefix = f"{where}." if where else ""
+    for key, (expected, ok) in keys.items():
+        if key not in mapping:
+            raise ValueError(f"{path} lacks key {prefix}{key}")
+        if not ok(mapping[key]):
+            raise ValueError(f"{path} key {prefix}{key} must be {expected}, "
+                             f"not {mapping[key]!r}")
+
+
+def read_results(path: str, text: str) -> dict:
+    """The payload a verify run wrote to ``path``, parsed from its
+    ``text``, with every value that report reads checked: a missing or
+    malformed one is an input error naming the file and the key."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    _check_keys(path, payload, "", _TOP_KEYS)
+    for i, entry in enumerate(payload["libraries"]):
+        where = f"libraries[{i}]"
+        _check_keys(path, entry, where, _LIBRARY_KEYS)
+        for j, run in enumerate(entry["runs"]):
+            run_where = f"{where}.runs[{j}]"
+            _check_keys(path, run, run_where, _RUN_KEYS)
+            for k, rec in enumerate(run["violations"]):
+                _check_keys(path, rec, f"{run_where}.violations[{k}]",
+                            _RECORD_KEYS)
+    return payload
 
 
 _FILL = {Mask.E1: "#5588cc", Mask.E2: "#dd7766", Mask.NONE: "#bbbbbb"}

@@ -704,7 +704,9 @@ class TestReport:
         results = out / "results.json"
         good = json.loads(results.read_text())
         for key, value in (("max_row_width", [1]), ("max_row_width", 2.5),
-                           ("max_row_width", True)):
+                           ("max_row_width", True),
+                           ("max_row_width", "200000"),
+                           ("max_row_width", 200000.0)):
             results.write_text(json.dumps({**good, key: value}))
             capsys.readouterr()
             assert run(["report", "--out", str(out)]) == 2, (key, value)
@@ -740,6 +742,11 @@ class TestReport:
             ("libraries[0].runs[0].violations[0].shape_ids",
              edited(lambda d: record(d).update(shape_ids="7"))),
             ("rules", json.dumps({**good, "rules": 7})),
+            ("lacks key rules", edited(lambda d: d.pop("rules"))),
+            ("lacks key max_row_width",
+             edited(lambda d: d.pop("max_row_width"))),
+            ("libraries[0].runs[0].violations[0].case",
+             edited(lambda d: record(d).update(case=None))),
             ("top level", json.dumps([good])),
             ("is not valid JSON", "{not json"),
         ]
@@ -791,14 +798,6 @@ class TestReport:
         out = self.prepared(tmp_path)
         monkeypatch.setattr(climod, "plan_library", refuse)
         assert run(["report", "--out", str(out), "--svg-cap", "0"]) == 0
-        results = out / "results.json"
-        doc = json.loads(results.read_text())
-        for lib in doc["libraries"]:
-            for run_ in lib["runs"]:
-                for rec in run_["violations"]:
-                    rec["case"] = None
-        results.write_text(json.dumps(doc))
-        assert run(["report", "--out", str(out)]) == 0
         clean = tmp_path / "clean"
         run(["verify", "--libs", CLEAN, "--rules", RULES, "--out",
              str(clean)])
@@ -838,6 +837,28 @@ class TestReport:
             f"error: {hot}: library site width 4 != rule deck site width "
             f"8\n")
         assert listing() == left
+
+    def test_record_of_a_case_no_longer_made_exits_two(self, tmp_path,
+                                                       capsys):
+        # Renaming SEAMA in the library after verify leaves results.json
+        # naming cases that the re-planned library does not make.
+        lef = tmp_path / "seamdemo.lef"
+        lef.write_text((TESTDATA / "seamdemo.lef").read_text())
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(out)]) == 1
+        assert run(["report", "--out", str(out)]) == 0
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        assert len(list((out / "svg").glob("*.svg"))) == 4
+        lef.write_text(lef.read_text().replace("SEAMA", "SEAMZ"))
+        capsys.readouterr()
+        assert run(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'results.json'} key libraries[0].runs[0]"
+            f".violations[0].case names scell_SEAMA, which {lef} does not "
+            f"make; run verify again\n")
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
 
     def test_clean_run_renders_no_svgs(self, tmp_path):
         out = tmp_path / "out"

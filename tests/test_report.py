@@ -14,6 +14,7 @@ from seamcheck import (
     enumerate_library,
     plan_floorplan,
     render_jsonl,
+    render_summary,
     render_svg,
     run_all,
     seams_per_violation,
@@ -196,25 +197,22 @@ class TestSummary:
         results = [run_all(seam_library, demo_rules, OPT_I),
                    run_all(seam_library, demo_rules, OPT_II)]
         table = summary_table([library_entry(seam_library, results)])
-        assert len(table.rows) == 1
-        row = table.rows[0]
-        assert row.library == "seamdemo"
-        assert row.counts == {"drc_I": 3, "drcplus_I": 1,
-                              "drc_II": 0, "drcplus_II": 0}
-        text = table.render()
-        assert "seamdemo" in text
-        assert "Clean" in text
+        assert table == {"rows": [{"library": "seamdemo",
+                                   "drc_I": 3, "drcplus_I": 1,
+                                   "drc_II": 0, "drcplus_II": 0}]}
+        text = render_summary(table)
+        assert text.splitlines()[2].split() == [
+            "seamdemo", "3", "1", "Clean", "Clean"]
 
     def test_zero_renders_clean_and_absent_renders_dash(self):
         table = summary_table([{"name": "fab", "runs": [
             {"option": "I", "drc": 0, "drcplus": 218}]}])
-        row = table.rows[0]
-        assert row.cell("drc_I") == "Clean"
-        assert row.cell("drcplus_I") == "218"
-        assert row.cell("drc_II") == "-"
-        assert row.cell("drcplus_II") == "-"
-        rendered = table.render()
-        assert "fab" in rendered and "218" in rendered and "-" in rendered
+        assert table == {"rows": [{"library": "fab", "drc_I": 0,
+                                   "drcplus_I": 218}]}
+        assert render_summary(table) == (
+            "Library  DRC (Opt I)  DRC+ (Opt I)  DRC (Opt II)  DRC+ (Opt II)\n"
+            "-------  -----------  ------------  ------------  -------------\n"
+            "fab      Clean        218           -             -\n")
 
     def test_multiple_libraries_keep_first_seen_order(self, seam_library,
                                                       clean_library,
@@ -224,7 +222,8 @@ class TestSummary:
                           [run_all(clean_library, demo_rules, OPT_I)]),
             library_entry(seam_library,
                           [run_all(seam_library, demo_rules, OPT_I)])])
-        assert [r.library for r in table.rows] == ["cleandemo", "seamdemo"]
+        assert [row["library"] for row in table["rows"]] == [
+            "cleandemo", "seamdemo"]
 
     def test_report_rewrites_the_verify_summary(self, tmp_path):
         out = tmp_path / "out"
