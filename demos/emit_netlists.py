@@ -15,7 +15,7 @@ def main() -> None:
     rules = parse_rules((TESTDATA / "rules.yaml").read_text())
 
     cases = enumerate_library(library)
-    floorplan = plan_floorplan(cases, rules)
+    floorplan = plan_floorplan(cases, library, rules)
     print(f"{len(cases)} cases packed into die {tuple(floorplan.die_area)} "
           f"with case gap {floorplan.case_gap} dbu")
 

@@ -338,8 +338,13 @@ def cmd_report(args) -> int:
             cases = None  # laid out only when an SVG is drawn
             for j, run in enumerate(entry["runs"]):
                 drawn = run["violations"][:svg_cap]
-                if lib is None or not drawn:
+                if not drawn:
                     continue
+                if lib is None:
+                    raise ValueError(
+                        f"{results_path} key libraries[{i}].name names "
+                        f"library {entry['name']}, which no library file "
+                        f"read defines")
                 if cases is None:
                     with _naming(lib_path):
                         cases, fp = plan_library(lib, rules,

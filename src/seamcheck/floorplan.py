@@ -89,19 +89,23 @@ class _ShelfClass:
         self.set_next_x(len(self.row_starts) - 1, next_x)
 
 
-def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
+def plan_floorplan(cases: list[AbutmentCase], library: CellLibrary,
+                   rules: RuleDeck,
                    max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> Floorplan:
-    """First-fit shelf packing. Each shelf spans as many rows as its first
-    case needs; a later case fits into the first shelf, in creation order,
-    of its own row count with width to spare, else it opens a new shelf.
-    A case never enters a taller shelf. Raises ValueError if a case
-    exceeds max_row_width. The die spans every opened row and the right
-    edge of every case, so each case placed at ``origin_of`` lies inside
+    """First-fit shelf packing on the rows and sites of ``library``, the
+    library whose cells ``cases`` place. Each shelf spans as many rows as
+    its first case needs; a later case fits into the first shelf, in
+    creation order, of its own row count with width to spare, else it
+    opens a new shelf. A case never enters a taller shelf. The gap
+    between cases is at least twice the rule interaction distance,
+    rounded up to the site. Raises ValueError if a case exceeds
+    max_row_width. The die spans every opened row and the right edge of
+    every case, so each case placed at ``origin_of`` lies inside
     ``die_area``, and so does every shape of it: ``parse_library`` keeps
     each shape inside its cell's outline. ``flatten`` and ``write_def``
     rely on this and do not test it."""
-    gap = _round_up(max(2 * rules.interaction_distance, rules.site_width),
-                    rules.site_width)
+    gap = _round_up(max(2 * rules.interaction_distance, library.site_width),
+                    library.site_width)
     classes: dict[int, _ShelfClass] = {}  # shelf height in rows -> shelves
     total_rows = 0
     positions: list[tuple[int, int]] = []
@@ -124,23 +128,13 @@ def plan_floorplan(cases: list[AbutmentCase], rules: RuleDeck,
             cls.set_next_x(shelf, x + case.width + gap)
     die_w = max((pos[1] + case.width
                  for pos, case in zip(positions, cases)), default=0)
-    die_h = total_rows * rules.row_height
-    return Floorplan(gap, rules.row_height, tuple(positions),
+    die_h = total_rows * library.row_height
+    return Floorplan(gap, library.row_height, tuple(positions),
                      Rect(0, 0, max(die_w, 1), max(die_h, 1)))
 
 
 def plan_library(library: CellLibrary, rules: RuleDeck,
                  max_row_width: int) -> tuple[list[AbutmentCase], Floorplan]:
-    """The library's cases and their floorplan. The library's row height
-    and site width must be the rule deck's, because cases are packed on
-    the deck's rows and site grid."""
-    if library.row_height != rules.row_height:
-        raise ValueError(
-            f"library row height {library.row_height} != rule deck row "
-            f"height {rules.row_height}")
-    if library.site_width != rules.site_width:
-        raise ValueError(
-            f"library site width {library.site_width} != rule deck site "
-            f"width {rules.site_width}")
+    """The library's cases and their floorplan on its own grid."""
     cases = enumerate_library(library)
-    return cases, plan_floorplan(cases, rules, max_row_width)
+    return cases, plan_floorplan(cases, library, rules, max_row_width)

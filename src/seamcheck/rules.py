@@ -1,10 +1,12 @@
 """Rule deck parsing and validation.
 
-The deck is a YAML document with the row/site grid, per-layer width and
-spacing rules (DBU), the DPT layer set, and hotspot pattern definitions:
+The deck is a YAML document with per-layer width and spacing rules (DBU),
+the DPT layer set, and hotspot pattern definitions. It states only rules:
+the row/site grid is each library's own (its SITE statement). A key that
+no check reads is an error at every level, so a mistyped key cannot turn
+a check off; the one exception is the top-level ``name`` label:
 
-    row_height: 576
-    site_width: 8
+    name: demo14
     interaction_distance: 200
     layers:
       M1: {min_width: 32, min_spacing_any_mask: 32,
@@ -66,8 +68,6 @@ class HotspotPattern:
 
 @dataclass(frozen=True)
 class RuleDeck:
-    row_height: int
-    site_width: int
     interaction_distance: int
     layers: dict[str, LayerRule]
     hotspot_patterns: tuple[HotspotPattern, ...] = ()
@@ -100,6 +100,16 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _mapping(value, keys: tuple[str, ...], where: str):
+    """Reject ``value`` unless it is a mapping with no key outside
+    ``keys``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: must be a mapping")
+    for key in value:
+        if key not in keys:
+            raise ParseError(f"{where}: unknown key {key!r}")
+
+
 def _positive_int(value, key: str, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ParseError(f"{where}: {key} must be a positive integer DBU, "
@@ -123,13 +133,8 @@ def parse_rules(text: str) -> RuleDeck:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"rule deck is not valid YAML: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("rule deck must be a mapping at top level")
-
-    row_height = _positive_int(_require(doc, "row_height", "deck"),
-                               "row_height", "deck")
-    site_width = _positive_int(_require(doc, "site_width", "deck"),
-                               "site_width", "deck")
+    _mapping(doc, ("name", "interaction_distance", "layers",
+                   "hotspot_patterns"), "deck")
     interaction = _positive_int(_require(doc, "interaction_distance", "deck"),
                                 "interaction_distance", "deck")
 
@@ -143,8 +148,8 @@ def parse_rules(text: str) -> RuleDeck:
         if mask is not Mask.NONE:
             raise ParseError(f"{where}: the library folds {lname} shapes onto "
                              f"layer {base}, so the rule must be keyed {base}")
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: rule entry must be a mapping")
+        _mapping(raw, ("min_width", "min_spacing_any_mask",
+                       "min_spacing_same_mask", "dpt"), where)
         dpt = raw.get("dpt", False)
         if not isinstance(dpt, bool):
             raise ParseError(f"{where}: dpt must be true or false, "
@@ -182,8 +187,8 @@ def parse_rules(text: str) -> RuleDeck:
     patterns: list[HotspotPattern] = []
     for i, raw in enumerate(raw_patterns):
         where = f"hotspot pattern #{i + 1}"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: must be a mapping")
+        _mapping(raw, ("name", "layer", "masks", "max_gap",
+                       "min_run_length"), where)
         pname = _require(raw, "name", where)
         if not isinstance(pname, str):
             raise ParseError(f"{where}: name must be a string, got {pname!r}")
@@ -202,8 +207,7 @@ def parse_rules(text: str) -> RuleDeck:
                 _require(raw, "min_run_length", where),
                 "min_run_length", where)))
 
-    deck = RuleDeck(row_height=row_height, site_width=site_width,
-                    interaction_distance=interaction, layers=layers,
+    deck = RuleDeck(interaction_distance=interaction, layers=layers,
                     hotspot_patterns=tuple(patterns))
     reach = max(deck.reach(layer) for layer in layers)
     if interaction < reach:

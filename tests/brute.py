@@ -39,7 +39,7 @@ from seamcheck.floorplan import (DEFAULT_MAX_ROW_WIDTH, _round_up,
 # Oracle deck: a DPT layer, a single-mask layer and a rule-less layer
 # that only a hotspot pattern reads, so every sweep consumer is exercised.
 ORACLE_DECK = RuleDeck(
-    row_height=576, site_width=8, interaction_distance=200,
+    interaction_distance=200,
     layers={"M1": LayerRule(32, 32, 64, True),
             "M2": LayerRule(32, 48)},
     hotspot_patterns=(
@@ -303,12 +303,13 @@ def reference_run_all(library, rules, option):
     return tuple(violations), recolor
 
 
-def linear_floorplan(cases, rules, max_row_width):
-    """First-fit shelf packing by scanning every shelf for every case:
-    the first shelf, in creation order, of the case's row count and with
-    room, else a new shelf as tall as the case."""
-    gap = _round_up(max(2 * rules.interaction_distance, rules.site_width),
-                    rules.site_width)
+def linear_floorplan(cases, library, rules, max_row_width):
+    """First-fit shelf packing on ``library``'s grid by scanning every
+    shelf for every case: the first shelf, in creation order, of the
+    case's row count and with room, else a new shelf as tall as the
+    case."""
+    gap = _round_up(max(2 * rules.interaction_distance, library.site_width),
+                    library.site_width)
     shelves = []  # [row_start, height_rows, next_x]
     total_rows = 0
     positions = []
@@ -325,9 +326,9 @@ def linear_floorplan(cases, rules, max_row_width):
             total_rows += case.height_rows
     die_w = max((pos[1] + case.width
                  for pos, case in zip(positions, cases)), default=0)
-    return Floorplan(gap, rules.row_height, tuple(positions),
+    return Floorplan(gap, library.row_height, tuple(positions),
                      Rect(0, 0, max(die_w, 1),
-                          max(total_rows * rules.row_height, 1)))
+                          max(total_rows * library.row_height, 1)))
 
 
 _R0, _MY = Orientation.R0, Orientation.MY

@@ -68,6 +68,9 @@ def odd_library() -> CellLibrary:
 
 ROW_HEIGHT = 576
 SITE_WIDTH = 8
+# A library with no cells: the grid that plan_floorplan packs on when a
+# test hands it cases of its own making.
+GRID = CellLibrary("grid", ROW_HEIGHT, SITE_WIDTH, ())
 
 
 def synth_cell(index: int, height_rows: int = 1, with_shape: bool = True) -> CellProfile:

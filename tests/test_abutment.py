@@ -36,8 +36,8 @@ from seamcheck.abutment import _universe_size
 from seamcheck.netlist import _KEYWORDS
 
 from brute import oracle_chain, oracle_seams
-from conftest import (ROW_HEIGHT, SITE_WIDTH, last_case, read_testdata,
-                      synth_cell, synth_library)
+from conftest import (GRID, ROW_HEIGHT, SITE_WIDTH, last_case,
+                      read_testdata, synth_cell, synth_library)
 
 DECK = parse_rules(read_testdata("rules.yaml"))
 
@@ -100,7 +100,7 @@ class TestTypeAA:
 
     def test_def_codes_follow_orientations(self):
         case = last_case(synth_cell(0, with_shape=False))
-        text = emit_def([case], plan_floorplan([case], DECK))
+        text = emit_def([case], plan_floorplan([case], GRID, DECK))
         assert [line.split()[-2] for line in text.splitlines()
                 if line.startswith("- ")] == ["FN", "N", "N", "FN"]
 
@@ -273,7 +273,7 @@ class TestDerivedSeams:
         for case, w in zip(cases, want):
             assert (case.kind, case.placements, case.seams, case.width,
                     case.height_rows) == w, case
-        plan = plan_floorplan(cases, DECK)
+        plan = plan_floorplan(cases, lib, DECK)
         die = [Placement(f"{case.module_name}/{p.instance_name}", p.cell_ref,
                          (p.origin[0] + ox, p.origin[1] + oy), p.orientation)
                for idx, (case, w) in enumerate(zip(cases, want))

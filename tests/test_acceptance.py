@@ -332,7 +332,7 @@ def test_acceptance_7_roundtrip_determinism(tmp_path):
                 keep = rng.sample(range(len(cases)),
                                   rng.randrange(1, len(cases) + 1))
                 cases = [cases[i] for i in sorted(keep)]
-            plan = plan_floorplan(cases, rules)
+            plan = plan_floorplan(cases, lib, rules)
             text = emit_def(cases, plan)
             design = parse_def(text)
             assert design.die_area == plan.die_area

@@ -137,8 +137,6 @@ class TestSpacing:
     def test_non_dpt_layer_has_no_mask_rules(self):
         rules = parse_rules("""
 name: t
-row_height: 576
-site_width: 8
 interaction_distance: 64
 layers:
   M2:
@@ -606,12 +604,6 @@ class TestRunAll:
         kinds = Counter(v.kind for v in run_all(lib, demo_rules,
                                                 OPT_I).violations)
         assert kinds[ViolationKind.COLOR_MISSING] > 0
-
-    def test_grid_mismatch_rejected(self, seam_library):
-        rules = parse_rules(read_testdata("rules.yaml").replace(
-            "row_height: 576", "row_height: 640"))
-        with pytest.raises(ValueError):
-            run_all(seam_library, rules, OPT_I)
 
     def test_option_ii_never_has_more_color_violations(
             self, seam_library, odd_library, clean_library, demo_rules):

@@ -23,6 +23,13 @@ def run(args):
     return main(args)
 
 
+def tall_rows(lef: str) -> str:
+    """The text of testdata file ``lef`` with its SITE row raised from
+    576 to 600 DBU, which none of its 576-DBU cells is a multiple of."""
+    return (TESTDATA / lef).read_text().replace(
+        "SITE core SIZE 0.008 BY 0.576", "SITE core SIZE 0.008 BY 0.600")
+
+
 class TestProfile:
     def test_writes_text_and_json(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -167,16 +174,15 @@ class TestGenerate:
         assert err.startswith(f"error: {lef}: line ") and "site width" in err
         assert not (out / "testcases_seamdemo.def").exists()
 
-    def test_row_height_unlike_the_deck_exits_two(self, tmp_path, capsys):
-        # 600-DBU cells would be stacked on the deck's 576-DBU rows.
+    def test_row_height_unlike_the_cells_exits_two(self, tmp_path, capsys):
         lef = tmp_path / "tall.lef"
-        lef.write_text((TESTDATA / "seamdemo.lef").read_text()
-                       .replace("BY 0.576", "BY 0.600"))
+        lef.write_text(tall_rows("seamdemo.lef"))
         out = tmp_path / "out"
         assert run(["generate", "--libs", str(lef), "--rules", RULES,
                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {lef}: library row height 600")
+        assert capsys.readouterr().err == (
+            f"error: {lef}: line 17, col 7: cell SEAMA height 576 DBU is not "
+            f"a multiple of the row height 600 DBU\n")
         assert not (out / "testcases_seamdemo.def").exists()
 
     def test_names_that_sanitize_alike_get_distinct_modules(self, tmp_path):
@@ -336,15 +342,38 @@ class TestVerify:
                          [False, False, False]]
 
     def test_failing_later_library_writes_nothing(self, tmp_path, capsys):
-        tall = tmp_path / "tall.lef"
-        tall.write_text((TESTDATA / "clean.lef").read_text()
-                        .replace("BY 0.576", "BY 0.600"))
+        # CLEANA, widened to 120 um, makes cases above the row limit: an
+        # error found only once seamdemo's runs are written.
+        wide = tmp_path / "wide.lef"
+        wide.write_text((TESTDATA / "clean.lef").read_text()
+                        .replace("SIZE 0.2 BY", "SIZE 120 BY"))
         out = tmp_path / "out"
-        assert run(["verify", "--libs", SEAM, str(tall), "--rules", RULES,
+        assert run(["verify", "--libs", SEAM, str(wide), "--rules", RULES,
                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {tall}: library row height 600")
+        assert capsys.readouterr().err == (
+            f"error: {wide}: case scell_CLEANA is 480000 DBU wide, above the "
+            f"200000 DBU row limit\n")
         assert list(out.iterdir()) == []
+
+    def test_libraries_on_two_grids_verify_in_one_run(self, tmp_path):
+        # One deck checks seamdemo and a copy on 4-DBU sites: the grid is
+        # each library's own, and the case gap is a multiple of both.
+        fine = tmp_path / "fine.lef"
+        fine.write_text((TESTDATA / "seamdemo.lef").read_text()
+                        .replace("SITE core SIZE 0.008", "SITE core SIZE 0.004")
+                        .replace("LIBRARY seamdemo", "LIBRARY finedemo"))
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", SEAM, str(fine), "--rules", RULES,
+                    "--out", str(out)]) == 1
+        jsonl = {name: (out / f"violations_{name}.jsonl").read_text()
+                 for name in ("seamdemo_optI", "seamdemo_optII",
+                              "finedemo_optI", "finedemo_optII")}
+        assert jsonl["seamdemo_optI"].count("\n") == 4
+        for option in ("I", "II"):
+            assert jsonl[f"finedemo_opt{option}"] == jsonl[
+                f"seamdemo_opt{option}"].replace("seamdemo", "finedemo")
+        summary = (out / "summary.txt").read_text()
+        assert "seamdemo" in summary and "finedemo" in summary
 
     def test_non_boolean_dpt_exits_two(self, tmp_path, capsys):
         deck = tmp_path / "rules.yaml"
@@ -387,10 +416,10 @@ class TestVerify:
         # the first library's files are not left in --out either.
         if case == "row-height":
             bad = tmp_path / "tall.lef"
-            bad.write_text((TESTDATA / "seamdemo.lef").read_text()
-                           .replace("BY 0.576", "BY 0.600"))
+            bad.write_text(tall_rows("seamdemo.lef"))
             argv, message = [str(bad)], (
-                "library row height 600 != rule deck row height 576")
+                "line 17, col 7: cell SEAMA height 576 DBU is not a multiple "
+                "of the row height 600 DBU")
         else:
             bad, argv = MIXED, [MIXED, "--max-row-width", "1000"]
             message = ("case scell_MULTI3 is 1280 DBU wide, above the 1000 "
@@ -610,6 +639,19 @@ class TestRuleDeckErrors:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {deck}: {message}"), err
 
+    def test_mistyped_key_exits_two(self, tmp_path, capsys):
+        # Read as unknown, the key would leave the deck with no hotspot
+        # pattern, and hotdemo's DRC+ match would go unreported.
+        deck = tmp_path / "rules.yaml"
+        deck.write_text((TESTDATA / "rules.yaml").read_text()
+                        .replace("hotspot_patterns:", "hotspot_pattern:"))
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", str(TESTDATA / "hotdemo.lef"),
+                    "--rules", str(deck), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {deck}: deck: unknown key 'hotspot_pattern'\n")
+        assert list(out.iterdir()) == []
+
 
 class TestReport:
     def prepared(self, tmp_path):
@@ -806,19 +848,35 @@ class TestReport:
 
     def test_library_error_names_the_library(self, tmp_path, capsys):
         out = self.prepared(tmp_path)
-        deck = tmp_path / "rules.yaml"
-        deck.write_text((TESTDATA / "rules.yaml").read_text()
-                        .replace("row_height: 576", "row_height: 600"))
+        bad = tmp_path / "tall.lef"
+        bad.write_text(tall_rows("seamdemo.lef"))
         capsys.readouterr()
-        assert run(["report", "--rules", str(deck), "--out", str(out)]) == 2
+        assert run(["report", "--libs", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {SEAM}: library row height 576 != rule deck row height "
-            f"600\n")
+            f"error: {bad}: line 17, col 7: cell SEAMA height 576 DBU is not "
+            f"a multiple of the row height 600 DBU\n")
+
+    def test_library_that_no_file_defines_exits_two(self, tmp_path,
+                                                    capsys):
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", SEAM, str(TESTDATA / "hotdemo.lef"),
+                    CLEAN, "--rules", RULES, "--out", str(out)]) == 1
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        assert run(["report", "--libs", CLEAN, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'results.json'} key libraries[0].name names "
+            f"library seamdemo, which no library file read defines\n")
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+        # cleandemo has no record to draw, so no file need define it.
+        assert run(["report", "--libs", SEAM, str(TESTDATA / "hotdemo.lef"),
+                    "--out", str(out)]) == 0
 
     def test_failing_later_library_leaves_out_as_verify_left_it(
             self, tmp_path, capsys):
-        # Copies of both libraries: report reads hotdemo after its site
-        # has been halved, once seamdemo's SVGs are drawn.
+        # Copies of both libraries: report packs hotdemo after HOTB has
+        # been widened past the row limit, once seamdemo's SVGs are drawn.
         seam, hot = tmp_path / "seamdemo.lef", tmp_path / "hotdemo.lef"
         seam.write_text((TESTDATA / "seamdemo.lef").read_text())
         hot.write_text((TESTDATA / "hotdemo.lef").read_text())
@@ -829,13 +887,13 @@ class TestReport:
             return {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
 
         left = listing()
-        hot.write_text(hot.read_text().replace(
-            "SITE core SIZE 0.008 BY 0.576", "SITE core SIZE 0.004 BY 0.576"))
+        hot.write_text(hot.read_text().replace("SIZE 0.208 BY",
+                                               "SIZE 120 BY"))
         capsys.readouterr()
         assert run(["report", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {hot}: library site width 4 != rule deck site width "
-            f"8\n")
+            f"error: {hot}: case scell_HOTB is 480000 DBU wide, above the "
+            f"200000 DBU row limit\n")
         assert listing() == left
 
     def test_record_of_a_case_no_longer_made_exits_two(self, tmp_path,

@@ -35,7 +35,7 @@ from seamcheck import (
 )
 
 from brute import linear_floorplan
-from conftest import (ROW_HEIGHT, SITE_WIDTH, TESTDATA, last_case,
+from conftest import (GRID, ROW_HEIGHT, SITE_WIDTH, TESTDATA, last_case,
                       read_testdata, synth_cell, synth_library)
 
 RULES_TEXT = read_testdata("rules.yaml")
@@ -45,8 +45,6 @@ def rules_with_interaction(distance: int):
     """Pattern-free deck so small interaction distances stay consistent."""
     return parse_rules(f"""
 name: t
-row_height: 576
-site_width: 8
 interaction_distance: {distance}
 layers:
   M1:
@@ -113,7 +111,7 @@ class TestDefEmission:
         lib = synth_library(n, multi_every=multi_every)
         rules = parse_rules(RULES_TEXT)
         cases = enumerate_library(lib)
-        plan = plan_floorplan(cases, rules)
+        plan = plan_floorplan(cases, lib, rules)
         return cases, plan
 
     def test_header_and_footer(self):
@@ -146,7 +144,7 @@ class TestDefEmission:
         cell = lib.cells[0]
         rules = parse_rules(RULES_TEXT)
         cases = enumerate_library(lib)
-        plan = plan_floorplan(cases, rules)
+        plan = plan_floorplan(cases, lib, rules)
         text = emit_def(cases, plan)
         w = cell.width
         mod = cases[0].module_name
@@ -172,7 +170,7 @@ class TestStreamedEmission:
 
     def check_library(self, lib):
         cases = enumerate_library(lib)
-        plan = plan_floorplan(cases, parse_rules(RULES_TEXT))
+        plan = plan_floorplan(cases, lib, parse_rules(RULES_TEXT))
         assert (written(write_verilog, cases)
                 == emit_verilog(cases).encode("utf-8"))
         assert (written(write_def, cases, plan)
@@ -195,7 +193,7 @@ class TestStreamedEmission:
     def test_writers_hold_under_half_of_what_they_write(self):
         lib = synth_library(150)
         cases = enumerate_library(lib)
-        plan = plan_floorplan(cases, parse_rules(RULES_TEXT))
+        plan = plan_floorplan(cases, lib, parse_rules(RULES_TEXT))
         written_bytes = (len(emit_verilog(cases).encode("utf-8"))
                          + len(emit_def(cases, plan).encode("utf-8")))
         with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
@@ -230,7 +228,7 @@ class TestDefParsing:
             lib = synth_library(rng.randrange(1, 5),
                                 multi_every=rng.choice((0, 2)))
             cases = enumerate_library(lib)
-            plan = plan_floorplan(cases, rules)
+            plan = plan_floorplan(cases, lib, rules)
             text = emit_def(cases, plan)
             design = parse_def(text)
             assert len(design.placements) == sum(len(c.placements) for c in cases)
@@ -296,7 +294,7 @@ class TestFloorplan:
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=200)
         case = last_case(cell)
         rules = parse_rules(RULES_TEXT)
-        plan = plan_floorplan([case], rules)
+        plan = plan_floorplan([case], GRID, rules)
         assert plan.positions == ((0, 0),)
         assert plan.die_area.width == 800
         assert plan.die_area.height == ROW_HEIGHT
@@ -306,16 +304,29 @@ class TestFloorplan:
             rules = rules_with_interaction(distance)
             lib = synth_library(2, with_shapes=False)
             cases = enumerate_library(lib)
-            plan = plan_floorplan(cases, rules)
+            plan = plan_floorplan(cases, lib, rules)
             assert plan.case_gap >= 2 * rules.interaction_distance
-            assert plan.case_gap % rules.site_width == 0
+            assert plan.case_gap % lib.site_width == 0
+
+    def test_packs_on_the_library_grid(self):
+        # Twice 66 is 132: a multiple of a 4-DBU site, rounded up to 136
+        # on an 8-DBU one. Shelves stack by the library's row height.
+        rules = rules_with_interaction(66)
+        cell = dataclasses.replace(synth_cell(0, with_shape=False), width=200)
+        cases = [last_case(cell)] * 2
+        for site, row_height, gap in ((8, 576, 136), (4, 600, 132)):
+            grid = CellLibrary("grid", row_height, site, ())
+            plan = plan_floorplan(cases, grid, rules, max_row_width=1000)
+            assert plan.case_gap == gap
+            assert plan.origin_of(1) == (0, row_height)
+            assert plan.die_area.height == 2 * row_height
 
     def test_row_overflow_starts_new_row(self):
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=200)
         cases = [last_case(cell)] * 2
         rules = rules_with_interaction(64)
         # Each case is 800 wide; gap is 128. Two cases need 1728.
-        plan = plan_floorplan(cases, rules, max_row_width=1000)
+        plan = plan_floorplan(cases, GRID, rules, max_row_width=1000)
         assert plan.case_gap == 128
         assert plan.positions[0] == (0, 0)
         assert plan.positions[1] == (1, 0)
@@ -325,7 +336,7 @@ class TestFloorplan:
         cell = dataclasses.replace(synth_cell(0, with_shape=False), width=200)
         cases = [last_case(cell)] * 2
         rules = rules_with_interaction(64)
-        plan = plan_floorplan(cases, rules, max_row_width=2000)
+        plan = plan_floorplan(cases, GRID, rules, max_row_width=2000)
         assert plan.positions == ((0, 0), (0, 928))
         assert plan.die_area.height == ROW_HEIGHT
 
@@ -335,7 +346,7 @@ class TestFloorplan:
         lib = synth_library(2, multi_every=2, with_shapes=False)
         cases = enumerate_library(lib)
         rules = parse_rules(RULES_TEXT)
-        plan = plan_floorplan(cases, rules, max_row_width=2000)
+        plan = plan_floorplan(cases, lib, rules, max_row_width=2000)
         boxes = []
         for i, (row, x) in enumerate(plan.positions):
             boxes.append((x, x + cases[i].width, row, row + cases[i].height_rows))
@@ -351,13 +362,13 @@ class TestFloorplan:
         rules = parse_rules(RULES_TEXT)
         with pytest.raises(ValueError, match=(
                 r"^case \S+ is \d+ DBU wide, above the 1200 DBU row limit$")):
-            plan_floorplan([case], rules, max_row_width=1200)
+            plan_floorplan([case], GRID, rules, max_row_width=1200)
 
     def test_origin_of_matches_positions(self):
         lib = synth_library(3, with_shapes=False)
         cases = enumerate_library(lib)
         rules = parse_rules(RULES_TEXT)
-        plan = plan_floorplan(cases, rules, max_row_width=3000)
+        plan = plan_floorplan(cases, lib, rules, max_row_width=3000)
         for i, (row, x) in enumerate(plan.positions):
             assert plan.origin_of(i) == (x, row * ROW_HEIGHT)
 
@@ -367,7 +378,7 @@ class TestFloorplan:
         lib = synth_library(3)
         rules = parse_rules(RULES_TEXT)
         cases = enumerate_library(lib)
-        plan = plan_floorplan(cases, rules)
+        plan = plan_floorplan(cases, lib, rules)
         by_row = {}
         for i, (row, x) in enumerate(plan.positions):
             by_row.setdefault(row, []).append((x, x + cases[i].width))
@@ -406,8 +417,8 @@ class TestFirstFitOracle:
     @given(packing_inputs())
     def test_random_sequences_match_linear_scan(self, inputs):
         boxes, max_row_width = inputs
-        assert (plan_floorplan(boxes, self.RULES, max_row_width)
-                == linear_floorplan(boxes, self.RULES, max_row_width))
+        assert (plan_floorplan(boxes, GRID, self.RULES, max_row_width)
+                == linear_floorplan(boxes, GRID, self.RULES, max_row_width))
 
     @pytest.mark.parametrize("boxes, positions", [
         # The second case fills shelf 0 exactly: 400 + 128 + 472 = 1000.
@@ -424,16 +435,16 @@ class TestFirstFitOracle:
         ([Box(100, 2), Box(100, 1)], ((0, 0), (2, 0))),
     ])
     def test_fixed_sequences(self, boxes, positions):
-        plan = plan_floorplan(boxes, self.RULES, 1000)
+        plan = plan_floorplan(boxes, GRID, self.RULES, 1000)
         assert plan.positions == positions
-        assert plan == linear_floorplan(boxes, self.RULES, 1000)
+        assert plan == linear_floorplan(boxes, GRID, self.RULES, 1000)
 
     def test_many_shelves_of_mixed_height(self):
         rng = random.Random(5)
         boxes = [Box(rng.randrange(1, 3000), rng.choice((1, 1, 2, 3)))
                  for _ in range(3000)]
-        assert (plan_floorplan(boxes, self.RULES, 3000)
-                == linear_floorplan(boxes, self.RULES, 3000))
+        assert (plan_floorplan(boxes, GRID, self.RULES, 3000)
+                == linear_floorplan(boxes, GRID, self.RULES, 3000))
 
 
 # Names that sanitize alike: "X-Y" and "X_Y" both give X_Y, whose first

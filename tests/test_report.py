@@ -30,7 +30,7 @@ OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
 
 def seam_setup(library, rules):
     cases = enumerate_library(library)
-    return cases, plan_floorplan(cases, rules)
+    return cases, plan_floorplan(cases, library, rules)
 
 
 def die_seams(cases, plan, idx):
@@ -156,13 +156,14 @@ class TestAttributionOracle:
                 for v in violations]
 
     def test_matches_scan_of_global_seams(self, demo_rules):
-        cases = enumerate_library(synth_library(6))
+        lib = synth_library(6)
+        cases = enumerate_library(lib)
         rng = random.Random(77)
         # The default row width packs every case into one shelf, so each
         # box meets its case's rows; 4,000 DBU stacks the cases in several
         # shelves, and most boxes then miss the rows of the case they name.
-        plans = (plan_floorplan(cases, demo_rules),
-                 plan_floorplan(cases, demo_rules, 4000))
+        plans = (plan_floorplan(cases, lib, demo_rules),
+                 plan_floorplan(cases, lib, demo_rules, 4000))
         assert plans[1].die_area.y2 > 4 * plans[1].row_height
         for plan in plans:
             die = plan.die_area

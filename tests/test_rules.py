@@ -8,8 +8,6 @@ from seamcheck import ParseError, parse_rules
 
 VALID = """\
 name: demo14
-row_height: 576
-site_width: 8
 interaction_distance: 200
 layers:
   M1:
@@ -32,8 +30,6 @@ hotspot_patterns:
 class TestParseRules:
     def test_valid_deck(self):
         deck = parse_rules(VALID)
-        assert deck.row_height == 576
-        assert deck.site_width == 8
         assert deck.interaction_distance == 200
         m1 = deck.layer_rule("M1")
         assert (m1.min_width, m1.min_spacing_any_mask, m1.min_spacing_same_mask) == \
@@ -112,10 +108,21 @@ class TestParseRules:
                 r"reach 80$")):
             parse_rules(bad)
 
-    def test_missing_row_height_rejected(self):
-        with pytest.raises(ParseError,
-                           match=r"^deck: missing required key 'row_height'$"):
-            parse_rules(VALID.replace("row_height: 576\n", ""))
+    @pytest.mark.parametrize("old, new, where, key", [
+        ("hotspot_patterns:", "hotspot_pattern:", "deck", "hotspot_pattern"),
+        # The grid is the library's SITE, so a deck that states it is
+        # refused rather than read as if it took effect.
+        ("name: demo14\n", "name: demo14\nrow_height: 576\n", "deck",
+         "row_height"),
+        ("    dpt: true", "    dtp: true", "layer M1", "dtp"),
+        ("    max_gap: 80", "    max_gap: 80\n    track_count: 4",
+         "hotspot pattern #1", "track_count"),
+    ], ids=["deck", "deck-grid", "layer", "pattern"])
+    def test_unread_key_rejected(self, old, new, where, key):
+        assert old in VALID
+        with pytest.raises(ParseError, match=(
+                rf"^{where}: unknown key '{key}'$")):
+            parse_rules(VALID.replace(old, new))
 
     def test_missing_layer_key_rejected(self):
         with pytest.raises(ParseError, match=(
