@@ -18,6 +18,7 @@ import glob
 import json
 import os
 import sys
+import zlib
 from contextlib import contextmanager, suppress
 
 import yaml
@@ -37,6 +38,12 @@ def _read(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _crc32(text: str) -> int:
+    """The checksum of an input text that ``results.json`` records, so
+    that ``report`` can tell that the file changed after ``verify``."""
+    return zlib.crc32(text.encode("utf-8"))
 
 
 def _create(path: str):
@@ -95,15 +102,17 @@ def _naming(path: str):
 
 
 def _load_rules(path: str):
+    """The deck at ``path`` and the ``_crc32`` of its text."""
     text = _read(path)
     with _naming(path):
-        return parse_rules(text)
+        return parse_rules(text), _crc32(text)
 
 
 def _load_libraries(paths):
-    """(path, library) per path; a parse error names its file. Output
-    files are named after the LIBRARY name, so two libraries with one name,
-    or a name with a path separator, are an input error."""
+    """(path, library, ``_crc32`` of its text) per path; a parse error
+    names its file. Output files are named after the LIBRARY name, so two
+    libraries with one name, or a name with a path separator, are an
+    input error."""
     libs = []
     seen: dict[str, str] = {}
     for path in paths:
@@ -118,7 +127,7 @@ def _load_libraries(paths):
             raise ValueError(f"libraries {seen[lib.name]} and {path} are "
                              f"both named {lib.name}")
         seen[lib.name] = path
-        libs.append((path, lib))
+        libs.append((path, lib, _crc32(text)))
     return libs
 
 
@@ -197,7 +206,7 @@ def cmd_profile(args) -> int:
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     with _staged(out_dir) as create:
-        for path, lib in _load_libraries(opt.libs()):
+        for path, lib, _ in _load_libraries(opt.libs()):
             stats = profile(lib)
             lines = [f"Library {lib.name}: {len(lib.cells)} cells "
                      f"({stats.n_single} single, {stats.n_multi} multi)",
@@ -226,11 +235,11 @@ def cmd_generate(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    rules = _load_rules(opt.path("rules", required=True))
+    rules, _ = _load_rules(opt.path("rules", required=True))
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     status = 0
     with _staged(out_dir) as create:
-        for path, lib in _load_libraries(opt.libs()):
+        for path, lib, _ in _load_libraries(opt.libs()):
             with _naming(path):
                 cases, fp = plan_library(lib, rules, max_row_width)
             with create(f"testcases_{lib.name}.v") as fh:
@@ -279,12 +288,13 @@ def cmd_verify(args) -> int:
     opt = _Options(args)
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
-    rules = _load_rules(opt.path("rules", required=True))
+    rules, rules_crc32 = _load_rules(opt.path("rules", required=True))
     max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
-    payload = {"rules": opt.path("rules"), "max_row_width": max_row_width,
+    payload = {"rules": opt.path("rules"), "rules_crc32": rules_crc32,
+               "max_row_width": max_row_width,
                "window": rules.interaction_distance, "libraries": []}
     with _staged(out_dir, ("violations_*_opt*.jsonl", _SVGS)) as create:
-        for path, lib in _load_libraries(opt.libs()):
+        for path, lib, crc32 in _load_libraries(opt.libs()):
             runs = []
             for option in _dpt_options(opt):
                 name = f"violations_{lib.name}_opt{option.value}.jsonl"
@@ -296,7 +306,8 @@ def cmd_verify(args) -> int:
                         run_all(lib, rules, option, max_row_width),
                         rules.interaction_distance, fh))
             payload["libraries"].append(
-                {"name": lib.name, "path": path, "runs": runs})
+                {"name": lib.name, "path": path, "crc32": crc32,
+                 "runs": runs})
         table = report.summary_table(payload["libraries"])
         summary = report.render_summary(table)
         with create("summary.txt") as fh:
@@ -325,16 +336,17 @@ def cmd_report(args) -> int:
                          f"not {svg_cap}")
     margin = 200
 
-    rules = _load_rules(opt.path("rules", payload["rules"]))
+    rules_path = opt.path("rules", payload["rules"])
+    rules, rules_crc32 = _load_rules(rules_path)
     lib_paths = opt.libs(required=False) or [
         entry["path"] for entry in payload["libraries"]]
-    libs = {lib.name: (path, lib)
-            for path, lib in _load_libraries(lib_paths)}
+    libs = {lib.name: (path, lib, crc32)
+            for path, lib, crc32 in _load_libraries(lib_paths)}
 
     svg_count = 0
     with _staged(out_dir, (_SVGS,)) as create:
         for i, entry in enumerate(payload["libraries"]):
-            lib_path, lib = libs.get(entry["name"], (None, None))
+            lib_path, lib, crc32 = libs.get(entry["name"], (None,) * 3)
             cases = None  # laid out only when an SVG is drawn
             for j, run in enumerate(entry["runs"]):
                 drawn = run["violations"][:svg_cap]
@@ -371,6 +383,19 @@ def cmd_report(args) -> int:
                             layout, Rect(*rec["bbox"]), margin,
                             tuple(s["x"] for s in rec["seams"])))
                     svg_count += 1
+            # Only now, so that an input change that a more specific error
+            # names (a case no longer made, a cell now too wide) is named
+            # by it; the drawn SVGs are still staged.
+            if cases is not None:
+                for key, recorded, path, crc in (
+                        ("rules_crc32", payload["rules_crc32"], rules_path,
+                         rules_crc32),
+                        (f"libraries[{i}].crc32", entry["crc32"], lib_path,
+                         crc32)):
+                    if recorded != crc:
+                        raise ValueError(
+                            f"{results_path} key {key} is {recorded}, but "
+                            f"{path} has CRC-32 {crc}; run verify again")
         summary = report.render_summary(
             report.summary_table(payload["libraries"]))
         with create("summary.txt") as fh:

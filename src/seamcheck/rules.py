@@ -1,16 +1,18 @@
 """Rule deck parsing and validation.
 
-The deck is a YAML document with per-layer width and spacing rules (DBU),
-the DPT layer set, and hotspot pattern definitions. It states only rules:
-the row/site grid is each library's own (its SITE statement). A key that
-no check reads is an error at every level, so a mistyped key cannot turn
-a check off; the one exception is the top-level ``name`` label:
+The deck is a YAML document with per-layer width and spacing rules (DBU)
+and hotspot pattern definitions. A layer is double-patterned (DPT)
+exactly when its entry gives ``min_spacing_same_mask``. The deck states
+only rules: the row/site grid is each library's own (its SITE statement).
+A key that no check reads is an error at every level, so a mistyped key
+cannot turn a check off; the one exception is the top-level ``name``
+label:
 
     name: demo14
     interaction_distance: 200
     layers:
       M1: {min_width: 32, min_spacing_any_mask: 32,
-           min_spacing_same_mask: 64, dpt: true}
+           min_spacing_same_mask: 64}
     hotspot_patterns:
       - {name: quad_alternating, layer: M1, masks: [E1, E2, E1, E2],
          max_gap: 80, min_run_length: 100}
@@ -31,9 +33,12 @@ from .library import ParseError, split_mask_suffix
 class LayerRule:
     min_width: int
     min_spacing_any_mask: int
-    # Required for double-patterned layers, absent otherwise.
+    # Given exactly for double-patterned layers.
     min_spacing_same_mask: int | None = None
-    dpt: bool = False
+
+    @property
+    def dpt(self) -> bool:
+        return self.min_spacing_same_mask is not None
 
 
 @dataclass(frozen=True)
@@ -149,20 +154,11 @@ def parse_rules(text: str) -> RuleDeck:
             raise ParseError(f"{where}: the library folds {lname} shapes onto "
                              f"layer {base}, so the rule must be keyed {base}")
         _mapping(raw, ("min_width", "min_spacing_any_mask",
-                       "min_spacing_same_mask", "dpt"), where)
-        dpt = raw.get("dpt", False)
-        if not isinstance(dpt, bool):
-            raise ParseError(f"{where}: dpt must be true or false, "
-                             f"got {dpt!r}")
-        if dpt:
-            same_mask = _positive_int(
-                _require(raw, "min_spacing_same_mask", where),
-                "min_spacing_same_mask", where)
-        elif "min_spacing_same_mask" in raw:
-            raise ParseError(f"{where}: min_spacing_same_mask is for DPT "
-                             f"layers only (dpt: true)")
-        else:
-            same_mask = None
+                       "min_spacing_same_mask"), where)
+        same_mask = None
+        if "min_spacing_same_mask" in raw:
+            same_mask = _positive_int(raw["min_spacing_same_mask"],
+                                      "min_spacing_same_mask", where)
         rule = LayerRule(
             min_width=_positive_int(_require(raw, "min_width", where),
                                     "min_width", where),
@@ -170,7 +166,6 @@ def parse_rules(text: str) -> RuleDeck:
                 _require(raw, "min_spacing_any_mask", where),
                 "min_spacing_any_mask", where),
             min_spacing_same_mask=same_mask,
-            dpt=dpt,
         )
         if same_mask is not None and same_mask < rule.min_spacing_any_mask:
             raise ParseError(

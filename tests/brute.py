@@ -40,7 +40,7 @@ from seamcheck.floorplan import (DEFAULT_MAX_ROW_WIDTH, _round_up,
 # that only a hotspot pattern reads, so every sweep consumer is exercised.
 ORACLE_DECK = RuleDeck(
     interaction_distance=200,
-    layers={"M1": LayerRule(32, 32, 64, True),
+    layers={"M1": LayerRule(32, 32, 64),
             "M2": LayerRule(32, 48)},
     hotspot_patterns=(
         HotspotPattern("quad", "M1", (Mask.E1, Mask.E2, Mask.E1, Mask.E2),

@@ -4,6 +4,7 @@ import gc
 import json
 import re
 import weakref
+import zlib
 
 import pytest
 
@@ -54,13 +55,22 @@ class TestProfile:
 
     def test_library_error_names_its_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.lef"
-        bad.write_text((TESTDATA / "seamdemo.lef").read_text()
-                       .replace("SIZE 0.2 BY", "SIZE 0.5761 BY", 1))
-        assert run(["profile", "--libs", SEAM, str(bad), "--out",
-                    str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: line ")
-        assert "finer than 1 DBU" in err
+        text = (TESTDATA / "seamdemo.lef").read_text()
+        size = "  SIZE 0.2 BY 0.576 ;\n"
+        for edited, message in (
+                (text.replace("SIZE 0.2 BY", "SIZE 0.5761 BY", 1),
+                 "finer than 1 DBU"),
+                # SIZE must come first in a MACRO, as in LEF.
+                (text.replace(size, "", 1).replace(
+                    "END SEAMA\n", size + "END SEAMA\n", 1),
+                 "expected 'SIZE', found 'PIN'")):
+            bad.write_text(edited)
+            capsys.readouterr()
+            assert run(["profile", "--libs", SEAM, str(bad), "--out",
+                        str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: line ")
+            assert message in err
 
     def test_non_utf8_input_names_its_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -376,13 +386,18 @@ class TestVerify:
         assert "seamdemo" in summary and "finedemo" in summary
 
     def test_non_boolean_dpt_exits_two(self, tmp_path, capsys):
+        # A layer is DPT by its same-mask spacing alone, so a dpt key is
+        # unknown whatever its value.
         deck = tmp_path / "rules.yaml"
-        deck.write_text((TESTDATA / "rules.yaml").read_text()
-                        .replace("dpt: true", 'dpt: "no"'))
-        assert run(["verify", "--libs", SEAM, "--rules", str(deck),
-                    "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {deck}: layer M1: dpt must be true or false, got 'no'\n")
+        for value in ('"no"', "true"):
+            deck.write_text((TESTDATA / "rules.yaml").read_text().replace(
+                "    min_spacing_same_mask: 64\n",
+                f"    min_spacing_same_mask: 64\n    dpt: {value}\n"))
+            capsys.readouterr()
+            assert run(["verify", "--libs", SEAM, "--rules", str(deck),
+                        "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {deck}: layer M1: unknown key 'dpt'\n")
 
     def test_mask_suffixed_layer_key_exits_two(self, tmp_path, capsys):
         deck = tmp_path / "rules.yaml"
@@ -631,6 +646,10 @@ class TestRuleDeckErrors:
                 (text.replace("min_width: 32", "min_width: -1", 1),
                  "layer M1: min_width must be a positive integer DBU, "
                  "got -1\n"),
+                (text.replace("min_spacing_same_mask: 64",
+                              "min_spacing_same_mask: null"),
+                 "layer M1: min_spacing_same_mask must be a positive integer "
+                 "DBU, got None\n"),
                 ("layers: [1,\n", "rule deck is not valid YAML: ")):
             deck.write_text(bad)
             capsys.readouterr()
@@ -665,6 +684,8 @@ class TestReport:
         svgs = sorted((out / "svg").glob("*.svg"))
         assert len(svgs) == 4
         names = [p.name for p in svgs]
+        # Every violation of seamdemo lies at a seam, drawn as a line.
+        assert all('stroke="#222222"' in p.read_text() for p in svgs)
         assert any("Hotspot" in n for n in names)
         assert any("SpacingSameMask" in n for n in names)
         stdout = capsys.readouterr().out
@@ -787,6 +808,9 @@ class TestReport:
             ("lacks key rules", edited(lambda d: d.pop("rules"))),
             ("lacks key max_row_width",
              edited(lambda d: d.pop("max_row_width"))),
+            ("rules_crc32", json.dumps({**good, "rules_crc32": "0"})),
+            ("lacks key libraries[0].crc32",
+             edited(lambda d: d["libraries"][0].pop("crc32"))),
             ("libraries[0].runs[0].violations[0].case",
              edited(lambda d: record(d).update(case=None))),
             ("top level", json.dumps([good])),
@@ -915,6 +939,61 @@ class TestReport:
             f"error: {out / 'results.json'} key libraries[0].runs[0]"
             f".violations[0].case names scell_SEAMA, which {lef} does not "
             f"make; run verify again\n")
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+
+    @staticmethod
+    def crc32(path) -> int:
+        return zlib.crc32(path.read_text().encode("utf-8"))
+
+    @pytest.mark.parametrize("lef, old, new, cap", [
+        # A wider interaction distance moves every shelf gap, so every
+        # case after the first would be drawn from the wrong place.
+        ("seamdemo.lef", "interaction_distance: 200",
+         "interaction_distance: 400", "50"),
+        # Option II would recolour with a spacing that verify did not use.
+        ("densedemo.lef", "min_spacing_same_mask: 64",
+         "min_spacing_same_mask: 40", "500"),
+    ], ids=["shelf-gap", "same-mask"])
+    def test_deck_unlike_the_verified_one_exits_two(self, tmp_path, capsys,
+                                                   lef, old, new, cap):
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", str(TESTDATA / lef), "--rules",
+                    RULES, "--out", str(out)]) == 1
+        assert run(["report", "--out", str(out), "--svg-cap", cap]) == 0
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        deck = tmp_path / "rules.yaml"
+        deck.write_text((TESTDATA / "rules.yaml").read_text()
+                        .replace(old, new))
+        capsys.readouterr()
+        assert run(["report", "--out", str(out), "--svg-cap", cap,
+                    "--rules", str(deck)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'results.json'} key rules_crc32 is "
+            f"{self.crc32(TESTDATA / 'rules.yaml')}, but {deck} has CRC-32 "
+            f"{self.crc32(deck)}; run verify again\n")
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+
+    def test_library_edited_after_verify_exits_two(self, tmp_path, capsys):
+        # Still makes every case that results.json names, but SEAMA's
+        # left bar is shorter than the one verify checked.
+        lef = tmp_path / "seamdemo.lef"
+        lef.write_text((TESTDATA / "seamdemo.lef").read_text())
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", str(lef), "--rules", RULES,
+                    "--out", str(out)]) == 1
+        recorded = self.crc32(lef)
+        assert run(["report", "--out", str(out)]) == 0
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        lef.write_text(lef.read_text().replace("RECT 0.02 0.06 0.052",
+                                               "RECT 0.02 0.08 0.052"))
+        capsys.readouterr()
+        assert run(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'results.json'} key libraries[0].crc32 is "
+            f"{recorded}, but {lef} has CRC-32 {self.crc32(lef)}; run "
+            f"verify again\n")
         assert {p: p.is_file() and p.read_bytes()
                 for p in out.rglob("*")} == left
 

@@ -51,7 +51,6 @@ layers:
     min_width: 32
     min_spacing_any_mask: 32
     min_spacing_same_mask: 64
-    dpt: true
 """)
 
 

@@ -14,7 +14,6 @@ layers:
     min_width: 32
     min_spacing_any_mask: 32
     min_spacing_same_mask: 64
-    dpt: true
   M2:
     min_width: 40
     min_spacing_any_mask: 48
@@ -42,14 +41,6 @@ class TestParseRules:
         assert pat.track_count == 4
         assert pat.max_gap == 80 and pat.min_run_length == 100
 
-    @pytest.mark.parametrize("value", ['"false"', '"no"', "[1]", "maybe",
-                                       "2", "null"])
-    def test_dpt_must_be_a_boolean(self, value):
-        bad = VALID.replace("dpt: true", f"dpt: {value}")
-        with pytest.raises(ParseError, match=r"layer M1: dpt must be true "
-                           r"or false, got "):
-            parse_rules(bad)
-
     @pytest.mark.parametrize("value", ["5", "true", "false", "{a: 1}"])
     def test_hotspot_patterns_must_be_a_list(self, value):
         head, _ = VALID.split("hotspot_patterns:")
@@ -63,27 +54,38 @@ class TestParseRules:
         head, _ = VALID.split("hotspot_patterns:")
         assert parse_rules(head + tail).hotspot_patterns == ()
 
-    def test_dpt_false_or_absent_is_not_a_dpt_layer(self):
-        plain = VALID.replace("    min_spacing_same_mask: 64\n", "")
-        for text in (plain.replace("dpt: true", "dpt: false"),
-                     plain.replace("    dpt: true\n", "")):
-            assert parse_rules(text).dpt_layers == []
+    def test_layer_without_same_mask_spacing_is_not_dpt(self):
+        deck = parse_rules(VALID.replace("    min_spacing_same_mask: 64\n",
+                                         ""))
+        m1 = deck.layer_rule("M1")
+        assert not m1.dpt and m1.min_spacing_same_mask is None
+        assert deck.dpt_layers == []
 
-    @pytest.mark.parametrize("layer, text", [
-        ("M1", VALID.replace("dpt: true", "dpt: false")),
-        ("M1", VALID.replace("    dpt: true\n", "")),
-        # Within the interaction distance, and above it: either way no
-        # check would read it, so it may not widen the deck's reach.
-        *(("M2", VALID.replace("    min_spacing_any_mask: 48\n",
-                               "    min_spacing_any_mask: 48\n"
-                               f"    min_spacing_same_mask: {value}\n"))
-          for value in (150, 300)),
+    @pytest.mark.parametrize("text, outcome", [
+        (VALID.replace("    min_spacing_same_mask: 64\n",
+                       "    min_spacing_same_mask: 64\n    dpt: false\n"),
+         "layer M1: unknown key 'dpt'"),
+        (VALID, ["M1"]),
+        # Within the interaction distance the spacing makes M2 DPT; above
+        # it, it is a rule reach like any other and widens the deck's reach.
+        (VALID.replace("    min_spacing_any_mask: 48\n",
+                       "    min_spacing_any_mask: 48\n"
+                       "    min_spacing_same_mask: 150\n"),
+         ["M1", "M2"]),
+        (VALID.replace("    min_spacing_any_mask: 48\n",
+                       "    min_spacing_any_mask: 48\n"
+                       "    min_spacing_same_mask: 300\n"),
+         "interaction_distance 200 is below the largest rule reach 300"),
     ], ids=["M1-dpt-false", "M1-dpt-absent", "M2-150", "M2-300"])
-    def test_same_mask_spacing_on_non_dpt_layer_rejected(self, layer, text):
-        with pytest.raises(ParseError, match=(
-                rf"^layer {layer}: min_spacing_same_mask is for DPT layers "
-                rf"only \(dpt: true\)$")):
-            parse_rules(text)
+    def test_same_mask_spacing_on_non_dpt_layer_rejected(self, text, outcome):
+        """A same-mask spacing on a layer with no `dpt: true` makes that
+        layer DPT; only a `dpt` key, or a reach beyond interaction_distance,
+        is rejected."""
+        if isinstance(outcome, str):
+            with pytest.raises(ParseError, match=rf"^{re.escape(outcome)}$"):
+                parse_rules(text)
+        else:
+            assert parse_rules(text).dpt_layers == outcome
 
     def test_fixture_deck(self, demo_rules):
         assert demo_rules.layer_rule("M1").dpt
@@ -114,10 +116,14 @@ class TestParseRules:
         # refused rather than read as if it took effect.
         ("name: demo14\n", "name: demo14\nrow_height: 576\n", "deck",
          "row_height"),
-        ("    dpt: true", "    dtp: true", "layer M1", "dtp"),
+        ("    min_width: 32", "    min_widht: 32", "layer M1", "min_widht"),
+        # A layer is DPT by its same-mask spacing; a dpt flag states
+        # nothing more, so it is refused like any other unread key.
+        ("    min_spacing_same_mask: 64",
+         "    min_spacing_same_mask: 64\n    dpt: true", "layer M1", "dpt"),
         ("    max_gap: 80", "    max_gap: 80\n    track_count: 4",
          "hotspot pattern #1", "track_count"),
-    ], ids=["deck", "deck-grid", "layer", "pattern"])
+    ], ids=["deck", "deck-grid", "layer", "layer-dpt", "pattern"])
     def test_unread_key_rejected(self, old, new, where, key):
         assert old in VALID
         with pytest.raises(ParseError, match=(
@@ -132,13 +138,6 @@ class TestParseRules:
     def test_nonpositive_value_rejected(self):
         with pytest.raises(ParseError):
             parse_rules(VALID.replace("min_width: 32", "min_width: 0"))
-
-    def test_dpt_layer_without_same_mask_spacing_rejected(self):
-        bad = VALID.replace("    min_spacing_same_mask: 64\n", "")
-        with pytest.raises(ParseError, match=(
-                r"^layer M1: missing required key "
-                r"'min_spacing_same_mask'$")):
-            parse_rules(bad)
 
     def test_pattern_on_unknown_layer_rejected(self):
         with pytest.raises(ParseError, match=(
