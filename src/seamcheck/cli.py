@@ -165,8 +165,8 @@ class _Options:
 
     def get(self, key: str, default=None, required: bool = False):
         value = getattr(self.args, key, None)
-        if value is None:
-            value = self.cfg.get(key, default)
+        if value is None:  # a key given as null counts as not given
+            value = default if self.cfg.get(key) is None else self.cfg[key]
         if required and value is None:
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"missing required option {flag}")
@@ -336,37 +336,46 @@ def cmd_report(args) -> int:
                          f"not {svg_cap}")
     margin = 200
 
+    def unchanged(key, recorded, path, crc):
+        if recorded != crc:
+            raise ValueError(f"{results_path} key {key} is {recorded}, but "
+                             f"{path} has CRC-32 {crc}; run verify again")
+
+    # Only the libraries with a record among the first svg_cap of a run
+    # are drawn, so only they and the deck are read, and each is compared
+    # with its checksum as it is read: what is drawn is what verify checked.
+    drawn = [(i, entry) for i, entry in enumerate(payload["libraries"])
+             if any(run["violations"][:svg_cap] for run in entry["runs"])]
     rules_path = opt.path("rules", payload["rules"])
-    rules, rules_crc32 = _load_rules(rules_path)
-    lib_paths = opt.libs(required=False) or [
-        entry["path"] for entry in payload["libraries"]]
-    libs = {lib.name: (path, lib, crc32)
-            for path, lib, crc32 in _load_libraries(lib_paths)}
+    lib_paths = opt.libs(required=False) or [entry["path"]
+                                             for _, entry in drawn]
+    if drawn:
+        rules, rules_crc32 = _load_rules(rules_path)
+        unchanged("rules_crc32", payload["rules_crc32"], rules_path,
+                  rules_crc32)
+        libs = {lib.name: (path, lib, crc32)
+                for path, lib, crc32 in _load_libraries(lib_paths)}
 
     svg_count = 0
     with _staged(out_dir, (_SVGS,)) as create:
-        for i, entry in enumerate(payload["libraries"]):
-            lib_path, lib, crc32 = libs.get(entry["name"], (None,) * 3)
-            cases = None  # laid out only when an SVG is drawn
+        for i, entry in drawn:
+            if entry["name"] not in libs:
+                raise ValueError(
+                    f"{results_path} key libraries[{i}].name names library "
+                    f"{entry['name']}, which no library file read defines")
+            lib_path, lib, crc32 = libs[entry["name"]]
+            unchanged(f"libraries[{i}].crc32", entry["crc32"], lib_path,
+                      crc32)
+            with _naming(lib_path):
+                cases, fp = plan_library(lib, rules, payload["max_row_width"])
+            module_index = {c.module_name: idx for idx, c in enumerate(cases)}
             for j, run in enumerate(entry["runs"]):
-                drawn = run["violations"][:svg_cap]
-                if not drawn:
-                    continue
-                if lib is None:
-                    raise ValueError(
-                        f"{results_path} key libraries[{i}].name names "
-                        f"library {entry['name']}, which no library file "
-                        f"read defines")
-                if cases is None:
-                    with _naming(lib_path):
-                        cases, fp = plan_library(lib, rules,
-                                                 payload["max_row_width"])
-                    module_index = {c.module_name: idx
-                                    for idx, c in enumerate(cases)}
                 option = DptOption(run["option"])
                 layout_idx = None  # the case ``layout`` belongs to
-                for vi, rec in enumerate(drawn):
+                for vi, rec in enumerate(run["violations"][:svg_cap]):
                     idx = module_index.get(rec["case"])
+                    # The inputs are the ones verify read, so only an
+                    # edited results.json names a case not made.
                     if idx is None:
                         raise ValueError(
                             f"{results_path} key libraries[{i}].runs[{j}]"
@@ -383,19 +392,6 @@ def cmd_report(args) -> int:
                             layout, Rect(*rec["bbox"]), margin,
                             tuple(s["x"] for s in rec["seams"])))
                     svg_count += 1
-            # Only now, so that an input change that a more specific error
-            # names (a case no longer made, a cell now too wide) is named
-            # by it; the drawn SVGs are still staged.
-            if cases is not None:
-                for key, recorded, path, crc in (
-                        ("rules_crc32", payload["rules_crc32"], rules_path,
-                         rules_crc32),
-                        (f"libraries[{i}].crc32", entry["crc32"], lib_path,
-                         crc32)):
-                    if recorded != crc:
-                        raise ValueError(
-                            f"{results_path} key {key} is {recorded}, but "
-                            f"{path} has CRC-32 {crc}; run verify again")
         summary = report.render_summary(
             report.summary_table(payload["libraries"]))
         with create("summary.txt") as fh:

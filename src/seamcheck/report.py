@@ -6,8 +6,9 @@ entries in their library entries and top level, whose keys
 ``read_results`` checks here.
 
 A violation is charged to each seam of its own case whose band (the seam
-line widened by the attribution window, limited to the rows of the case)
-intersects the violation box. The seams are the case's own ``Seam``s with
+line widened by the attribution window) meets the violation box in x.
+A violation lies inside its case's rows, where ``run_all`` makes it, so
+the band needs no y extent. The seams are the case's own ``Seam``s with
 ``x`` moved to the die; the case index, module name and row span stay
 with the case. A violation charged to no seam is residual (intra-cell).
 """
@@ -47,23 +48,20 @@ def seams_per_violation(violations, cases, floorplan: Floorplan,
                         window: int) -> list[list[Seam]]:
     """The seams each violation is charged to, parallel to
     ``violations``: every seam of its case, with ``x`` in die
-    coordinates, whose band ``[x - window, x + window] x [y_lo - window,
-    y_hi + window]`` over the case's rows meets the violation box (edges
-    count), in seam order. Each violation names its case, as ``run_all``
-    stamps it. Seams are built only for the cases that violations
-    name."""
-    by_case: dict[int, tuple[int, int, list[Seam]]] = {}
+    coordinates, whose band ``[x - window, x + window]`` meets the
+    violation box in x (edges count), in seam order. Each violation names
+    its case, as ``run_all`` stamps it, and lies inside the case's rows,
+    so x alone decides. Seams are built only for the cases that
+    violations name."""
+    by_case: dict[int, list[Seam]] = {}
     out = []
     for v in violations:
         idx = v.case_index
         if idx not in by_case:
-            ox, oy = floorplan.origin_of(idx)
-            y_hi = oy + cases[idx].height_rows * floorplan.row_height
-            by_case[idx] = (oy, y_hi, _die_seams(cases[idx], ox))
-        y_lo, y_hi, seams = by_case[idx]
+            ox, _ = floorplan.origin_of(idx)
+            by_case[idx] = _die_seams(cases[idx], ox)
         b = v.bbox
-        in_rows = b.y1 <= y_hi + window and y_lo - window <= b.y2
-        out.append([s for s in seams if in_rows and s.x - window <= b.x2
+        out.append([s for s in by_case[idx] if s.x - window <= b.x2
                     and b.x1 <= s.x + window])
     return out
 

@@ -37,7 +37,7 @@ from seamcheck import (
 
 from brute import (ORACLE_DECK, brute_conflict_edges, brute_hotspots,
                    brute_spacing, reference_color_decompose)
-from conftest import PIN_ONLY_LEF, read_testdata
+from conftest import PIN_ONLY_LEF, TESTDATA, read_testdata
 
 OPT_I, OPT_II = DptOption.OPTION_I, DptOption.OPTION_II
 RULES = parse_rules(read_testdata("rules.yaml"))
@@ -614,6 +614,24 @@ class TestRunAll:
             n_ii = sum(1 for v in run_all(lib, demo_rules, OPT_II).violations
                        if v.kind in COLOR_RELATED)
             assert n_ii <= n_i
+
+    def test_every_violation_lies_in_its_case(self, demo_rules):
+        """Attribution compares only x because of this: a case's
+        instances fill its rows, every shape lies inside its cell, and
+        each box is a union of, or lies within, the case's shapes."""
+        checked = 0
+        for lef in sorted(TESTDATA.glob("*.lef")):
+            lib = parse_library(lef.read_text())
+            for opt in (OPT_I, OPT_II):
+                res = run_all(lib, demo_rules, opt)
+                for v in res.violations:
+                    case = res.cases[v.case_index]
+                    ox, oy = res.floorplan.origin_of(v.case_index)
+                    rows = Rect(ox, oy, ox + case.width, oy
+                                + case.height_rows * res.floorplan.row_height)
+                    assert rows.contains(v.bbox), (lef.name, opt, v)
+                    checked += 1
+        assert checked > 0
 
     def test_leaves_no_cyclic_garbage(self, seam_library, demo_rules):
         """Every layout a run builds is freed by reference counting: with

