@@ -2,7 +2,7 @@
 
 Equivalent shell session:
 
-    seamcheck profile  --libs testdata/seamdemo.lef
+    seamcheck profile  --libs testdata/seamdemo.lef --out work
     seamcheck generate --libs testdata/seamdemo.lef --rules testdata/rules.yaml --out work
     seamcheck verify   --libs testdata/seamdemo.lef --rules testdata/rules.yaml --out work
     seamcheck report   --out work
@@ -30,7 +30,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = pathlib.Path(tmp) / "work"
 
-        run(["profile", "--libs", LIB])
+        run(["profile", "--libs", LIB, "--out", str(work)])
         run(["generate", "--libs", LIB, "--rules", RULES,
              "--out", str(work)])
         # Exit 1 is expected here: seamdemo is dirty under option I.

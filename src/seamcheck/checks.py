@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .abutment import AbutmentCase, instance_path
-from .floorplan import DEFAULT_MAX_ROW_WIDTH, Floorplan, plan_library
+from .floorplan import Floorplan, plan_library
 from .geometry import (FlatLayout, Mask, Orientation, ParallelRun, Rect,
                        connected_components, flatten, parallel_runs,
                        union_all)
@@ -471,9 +471,10 @@ def _alone(cell: CellProfile, rules: RuleDeck, option: DptOption):
     return recolor.get(cell.name, 0)
 
 
-def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
-            max_row_width: int = DEFAULT_MAX_ROW_WIDTH) -> VerificationResult:
-    """Full pipeline: enumerate cases, pack them, then verify each case in
+def run_all(library: CellLibrary, rules: RuleDeck,
+            option: DptOption) -> VerificationResult:
+    """Full pipeline: enumerate cases, pack them on the die that
+    ``generate`` writes (``plan_library``), then verify each case in
     isolation. The horizontal gap keeps the cases of one shelf apart, but
     stacked shelves abut (see ``floorplan``). Two isolated cells
     (``_isolated``) cannot meet within any rule's reach, so a case made
@@ -486,7 +487,7 @@ def run_all(library: CellLibrary, rules: RuleDeck, option: DptOption,
     path only in libraries that have such a cell (no ``testdata``
     library and no perfbench workload does). Violations are listed in
     case order."""
-    cases, floorplan = plan_library(library, rules, max_row_width)
+    cases, floorplan = plan_library(library, rules)
     # Keyed by cell name: hashing a CellProfile would hash its shapes.
     standalone: dict[str, int | None] = {}
     violations: list[Violation] = []

@@ -26,7 +26,7 @@ import yaml
 from . import defio, netlist, report
 from .abutment import coverage_check, expected_count, placement_count
 from .checks import DptOption, case_layout, run_all
-from .floorplan import DEFAULT_MAX_ROW_WIDTH, plan_library
+from .floorplan import plan_library
 from .geometry import Rect
 from .library import parse_library, profile
 from .rules import parse_rules
@@ -55,14 +55,16 @@ def _create(path: str):
 def _staged(out_dir: str, owned: tuple[str, ...] = ()):
     """Yield a function that creates the file ``name``, a path relative
     to ``out_dir``, (as ``_create`` does) under a temporary name directly
-    in ``out_dir``. When the block completes every file is renamed into
-    place, its directory made first, and every file that matches one of
-    the ``owned`` glob patterns (relative to ``out_dir``) but was not
-    created is removed, so no file of an earlier run is left beside them;
-    a pattern's directory below ``out_dir`` that is then empty is removed
-    too.
+    in ``out_dir``. When the block completes every directory the files
+    need is made, then every file is renamed into place, and every file
+    that matches one of the ``owned`` glob patterns (relative to
+    ``out_dir``) but was not created is removed, so no file of an earlier
+    run is left beside them; a pattern's directory below ``out_dir`` that
+    is then empty is removed too.
     When the block raises, every temporary is removed, so ``out_dir``
-    gains no file and no directory and loses none."""
+    gains no file and no directory and loses none. When a directory or a
+    rename fails after it, every temporary not yet renamed is removed
+    too: ``out_dir`` is left with no temporary."""
     staged: list[tuple[str, str]] = []  # (temporary path, final path)
 
     def create(name: str):
@@ -74,14 +76,15 @@ def _staged(out_dir: str, owned: tuple[str, ...] = ()):
 
     try:
         yield create
+        for folder in {os.path.dirname(final) for _, final in staged}:
+            os.makedirs(folder, exist_ok=True)
+        for temporary, final in staged:
+            os.replace(temporary, final)
     except BaseException:
         for temporary, _ in staged:
             with suppress(FileNotFoundError):
                 os.remove(temporary)
         raise
-    for temporary, final in staged:
-        os.makedirs(os.path.dirname(final), exist_ok=True)
-        os.replace(temporary, final)
     created = {os.path.relpath(final, out_dir) for _, final in staged}
     for pattern in owned:
         for name in set(glob.glob(pattern, root_dir=out_dir)) - created:
@@ -236,12 +239,10 @@ def cmd_generate(args) -> int:
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     rules, _ = _load_rules(opt.path("rules", required=True))
-    max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     status = 0
     with _staged(out_dir) as create:
         for path, lib, _ in _load_libraries(opt.libs()):
-            with _naming(path):
-                cases, fp = plan_library(lib, rules, max_row_width)
+            cases, fp = plan_library(lib, rules)
             with create(f"testcases_{lib.name}.v") as fh:
                 netlist.write_verilog(fh, cases)
             with create(f"testcases_{lib.name}.def") as fh:
@@ -289,9 +290,7 @@ def cmd_verify(args) -> int:
     out_dir = opt.path("out", "out")
     os.makedirs(out_dir, exist_ok=True)
     rules, rules_crc32 = _load_rules(opt.path("rules", required=True))
-    max_row_width = opt.integer("max_row_width", DEFAULT_MAX_ROW_WIDTH)
     payload = {"rules": opt.path("rules"), "rules_crc32": rules_crc32,
-               "max_row_width": max_row_width,
                "window": rules.interaction_distance, "libraries": []}
     with _staged(out_dir, ("violations_*_opt*.jsonl", _SVGS)) as create:
         for path, lib, crc32 in _load_libraries(opt.libs()):
@@ -301,9 +300,9 @@ def cmd_verify(args) -> int:
                 # The run's result, with its cases and floorplan, is
                 # released once its entry is built, so verify holds one
                 # run's cases at a time.
-                with create(name) as fh, _naming(path):
+                with create(name) as fh:
                     runs.append(report.run_entry(
-                        run_all(lib, rules, option, max_row_width),
+                        run_all(lib, rules, option),
                         rules.interaction_distance, fh))
             payload["libraries"].append(
                 {"name": lib.name, "path": path, "crc32": crc32,
@@ -366,8 +365,7 @@ def cmd_report(args) -> int:
             lib_path, lib, crc32 = libs[entry["name"]]
             unchanged(f"libraries[{i}].crc32", entry["crc32"], lib_path,
                       crc32)
-            with _naming(lib_path):
-                cases, fp = plan_library(lib, rules, payload["max_row_width"])
+            cases, fp = plan_library(lib, rules)
             module_index = {c.module_name: idx for idx, c in enumerate(cases)}
             for j, run in enumerate(entry["runs"]):
                 option = DptOption(run["option"])
@@ -420,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write testcase netlist + DEF")
     common(p)
     p.add_argument("--rules", help="rule deck path")
-    p.add_argument("--max-row-width", dest="max_row_width")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="run all checks and write reports")
@@ -428,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", help="rule deck path")
     p.add_argument("--dpt-option", dest="dpt_option",
                    help="I, II or both (default both)")
-    p.add_argument("--max-row-width", dest="max_row_width")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="render summary and SVGs from a verify run")

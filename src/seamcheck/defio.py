@@ -29,7 +29,8 @@ import re
 from dataclasses import dataclass
 from typing import TextIO
 
-from .abutment import AbutmentCase, Placement, placement_count
+from .abutment import (AbutmentCase, Placement, instance_path,
+                       placement_count)
 from .floorplan import Floorplan
 from .geometry import Orientation, Rect
 from .library import ParseError, _Parser, _tokenize
@@ -77,13 +78,13 @@ def write_def(out: TextIO, cases: list[AbutmentCase],
     """Write the placed-design DEF of the case list under the given
     floorplan to ``out``, one case at a time. Each component line is
     formatted from an instance of the case placed at its die origin
-    (``AbutmentCase.instances``) and names the instance's cell."""
+    (``AbutmentCase.instances``) and gives its ``instance_path`` and its
+    cell's name."""
     out.write(_header(placement_count(cases), floorplan.die_area, "TOP"))
     for idx, case in enumerate(cases):
-        prefix = f"- {case.module_name}/"
         out.write("".join([
-            f"{prefix}{instance} {cell.name} + PLACED ( {x} {y} ) "
-            f"{_DEF_CODE[o]} ;\n"
+            f"- {instance_path(case.module_name, instance)} {cell.name} "
+            f"+ PLACED ( {x} {y} ) {_DEF_CODE[o]} ;\n"
             for instance, cell, x, y, o
             in case.instances(floorplan.origin_of(idx))]))
     out.write(_TRAILER)

@@ -3,7 +3,10 @@
 Cases are packed first-fit into horizontal shelves of their own row
 count, found through a min-tree per shelf height (D. S. Johnson, "Fast
 algorithms for bin packing", JCSS 1974) in O(log S) per case for S
-shelves. The horizontal gap between neighbors in a shelf is at least
+shelves. Every library packs into rows ``DEFAULT_MAX_ROW_WIDTH`` DBU
+wide, so ``generate`` and ``verify`` lay out one die; a case wider than
+a row sits alone on a shelf of its own, and the die widens to hold it.
+The horizontal gap between neighbors in a shelf is at least
 twice the rule interaction distance, but shelves abut with no gap and
 no row flip. So per-case
 verification equals whole-die verification only when no shape lies
@@ -96,24 +99,20 @@ def plan_floorplan(cases: list[AbutmentCase], library: CellLibrary,
     library whose cells ``cases`` place. Each shelf spans as many rows as
     its first case needs; a later case fits into the first shelf, in
     creation order, of its own row count with width to spare, else it
-    opens a new shelf. A case never enters a taller shelf. The gap
-    between cases is at least twice the rule interaction distance,
-    rounded up to the site. Raises ValueError if a case exceeds
-    max_row_width. The die spans every opened row and the right edge of
-    every case, so each case placed at ``origin_of`` lies inside
-    ``die_area``, and so does every shape of it: ``parse_library`` keeps
-    each shape inside its cell's outline. ``flatten`` and ``write_def``
-    rely on this and do not test it."""
+    opens a new shelf. A case never enters a taller shelf, and a case
+    wider than ``max_row_width`` opens a shelf that no later case fits
+    on. The gap between cases is at least twice the rule interaction
+    distance, rounded up to the site. The die spans every opened row and
+    the right edge of every case, so each case placed at ``origin_of``
+    lies inside ``die_area``, and so does every shape of it:
+    ``parse_library`` keeps each shape inside its cell's outline.
+    ``flatten`` and ``write_def`` rely on this and do not test it."""
     gap = _round_up(max(2 * rules.interaction_distance, library.site_width),
                     library.site_width)
     classes: dict[int, _ShelfClass] = {}  # shelf height in rows -> shelves
     total_rows = 0
     positions: list[tuple[int, int]] = []
     for case in cases:
-        if case.width > max_row_width:
-            raise ValueError(
-                f"case {case.module_name} is {case.width} DBU wide, above "
-                f"the {max_row_width} DBU row limit")
         cls = classes.get(case.height_rows)
         shelf = (None if cls is None
                  else cls.first_fit(max_row_width - case.width))
@@ -133,8 +132,9 @@ def plan_floorplan(cases: list[AbutmentCase], library: CellLibrary,
                      Rect(0, 0, max(die_w, 1), max(die_h, 1)))
 
 
-def plan_library(library: CellLibrary, rules: RuleDeck,
-                 max_row_width: int) -> tuple[list[AbutmentCase], Floorplan]:
-    """The library's cases and their floorplan on its own grid."""
+def plan_library(library: CellLibrary,
+                 rules: RuleDeck) -> tuple[list[AbutmentCase], Floorplan]:
+    """The library's cases and their floorplan on its own grid, in rows
+    of the one width every command packs at."""
     cases = enumerate_library(library)
-    return cases, plan_floorplan(cases, library, rules, max_row_width)
+    return cases, plan_floorplan(cases, library, rules)

@@ -176,8 +176,7 @@ _LIST = ("a list", lambda v: isinstance(v, list))
 _INTEGER = ("an integer", _is_int)
 _KIND_NAMES = frozenset(k.value for k in ViolationKind)
 # What report reads of results.json, per level: key -> (expected, test).
-_TOP_KEYS = {"rules": _STRING, "rules_crc32": _INTEGER,
-             "max_row_width": _INTEGER, "libraries": _LIST}
+_TOP_KEYS = {"rules": _STRING, "rules_crc32": _INTEGER, "libraries": _LIST}
 _LIBRARY_KEYS = {"name": _STRING, "path": _STRING, "crc32": _INTEGER,
                  "runs": _LIST}
 _RUN_KEYS = {"option": ("I or II", lambda v: v in ("I", "II")),

@@ -33,8 +33,7 @@ from seamcheck import (
     union_all,
 )
 from seamcheck.checks import _other, _witness_cycle
-from seamcheck.floorplan import (DEFAULT_MAX_ROW_WIDTH, _round_up,
-                                 plan_library)
+from seamcheck.floorplan import _round_up, plan_library
 
 # Oracle deck: a DPT layer, a single-mask layer and a rule-less layer
 # that only a hotspot pattern reads, so every sweep consumer is exercised.
@@ -281,7 +280,7 @@ def reference_run_all(library, rules, option):
     (``reference_flatten``) of every case and the all-pairs checkers
     above. Each case's die placements are its own placements moved by
     its floorplan origin and named <module>/<instance>."""
-    cases, floorplan = plan_library(library, rules, DEFAULT_MAX_ROW_WIDTH)
+    cases, floorplan = plan_library(library, rules)
     cells = {c.name: c for c in library.cells}
     violations, recolor = [], {}
     for idx, case in enumerate(cases):

@@ -17,11 +17,28 @@ from conftest import PIN_ONLY_LEF, TESTDATA, synth_lef
 RULES = str(TESTDATA / "rules.yaml")
 SEAM = str(TESTDATA / "seamdemo.lef")
 CLEAN = str(TESTDATA / "clean.lef")
-MIXED = str(TESTDATA / "mixed.lef")
 
 
 def run(args):
     return main(args)
+
+
+LEFS = sorted(p.name for p in TESTDATA.glob("*.lef"))
+
+
+def covered(box, rects) -> bool:
+    """Whether the union of the closed ``rects`` holds the closed ``box``:
+    the box, cut along every rect edge inside it, has each piece's centre
+    (or, for a box of no width or height, its edge) in some rect."""
+    x1, y1, x2, y2 = box
+
+    def centres(lo, hi, i):
+        cuts = sorted({lo, hi, *(r[j] for r in rects for j in (i, i + 2)
+                                 if lo < r[j] < hi)})
+        return [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] or [lo]
+
+    return all(any(r[0] <= x <= r[2] and r[1] <= y <= r[3] for r in rects)
+               for x in centres(x1, x2, 0) for y in centres(y1, y2, 1))
 
 
 def tall_rows(lef: str) -> str:
@@ -351,19 +368,26 @@ class TestVerify:
         assert alive == [[], [False], [False, False],
                          [False, False, False]]
 
-    def test_failing_later_library_writes_nothing(self, tmp_path, capsys):
-        # CLEANA, widened to 120 um, makes cases above the row limit: an
-        # error found only once seamdemo's runs are written.
+    def test_case_wider_than_a_row_gets_a_shelf_of_its_own(self, tmp_path,
+                                                           capsys):
+        # CLEANA, widened to 120 um, makes the 480,000-DBU case
+        # scell_CLEANA, wider than a 200,000-DBU row: it sits alone on
+        # row 0, and the die widens to hold it.
         wide = tmp_path / "wide.lef"
         wide.write_text((TESTDATA / "clean.lef").read_text()
                         .replace("SIZE 0.2 BY", "SIZE 120 BY"))
         out = tmp_path / "out"
         assert run(["verify", "--libs", SEAM, str(wide), "--rules", RULES,
-                    "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {wide}: case scell_CLEANA is 480000 DBU wide, above the "
-            f"200000 DBU row limit\n")
-        assert list(out.iterdir()) == []
+                    "--out", str(out)]) == 1
+        assert run(["generate", "--libs", SEAM, str(wide), "--rules", RULES,
+                    "--out", str(out)]) == 0
+        assert "cleandemo: 3 cases, 13 placements (expected 13), coverage " \
+            "complete\n" in capsys.readouterr().out
+        design = parse_def((out / "testcases_cleandemo.def").read_text())
+        assert tuple(design.die_area) == (0, 0, 480000, 1728)
+        row0 = {name.split("/")[0] for name, _, (x, y), _
+                in design.placements if y == 0}
+        assert row0 == {"scell_CLEANA"}
 
     def test_libraries_on_two_grids_verify_in_one_run(self, tmp_path):
         # One deck checks seamdemo and a copy on 4-DBU sites: the grid is
@@ -384,6 +408,30 @@ class TestVerify:
                 f"seamdemo_opt{option}"].replace("seamdemo", "finedemo")
         summary = (out / "summary.txt").read_text()
         assert "seamdemo" in summary and "finedemo" in summary
+
+    @pytest.mark.parametrize("lef", LEFS)
+    def test_violations_lie_in_the_generated_cases(self, tmp_path, lef):
+        # generate and verify lay out one die: every violation box lies in
+        # the cells that the DEF places for its case.
+        out = tmp_path / "out"
+        path = str(TESTDATA / lef)
+        assert run(["generate", "--libs", path, "--rules", RULES,
+                    "--out", str(out)]) == 0
+        assert run(["verify", "--libs", path, "--rules", RULES,
+                    "--out", str(out)]) in (0, 1)
+        lib = parse_library((TESTDATA / lef).read_text())
+        size = {c.name: (c.width, c.height) for c in lib.cells}
+        boxes: dict[str, list] = {}
+        design = parse_def(
+            (out / f"testcases_{lib.name}.def").read_text())
+        for name, cell, (x, y), _ in design.placements:
+            w, h = size[cell]
+            boxes.setdefault(name.split("/")[0], []).append(
+                (x, y, x + w, y + h))
+        for jsonl in out.glob("violations_*.jsonl"):
+            for line in jsonl.read_text().splitlines():
+                rec = json.loads(line)
+                assert covered(rec["bbox"], boxes[rec["case"]]), rec
 
     def test_non_boolean_dpt_exits_two(self, tmp_path, capsys):
         # A layer is DPT by its same-mask spacing alone, so a dpt key is
@@ -426,24 +474,24 @@ class TestVerify:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["generate", "verify"])
-    @pytest.mark.parametrize("case", ["row-height", "row-width"])
+    @pytest.mark.parametrize("case", ["row-height", "site-width"])
     def test_library_error_names_the_library(self, tmp_path, capsys,
                                              command, case):
         # The error belongs to the second library, not to the first, and
         # the first library's files are not left in --out either.
+        bad = tmp_path / "bad.lef"
         if case == "row-height":
-            bad = tmp_path / "tall.lef"
             bad.write_text(tall_rows("seamdemo.lef"))
-            argv, message = [str(bad)], (
-                "line 17, col 7: cell SEAMA height 576 DBU is not a multiple "
-                "of the row height 600 DBU")
+            message = ("line 17, col 7: cell SEAMA height 576 DBU is not a "
+                       "multiple of the row height 600 DBU")
         else:
-            bad, argv = MIXED, [MIXED, "--max-row-width", "1000"]
-            message = ("case scell_MULTI3 is 1280 DBU wide, above the 1000 "
-                       "DBU row limit")
+            bad.write_text((TESTDATA / "seamdemo.lef").read_text()
+                           .replace("SIZE 0.2 BY", "SIZE 0.201 BY", 1))
+            message = ("line 17, col 7: MACRO SEAMA width 201 DBU is not a "
+                       "multiple of the site width 8 DBU")
         out = tmp_path / "o"
         assert run([command, "--rules", RULES, "--out", str(out),
-                    "--libs", CLEAN] + argv) == 2
+                    "--libs", CLEAN, str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert list(out.iterdir()) == []
 
@@ -508,9 +556,8 @@ class TestVerify:
     @pytest.mark.parametrize("command, key", [
         ("profile", "libs"), ("profile", "out"),
         ("generate", "libs"), ("generate", "out"), ("generate", "rules"),
-        ("generate", "max_row_width"),
         ("verify", "libs"), ("verify", "out"), ("verify", "rules"),
-        ("verify", "max_row_width"), ("verify", "dpt_option"),
+        ("verify", "dpt_option"),
         ("report", "libs"), ("report", "out"), ("report", "rules"),
         ("report", "svg_cap")])
     def test_null_config_key_counts_as_not_given(self, tmp_path, capsys,
@@ -539,14 +586,9 @@ class TestVerify:
         assert "Traceback" not in null[2]
 
     def test_non_integer_option_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("max_row_width: [1]\n")
         out = tmp_path / "o"
-        assert run(["verify", "--config", str(cfg), "--libs", SEAM,
-                    "--rules", RULES, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "max_row_width" in err
         run(["verify", "--libs", SEAM, "--rules", RULES, "--out", str(out)])
+        cfg = tmp_path / "cfg.yaml"
         cfg.write_text("svg_cap: [1]\n")
         capsys.readouterr()
         assert run(["report", "--config", str(cfg), "--out", str(out)]) == 2
@@ -554,28 +596,15 @@ class TestVerify:
         assert err.startswith("error:") and "svg_cap" in err
 
     def test_fractional_integer_option_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("max_row_width: 2.7\n")
         out = tmp_path / "o"
-        assert run(["verify", "--config", str(cfg), "--libs", SEAM,
-                    "--rules", RULES, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "max_row_width" in err and "2.7" in err
         run(["verify", "--libs", SEAM, "--rules", RULES, "--out", str(out)])
+        cfg = tmp_path / "cfg.yaml"
         cfg.write_text("svg_cap: 2.5\n")
+        capsys.readouterr()
         assert run(["report", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "svg_cap" in err
-
-    @pytest.mark.parametrize("command", ["verify", "generate"])
-    def test_boolean_row_width_exits_two(self, tmp_path, capsys, command):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("max_row_width: true\n")
-        assert run([command, "--config", str(cfg), "--libs", SEAM,
-                    "--rules", RULES, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == (
-            "error: option max_row_width must be an integer, not True\n")
+        assert err.startswith("error:")
+        assert "svg_cap" in err and "2.5" in err
 
     def test_boolean_svg_cap_exits_two(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -589,19 +618,33 @@ class TestVerify:
         assert not (out / "svg").exists()
 
     def test_exact_integer_option_values_still_work(self, tmp_path):
-        """An integral float, an integer string and a plain int all give
-        the outputs of the default row width."""
-        def outputs(sub, extra):
-            out = tmp_path / sub
-            code = run(["verify", "--libs", SEAM, "--rules", RULES,
-                        "--out", str(out)] + extra)
-            return code, (out / "results.json").read_text()
+        """A plain int, an integral float and an integer string in the
+        config file all give the SVGs of ``--svg-cap 2``."""
+        out = tmp_path / "o"
+        run(["verify", "--libs", SEAM, "--rules", RULES, "--out", str(out)])
 
-        expect = outputs("default", [])
+        def svgs(extra):
+            assert run(["report", "--out", str(out)] + extra) == 0
+            return {p.name: p.read_bytes()
+                    for p in sorted((out / "svg").iterdir())}
+
+        expect = svgs(["--svg-cap", "2"])
+        assert len(expect) == 2
         cfg = tmp_path / "cfg.yaml"
-        for value in ("200000", "200000.0", "'200000'", "2.0e+5"):
-            cfg.write_text(f"max_row_width: {value}\n")
-            assert outputs(value, ["--config", str(cfg)]) == expect, value
+        for value in ("2", "2.0", "'2'", "2.0e+0"):
+            cfg.write_text(f"svg_cap: {value}\n")
+            assert svgs(["--config", str(cfg)]) == expect, value
+
+    @pytest.mark.parametrize("command", ["generate", "verify"])
+    def test_row_width_flag_is_unknown(self, tmp_path, capsys, command):
+        # Every die packs into rows of one width, which no flag sets.
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--libs", SEAM, "--rules", RULES, "--out",
+                 str(tmp_path / "o"), "--max-row-width", "200000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-row-width" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_libs_not_a_list_of_paths_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
@@ -631,19 +674,14 @@ class TestVerify:
             "error: option dpt_option must be I, II or both, not 'III'\n")
 
     @pytest.mark.parametrize("argv, message", [
-        (["verify", "--max-row-width", "abc"],
-         "option max_row_width must be an integer, not 'abc'"),
-        (["generate", "--max-row-width", "abc"],
-         "option max_row_width must be an integer, not 'abc'"),
-        (["verify", "--max-row-width", "2.0e+5"],
-         "option max_row_width must be an integer, not '2.0e+5'"),
         (["verify", "--dpt-option", "X"],
          "option dpt_option must be I, II or both, not 'X'"),
         (["report", "--svg-cap", "x"],
          "option svg_cap must be an integer, not 'x'"),
-    ], ids=["verify-row-width-abc", "generate-row-width-abc",
-            "verify-row-width-float", "verify-dpt-option-X",
-            "report-svg-cap-x"])
+        (["report", "--svg-cap", "2.0e+5"],
+         "option svg_cap must be an integer, not '2.0e+5'"),
+    ], ids=["verify-dpt-option-X", "report-svg-cap-x",
+            "report-svg-cap-float"])
     def test_bad_flag_value_fails_as_its_config_key_does(
             self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -792,6 +830,18 @@ class TestReport:
         assert {p: p.is_file() and p.read_bytes()
                 for p in out.rglob("*")} == left
 
+    def test_failing_commit_leaves_out_as_it_was(self, tmp_path, capsys):
+        # A file named svg stops the SVG directory from being made once
+        # every output is written under its temporary name.
+        out = self.prepared(tmp_path)
+        (out / "svg").write_text("x\n")
+        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        assert run(["report", "--out", str(out)]) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert {p: p.is_file() and p.read_bytes()
+                for p in out.rglob("*")} == left
+
     def test_report_without_results_exits_two(self, tmp_path, capsys):
         code = run(["report", "--out", str(tmp_path / "empty")])
         assert code == 2
@@ -801,10 +851,10 @@ class TestReport:
         out = self.prepared(tmp_path)
         results = out / "results.json"
         good = json.loads(results.read_text())
-        for key, value in (("max_row_width", [1]), ("max_row_width", 2.5),
-                           ("max_row_width", True),
-                           ("max_row_width", "200000"),
-                           ("max_row_width", 200000.0)):
+        for key, value in (("rules_crc32", [1]), ("rules_crc32", 2.5),
+                           ("rules_crc32", True),
+                           ("rules_crc32", "200000"),
+                           ("rules_crc32", 200000.0)):
             results.write_text(json.dumps({**good, key: value}))
             capsys.readouterr()
             assert run(["report", "--out", str(out)]) == 2, (key, value)
@@ -841,8 +891,6 @@ class TestReport:
              edited(lambda d: record(d).update(shape_ids="7"))),
             ("rules", json.dumps({**good, "rules": 7})),
             ("lacks key rules", edited(lambda d: d.pop("rules"))),
-            ("lacks key max_row_width",
-             edited(lambda d: d.pop("max_row_width"))),
             ("rules_crc32", json.dumps({**good, "rules_crc32": "0"})),
             ("lacks key libraries[0].crc32",
              edited(lambda d: d["libraries"][0].pop("crc32"))),
@@ -981,27 +1029,6 @@ class TestReport:
             f"{recorded}, but {hot} has CRC-32 {self.crc32(hot)}; run "
             f"verify again\n")
         assert listing() == left
-
-    def test_case_wider_than_the_recorded_row_limit_exits_two(
-            self, tmp_path, capsys):
-        # hotdemo's one case is 832 DBU wide and seamdemo's widest 1024,
-        # so a row limit of 900 fails the later library, once hotdemo's
-        # SVGs are staged.
-        hot = str(TESTDATA / "hotdemo.lef")
-        out = tmp_path / "o"
-        assert run(["verify", "--libs", hot, SEAM, "--rules", RULES,
-                    "--out", str(out)]) == 1
-        results = out / "results.json"
-        results.write_text(json.dumps(
-            {**json.loads(results.read_text()), "max_row_width": 900}))
-        left = {p: p.is_file() and p.read_bytes() for p in out.rglob("*")}
-        capsys.readouterr()
-        assert run(["report", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {SEAM}: case scell_SEAMA_SEAMB is 1024 DBU wide, above "
-            f"the 900 DBU row limit\n")
-        assert {p: p.is_file() and p.read_bytes()
-                for p in out.rglob("*")} == left
 
     def test_record_of_a_case_no_longer_made_exits_two(self, tmp_path,
                                                        capsys):

@@ -1,5 +1,5 @@
 """Smoke test: every narrative script under demos/ runs to completion
-from the repository root."""
+from any working directory and writes nothing there."""
 
 import os
 import pathlib
@@ -13,10 +13,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(script):
+def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

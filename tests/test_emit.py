@@ -28,7 +28,6 @@ from seamcheck import (
     parse_library,
     parse_rules,
     plan_floorplan,
-    plan_library,
     render_def,
     write_def,
     write_verilog,
@@ -356,12 +355,18 @@ class TestFloorplan:
                 assert rows_disjoint or x_separated
 
     def test_case_too_wide(self):
-        cell = dataclasses.replace(synth_cell(0, with_shape=False), width=400)
-        case = last_case(cell)
-        rules = parse_rules(RULES_TEXT)
-        with pytest.raises(ValueError, match=(
-                r"^case \S+ is \d+ DBU wide, above the 1200 DBU row limit$")):
-            plan_floorplan([case], GRID, rules, max_row_width=1200)
+        # A case wider than a row sits alone on a shelf of its own, and
+        # the die is as wide as that case.
+        wide = last_case(dataclasses.replace(
+            synth_cell(0, with_shape=False), width=400))
+        narrow = last_case(dataclasses.replace(
+            synth_cell(1, with_shape=False), width=80))
+        assert wide.width > 1200 >= narrow.width
+        plan = plan_floorplan([wide, narrow, narrow], GRID,
+                              parse_rules(RULES_TEXT), max_row_width=1200)
+        assert plan.positions[0] == (0, 0)
+        assert all(row != 0 for row, _ in plan.positions[1:])
+        assert plan.die_area.width == wide.width
 
     def test_origin_of_matches_positions(self):
         lib = synth_library(3, with_shapes=False)
@@ -396,14 +401,15 @@ class Box(NamedTuple):
 
 @st.composite
 def packing_inputs(draw):
-    """Case sizes of 1-3 rows and a row width from just above the widest
-    case to loose."""
+    """Case sizes of 1-3 rows and a row width from below the widest case,
+    which then sits alone on its shelf, through just above it to loose."""
     boxes = draw(st.lists(
         st.builds(Box, st.integers(1, 2000),
                   st.sampled_from((1, 1, 1, 2, 3))),
         min_size=1, max_size=60))
     widest = max(b.width for b in boxes)
-    slack = draw(st.one_of(st.integers(0, 16), st.integers(0, 20_000)))
+    slack = draw(st.one_of(st.integers(-widest + 1, 0), st.integers(0, 16),
+                           st.integers(0, 20_000)))
     return boxes, widest + slack
 
 
@@ -465,8 +471,9 @@ def edge_rects(draw, width, height):
 @st.composite
 def planned_libraries(draw):
     """A library of 1-5 cells, one to three rows tall, with shapes that
-    touch the outline and clashing names, and a row width from the widest
-    case to twice it, which packs few cases per shelf."""
+    touch the outline and clashing names, and a row width from below the
+    widest case, which then sits alone on its shelf, to twice it, which
+    packs few cases per shelf."""
     cells = []
     for name in draw(st.lists(st.sampled_from(CLASHING_NAMES), min_size=1,
                               max_size=5, unique=True)):
@@ -479,17 +486,19 @@ def planned_libraries(draw):
         cells.append(CellProfile(name, width, height, rows, shapes))
     lib = CellLibrary("planned", ROW_HEIGHT, SITE_WIDTH, tuple(cells))
     widest = max(case.width for case in enumerate_library(lib))
-    return lib, widest + draw(st.integers(0, widest))
+    return lib, draw(st.integers(1, 2 * widest))
 
 
 @settings(max_examples=150, deadline=None)
 @given(planned_libraries())
 def test_plan_library_makes_what_emission_assumes(planned):
     """What the emitters and the checkers no longer re-check holds where
-    ``plan_library`` makes it: every placed shape lies inside the die,
-    module names are unique, and a case's cells are the library's."""
+    ``enumerate_library`` and ``plan_floorplan`` make it, at any row
+    width: every placed shape lies inside the die, module names are
+    unique, and a case's cells are the library's."""
     lib, max_row_width = planned
-    cases, plan = plan_library(lib, parse_rules(RULES_TEXT), max_row_width)
+    cases = enumerate_library(lib)
+    plan = plan_floorplan(cases, lib, parse_rules(RULES_TEXT), max_row_width)
     die = plan.die_area
     for idx, case in enumerate(cases):
         assert all(any(cell is c for c in lib.cells) for cell in case.cells)
